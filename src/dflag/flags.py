@@ -3,11 +3,15 @@
 A flag point is a tuple of nested subspaces, each in canonical reduced
 row echelon form.  For Sp_2n the symplectic form is the anti-diagonal
 one (coordinate i pairs with 2n+1-i, signs +1 on the first half) and
-flags consist of isotropic subspaces.
+flags consist of isotropic subspaces.  Isotropic flags are built
+constructively: each new echelon row is drawn from the solutions of its
+orthogonality conditions, so no non-isotropic subspace is ever formed
+and the work grows with the number of points, not with the number of
+all subspaces.
 
 Closed-form point counts are Gaussian binomial products; they are used
-to enforce the enumeration budget up front and to audit the
-enumerations.
+to enforce the enumeration budget up front (which thereby bounds the
+work as well as the output) and to audit the enumerations.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 
 from . import gfq
 from .compositions import Composition, SymplecticComposition
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CrossCheckError
 from .groups import GroupDatum, GroupFamily
 from .gfq import Mat, Vec
 
@@ -154,13 +158,68 @@ def _extensions(space_dim: int, sub: Mat, k: int, q: int):
         yield gfq.rref(list(sub) + lifted, q)
 
 
-def _is_isotropic_extension(gram: Mat, sub: Mat, q: int) -> bool:
-    rows = list(sub)
-    return all(
-        _form_value(gram, rows[i], rows[j], q) == 0
-        for i in range(len(rows))
-        for j in range(i, len(rows))
-    )
+def _orthogonal_rows(pivot: int, free: list[int], others: list[Vec], n: int, q: int):
+    """Vectors with a 1 at ``pivot``, any entries at ``free`` and zeros
+    elsewhere that are orthogonal to every vector of ``others``.
+
+    The orthogonality conditions are linear in the free entries, so they
+    are solved once and only the solutions are generated.
+    """
+    dim = 2 * n
+
+    def coefficient(x: Vec, c: int) -> int:
+        """<e_c, x> for <u, v> = sum_{i<n} (u_i v_{2n-1-i} - u_{2n-1-i} v_i)."""
+        return x[dim - 1 - c] if c < n else -x[dim - 1 - c]
+
+    equations = [
+        [coefficient(x, c) % q for c in free] + [-coefficient(x, pivot) % q]
+        for x in others
+    ]
+    system = gfq.rref(equations, q)
+    width = len(free)
+    bound = []
+    for row in system:
+        lead = next(i for i, a in enumerate(row) if a)
+        if lead == width:
+            return
+        bound.append(lead)
+    unbound = [i for i in range(width) if i not in bound]
+    for values in itertools.product(range(q), repeat=len(unbound)):
+        entries = [0] * width
+        for i, v in zip(unbound, values):
+            entries[i] = v
+        for lead, row in zip(bound, system):
+            entries[lead] = (row[width] - sum(row[i] * entries[i] for i in unbound)) % q
+        vec = [0] * dim
+        vec[pivot] = 1
+        for c, v in zip(free, entries):
+            vec[c] = v
+        yield tuple(vec)
+
+
+def _isotropic_extensions(space_dim: int, sub: Mat, k: int, q: int):
+    """Isotropic subspaces of dimension k containing the isotropic ``sub``,
+    canonical rref, for the anti-diagonal form on F_q^space_dim.
+
+    The new rows are the quotient rows of ``_extensions`` lifted to the
+    coordinates off the pivots of ``sub``, but each is drawn only from
+    the solutions of its orthogonality conditions against ``sub`` and
+    the rows chosen before it, so no non-isotropic candidate is built.
+    """
+    n = space_dim // 2
+    taken = {next(i for i, x in enumerate(row) if x) for row in sub}
+    complement = [c for c in range(space_dim) if c not in taken]
+    for pivots in itertools.combinations(complement, k - len(sub)):
+        frees = [[c for c in complement if c > p and c not in pivots] for p in pivots]
+        partial = [[]]
+        for p, free in zip(pivots, frees):
+            partial = [
+                rows + [row]
+                for rows in partial
+                for row in _orthogonal_rows(p, free, list(sub) + rows, n, q)
+            ]
+        for rows in partial:
+            yield gfq.rref(list(sub) + rows, q)
 
 
 def enumerate_flags(
@@ -169,7 +228,8 @@ def enumerate_flags(
     """All F_q-points of G/P in canonical form, sorted.
 
     Raises BudgetExceededError (carrying the closed-form count) instead
-    of enumerating past the budget.
+    of enumerating past the budget, and CrossCheckError if the number
+    enumerated differs from the closed form.
     """
     gfq.check_prime(q)
     count = flag_count(group, shape, q)
@@ -179,28 +239,20 @@ def enumerate_flags(
             count,
             budget,
         )
-    symplectic = group.family is GroupFamily.SYMPLECTIC
-    dim = group.dim
-    if symplectic:
-        assert isinstance(shape, SymplecticComposition)
-        dims = shape.isotropic_dims()
-        gram = symplectic_gram(group.n, q)
+    if group.family is GroupFamily.SYMPLECTIC:
+        dims, extend = shape.isotropic_dims(), _isotropic_extensions
     else:
-        assert isinstance(shape, Composition)
-        dims = shape.breaks()
-        gram = None
+        dims, extend = shape.breaks(), _extensions
     flags: list[FlagPoint] = [()]
     for d in dims:
-        new_flags = []
-        for flag in flags:
-            base = flag[-1] if flag else ()
-            for ext in _extensions(dim, base, d, q):
-                if symplectic and not _is_isotropic_extension(gram, ext, q):
-                    continue
-                new_flags.append(flag + (ext,))
-        flags = new_flags
+        flags = [
+            flag + (ext,)
+            for flag in flags
+            for ext in extend(group.dim, flag[-1] if flag else (), d, q)
+        ]
     flags.sort()
-    assert len(flags) == count, f"enumerated {len(flags)}, closed form {count}"
+    if len(flags) != count:
+        raise CrossCheckError(f"enumerated {len(flags)} flags, closed form {count}")
     return flags
 
 

@@ -8,15 +8,12 @@ zero rows dropped, which is unique per subspace.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 __all__ = [
     "check_prime",
     "mat_mul",
     "mat_vec",
     "identity",
     "rref",
-    "row_space",
     "mat_inv",
     "transpose",
 ]
@@ -79,10 +76,6 @@ def rref(rows, q: int) -> Mat:
     return tuple(tuple(r) for r in work[:pivot_row] if any(r))
 
 
-def row_space(rows, q: int) -> Mat:
-    return rref(rows, q)
-
-
 def mat_inv(a: Mat, q: int) -> Mat:
     """Inverse of a square matrix, by Gauss-Jordan on [a | I]."""
     n = len(a)
@@ -100,11 +93,3 @@ def mat_inv(a: Mat, q: int) -> Mat:
                 work[r] = [(x - factor * y) % q for x, y in zip(work[r], work[col])]
     return tuple(tuple(row[n:]) for row in work)
 
-
-@lru_cache(maxsize=None)
-def all_vectors(dim: int, q: int):
-    """All vectors of F_q^dim in lexicographic order."""
-    out = [()]
-    for _ in range(dim):
-        out = [v + (c,) for v in out for c in range(q)]
-    return tuple(out)

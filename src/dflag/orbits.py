@@ -111,14 +111,7 @@ class _Space:
     perms: list
 
     @classmethod
-    def flags(cls, group: GroupDatum, shape, q: int, mats: list[Mat | None], budget: int):
-        count = flag_count(group, shape, q)
-        if count > budget:
-            raise BudgetExceededError(
-                f"{group}/{shape} has {count} points over F_{q}, budget {budget}",
-                count,
-                budget,
-            )
+    def flags(cls, group: GroupDatum, shape, q: int, mats: list[Mat | None]):
         pts, _ = _space_points(group, shape, q)
         identity_perm = None
         perms = []
@@ -132,16 +125,32 @@ class _Space:
         return cls(list(pts), perms)
 
 
-def _product_orbits(spaces: list[_Space], budget: int) -> tuple[int, int]:
+def _check_budget(factors, q: int, budget: int) -> None:
+    """Refuse a product of flag varieties from their closed-form sizes,
+    before any of them is enumerated: first a factor over the budget,
+    then the product."""
+    total = 1
+    for group, shape in factors:
+        count = flag_count(group, shape, q)
+        if count > budget:
+            raise BudgetExceededError(
+                f"{group}/{shape} has {count} points over F_{q}, budget {budget}",
+                count,
+                budget,
+            )
+        total *= count
+    if total > budget:
+        raise BudgetExceededError(
+            f"product has {total} points, budget {budget}", total, budget
+        )
+
+
+def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
     """(total points, orbit count) for the diagonal action on the product."""
     sizes = [len(s.points) for s in spaces]
     total = 1
     for s in sizes:
         total *= s
-    if total > budget:
-        raise BudgetExceededError(
-            f"product has {total} points, budget {budget}", total, budget
-        )
     n_gens = len(spaces[0].perms)
     assert all(len(s.perms) == n_gens for s in spaces)
     uf = UnionFind(total)
@@ -189,8 +198,11 @@ def _product_orbits(spaces: list[_Space], budget: int) -> tuple[int, int]:
                     idx, rest = divmod(rest, stride)
                     image += perm[idx] * stride
                 union(flat, image)
-    sizes_audit = uf.orbit_sizes()
-    assert sum(sizes_audit) == total, "orbit sizes do not add up to the point count"
+    orbit_total = sum(uf.orbit_sizes())
+    if orbit_total != total:
+        raise CrossCheckError(
+            f"orbit sizes add up to {orbit_total}, the product has {total} points"
+        )
     return total, uf.count
 
 
@@ -295,12 +307,14 @@ def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
         raise ValueError(f"{Q} belongs to a different pair")
     P = _standardize(P)
     moves = _k_moves(pair, q)
+    z_factors = _z_factor_data(pair, Q)
+    _check_budget([(P.group, P.shape)] + z_factors, q, budget)
     ambient = [m for m, _ in moves]
-    spaces = [_Space.flags(P.group, P.shape, q, ambient, budget)]
-    for i, (fac_group, fac_shape) in enumerate(_z_factor_data(pair, Q)):
+    spaces = [_Space.flags(P.group, P.shape, q, ambient)]
+    for i, (fac_group, fac_shape) in enumerate(z_factors):
         mats = [factors[i] for _, factors in moves]
-        spaces.append(_Space.flags(fac_group, fac_shape, q, mats, budget))
-    return _product_orbits(spaces, budget)
+        spaces.append(_Space.flags(fac_group, fac_shape, q, mats))
+    return _product_orbits(spaces)
 
 
 def _parabolic_generators(P: ParabolicSpec, q: int) -> list[Mat]:
@@ -410,8 +424,9 @@ def count_triple_orbits(
     if not first.is_standard:
         raise ValueError("first parabolic must normalize to Standard")
     gens = _parabolic_generators(first, q)
-    spaces = [_Space.flags(group, P.shape, q, gens, budget) for P in rest]
-    _, orbits = _product_orbits(spaces, budget)
+    _check_budget([(group, P.shape) for P in rest], q, budget)
+    spaces = [_Space.flags(group, P.shape, q, gens) for P in rest]
+    _, orbits = _product_orbits(spaces)
     return orbits
 
 
@@ -438,18 +453,22 @@ def growth_probe(
     q_list=(2, 3),
     budget: int = DEFAULT_BUDGET,
 ) -> OrbitCountReport:
-    """Count orbits at each field size and classify the trend."""
+    """Count orbits at each field size and classify the trend.
+
+    Entries keep the order of ``q_list``; the trend is judged in order
+    of field size."""
     entries = []
     for q in q_list:
         points, orbits = _count_K_orbits_full(pair, P, Q, q, budget)
         entries.append((q, points, orbits))
-    counts = [orb for _, _, orb in entries]
+    by_size = sorted(entries)
+    counts = [orb for _, _, orb in by_size]
     if all(c == counts[0] for c in counts):
         hint = "Bounded"
     elif all(a <= b for a, b in zip(counts, counts[1:])):
         hint = "Growing"
     else:
         raise CrossCheckError(
-            f"orbit counts decrease along {list(q_list)}: {counts}"
+            f"orbit counts decrease along {[q for q, _, _ in by_size]}: {counts}"
         )
     return OrbitCountReport(tuple(entries), hint)

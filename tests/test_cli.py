@@ -154,6 +154,33 @@ def test_budget_exceeded_exit_2(capsys):
     assert "budget" in err.lower()
 
 
+def test_product_refused_before_enumeration(capsys, monkeypatch):
+    import dflag.orbits
+
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated a product over the budget")
+
+    dflag.orbits._space_points.cache_clear()
+    dflag.orbits._perm_for.cache_clear()
+    monkeypatch.setattr(dflag.orbits, "enumerate_flags", fail)
+    monkeypatch.setattr(dflag.orbits, "apply_to_flag", fail)
+    code, _, err = run(
+        capsys, "triple-orbits", "--family", "A", "--n", "4",
+        "--triple", "1,1,1,1;1,1,1,1;1,1,1,1", "--qlist", "3", "--budget", "1000000",
+    )
+    assert code == 2
+    assert "4326400" in err
+
+
+def test_growth_hint_ignores_qlist_order(capsys):
+    args = ("probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1", "--q", "1,1;1,1")
+    ascending = run_json(capsys, *args, "--qlist", "2,3")
+    descending = run_json(capsys, *args, "--qlist", "3,2")
+    assert ascending["hint"] == descending["hint"] == "Growing"
+    assert [e["q"] for e in descending["entries"]] == [3, 2]
+    assert descending["entries"] == ascending["entries"][::-1]
+
+
 def test_output_is_byte_stable(capsys):
     args = ("classify", "--pair", "AIII:2,1", "--p", "2,1", "--q", "1,1;1", "--format", "json")
     first = run(capsys, *args)

@@ -3,7 +3,7 @@ import pytest
 from dflag import gfq
 from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
-from dflag.errors import BudgetExceededError, UnsupportedPairError
+from dflag.errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from dflag.flags import (
     enumerate_flags,
     flag_count,
@@ -83,6 +83,17 @@ def test_counts_match_closed_forms():
         )
 
 
+def test_enumeration_audit_raises(monkeypatch):
+    import dflag.flags
+
+    real = dflag.flags.flag_count
+    monkeypatch.setattr(dflag.flags, "flag_count", lambda *args: real(*args) + 1)
+    with pytest.raises(CrossCheckError):
+        enumerate_flags(gl(3), C((1, 2)), 2)
+    with pytest.raises(CrossCheckError):
+        enumerate_flags(sp(2), SC((2,), 0), 3)
+
+
 def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(4, 1, 3) == 40
@@ -132,6 +143,12 @@ def test_union_find_audit():
     uf.union(4, 5)
     assert uf.count == 3
     assert uf.orbit_sizes() == [1, 2, 3]
+
+
+def test_orbit_size_audit_raises(monkeypatch):
+    monkeypatch.setattr(UnionFind, "orbit_sizes", lambda self: [1] * self.count)
+    with pytest.raises(CrossCheckError):
+        count_triple_orbits(gl(3), [borel(gl(3))] * 2, 2)
 
 
 def test_kgb_counts_match_clans():
@@ -246,8 +263,8 @@ def test_orbit_count_is_generator_set_invariant():
     counts = []
     for gens in (small, full):
         spaces = [
-            _Space.flags(gl(2), C((1, 1)), 2, list(gens), 10**6) for _ in range(2)
+            _Space.flags(gl(2), C((1, 1)), 2, list(gens)) for _ in range(2)
         ]
-        _, orbits = _product_orbits(spaces, 10**6)
+        _, orbits = _product_orbits(spaces)
         counts.append(orbits)
     assert counts == [2, 2]
