@@ -57,7 +57,6 @@ from .lr import (
 )
 from .orbits import (
     OrbitCountReport,
-    UnionFind,
     count_K_orbits,
     count_triple_orbits,
     growth_probe,

@@ -36,7 +36,7 @@ from .lr import (
     tensor_decompose,
     weyl_dim_gl,
 )
-from .orbits import count_triple_orbits, growth_probe
+from .orbits import check_triple_budget, count_triple_orbits, growth_probe
 from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec
 from .weyl import bruhat_double_cosets, twisted_involutions
 
@@ -286,8 +286,11 @@ def _cmd_triple_orbits(args) -> tuple[int, str]:
         group, shape = _group_shape(args.family, args.n, t)
         specs.append(ParabolicSpec(group, shape))
     budget = args.budget if args.budget is not None else _default_budget()
+    q_list = _parse_qlist(args.qlist)
+    for q in q_list:
+        check_triple_budget(group, specs, q, budget)
     entries = []
-    for q in _parse_qlist(args.qlist):
+    for q in q_list:
         orbits = count_triple_orbits(group, specs, q, budget)
         entries.append((q, orbits))
     doc = {

@@ -1,10 +1,13 @@
 """Orbit counting over F_q by closure under generators.
 
 Spaces are lists of canonical points; each generator is converted once
-into a permutation of the point indices, after which orbit fusion on a
-product of spaces is pure integer work (union-find with path
-compression and union by size).  The sum of orbit sizes is audited
-against the total point count on every call.
+into a permutation of the point indices, acting on each distinct
+subspace of the points only once.  Orbit fusion on a product of spaces
+is then pure integer work: every factor after the first is folded into
+one permutation per generator, and each orbit is walked from a list
+that grows while it is read.  Every permutation is checked to be a
+bijection, and the sum of orbit sizes is audited against the total
+point count on every call.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .compositions import Composition
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from .flags import (
     DEFAULT_BUDGET,
+    _primitive_root,
     apply_to_flag,
     enumerate_flags,
     flag_count,
@@ -37,45 +41,12 @@ from .gfq import Mat
 from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec
 
 __all__ = [
-    "UnionFind",
     "OrbitCountReport",
     "count_K_orbits",
+    "check_triple_budget",
     "count_triple_orbits",
     "growth_probe",
 ]
-
-
-class UnionFind:
-    """Disjoint sets over range(n), path compression + union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-        self.count -= 1
-
-    def orbit_sizes(self) -> list[int]:
-        return sorted(
-            self.size[i] for i in range(len(self.parent)) if self.find(i) == i
-        )
 
 
 def _standardize(P: ParabolicSpec) -> ParabolicSpec:
@@ -99,8 +70,16 @@ def _space_points(group: GroupDatum, shape, q: int):
 
 @lru_cache(maxsize=512)
 def _perm_for(group: GroupDatum, shape, q: int, mat: Mat):
+    """The permutation of the point indices induced by mat.  Nested flags
+    share their lower subspaces, so each distinct subspace is moved once."""
     pts, index = _space_points(group, shape, q)
-    return tuple(index[apply_to_flag(mat, pt, q)] for pt in pts)
+    images = {}
+    for pt in pts:
+        for sub in pt:
+            if sub not in images:
+                images[sub] = apply_to_flag(mat, (sub,), q)[0]
+    image = images.__getitem__
+    return tuple(index[tuple(map(image, pt))] for pt in pts)
 
 
 @dataclass
@@ -146,64 +125,59 @@ def _check_budget(factors, q: int, budget: int) -> None:
 
 
 def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
-    """(total points, orbit count) for the diagonal action on the product."""
-    sizes = [len(s.points) for s in spaces]
-    total = 1
-    for s in sizes:
-        total *= s
-    n_gens = len(spaces[0].perms)
-    assert all(len(s.perms) == n_gens for s in spaces)
-    uf = UnionFind(total)
-    union = uf.union
-    for g in range(n_gens):
-        perms = [s.perms[g] for s in spaces]
-        if len(perms) == 1:
-            (p1,) = perms
-            for a, b in enumerate(p1):
-                if a != b:
-                    union(a, b)
-        elif len(perms) == 2:
-            p1, p2 = perms
-            s2 = sizes[1]
-            for i, pi in enumerate(p1):
-                base = i * s2
-                image = pi * s2
-                for j, pj in enumerate(p2):
-                    a = base + j
-                    b = image + pj
-                    if a != b:
-                        union(a, b)
-        elif len(perms) == 3:
-            p1, p2, p3 = perms
-            s2, s3 = sizes[1], sizes[2]
-            s23 = s2 * s3
-            for i, pi in enumerate(p1):
-                base_i = i * s23
-                image_i = pi * s23
-                for j, pj in enumerate(p2):
-                    base = base_i + j * s3
-                    image = image_i + pj * s3
-                    for k, pk in enumerate(p3):
-                        a = base + k
-                        b = image + pk
-                        if a != b:
-                            union(a, b)
-        else:
-            strides = [1] * len(sizes)
-            for i in range(len(sizes) - 2, -1, -1):
-                strides[i] = strides[i + 1] * sizes[i + 1]
-            for flat in range(total):
-                rest, image = flat, 0
-                for stride, perm in zip(strides, perms):
-                    idx, rest = divmod(rest, stride)
-                    image += perm[idx] * stride
-                union(flat, image)
-    orbit_total = sum(uf.orbit_sizes())
+    """(total points, orbit count) for the diagonal action on the product.
+
+    The factors after the first are folded into one permutation per
+    generator of their product, so point (i, j) has index i * s2 + j.
+    Each orbit is walked forwards only, from a list that grows while it
+    is read.  That finds the whole orbit because every generator is a
+    bijection of a finite set (its inverse is one of its powers), which
+    is checked first.
+    """
+    for space in spaces:
+        everything = set(range(len(space.points)))
+        for perm in space.perms:
+            if len(perm) != len(everything) or set(perm) != everything:
+                raise CrossCheckError(
+                    f"a generator does not permute a space of {len(everything)} points"
+                )
+    first, rest = spaces[0], spaces[1:]
+    s2 = 1
+    folded = [(0,)] * len(first.perms)
+    for space in rest:
+        size = len(space.points)
+        folded = [
+            [a * size + b for a in pa for b in pb]
+            for pa, pb in zip(folded, space.perms, strict=True)
+        ]
+        s2 *= size
+    gens = [
+        ([a * s2 for a in pa], pb)
+        for pa, pb in zip(first.perms, folded, strict=True)
+    ]
+    total = len(first.points) * s2
+    seen = bytearray(total)
+    orbits = orbit_total = 0
+    for start in range(total):
+        if seen[start]:
+            continue
+        orbits += 1
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:
+            i = x // s2
+            j = x - i * s2
+            for scaled, pb in gens:
+                y = scaled[i] + pb[j]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        orbit_total += len(orbit)
     if orbit_total != total:
         raise CrossCheckError(
             f"orbit sizes add up to {orbit_total}, the product has {total} points"
         )
-    return total, uf.count
+    return total, orbits
 
 
 def _embed_block(m: Mat, coords: list[int], dim: int, q: int) -> Mat:
@@ -226,14 +200,25 @@ def _ci_embed(a: Mat, n: int, q: int) -> Mat:
         for j in range(n):
             big[i][j] = a[i][j]
             big[n + i][n + j] = mirrored[i][j]
-    out = tuple(tuple(r) for r in big)
-    assert _is_symplectic(out, n, q)
-    return out
+    return _checked_symplectic(tuple(tuple(r) for r in big), n, q)
 
 
 def _is_symplectic(m: Mat, n: int, q: int) -> bool:
     j = symplectic_gram(n, q)
     return gfq.mat_mul(gfq.mat_mul(gfq.transpose(m), j, q), m, q) == j
+
+
+def _checked_symplectic(m: Mat, n: int, q: int) -> Mat:
+    """m itself, after auditing that it lies in Sp_2n(F_q)."""
+    if not _is_symplectic(m, n, q):
+        raise CrossCheckError(f"a generator built for Sp_{2 * n}(F_{q}) is not symplectic")
+    return m
+
+
+_AI_UNSUPPORTED = (
+    "orbit counting over F_q is not implemented for AI pairs "
+    "(orthogonal groups degenerate in characteristic 2)"
+)
 
 
 def _k_moves(pair: SymmetricPairSpec, q: int):
@@ -257,20 +242,15 @@ def _k_moves(pair: SymmetricPairSpec, q: int):
         middle = list(range(p, dim - p))
         moves = []
         for m in sp_generators(p, q):
-            big = _embed_block(m, plus, dim, q)
-            assert _is_symplectic(big, n, q)
+            big = _checked_symplectic(_embed_block(m, plus, dim, q), n, q)
             moves.append((big, [m, None]))
         for m in sp_generators(qq, q):
-            big = _embed_block(m, middle, dim, q)
-            assert _is_symplectic(big, n, q)
+            big = _checked_symplectic(_embed_block(m, middle, dim, q), n, q)
             moves.append((big, [None, m]))
         return moves
     if kind is PairKind.AII:
         return [(m, [m]) for m in sp_generators(n // 2, q)]
-    raise UnsupportedPairError(
-        "orbit counting over F_q is not implemented for AI pairs "
-        "(orthogonal groups degenerate in characteristic 2)"
-    )
+    raise UnsupportedPairError(_AI_UNSUPPORTED)
 
 
 def _z_factor_data(pair: SymmetricPairSpec, Q: KParabolicSpec):
@@ -284,7 +264,7 @@ def _z_factor_data(pair: SymmetricPairSpec, Q: KParabolicSpec):
         return [(sp(pair.p), Q.factors[0]), (sp(pair.q), Q.factors[1])]
     if kind is PairKind.AII:
         return [(sp(pair.group.n // 2), Q.factors[0])]
-    raise UnsupportedPairError("no F_q model for AI flag varieties of K")
+    raise UnsupportedPairError(_AI_UNSUPPORTED)
 
 
 def count_K_orbits(
@@ -299,20 +279,26 @@ def count_K_orbits(
     return orbits
 
 
-def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
+def _k_factors(pair, P, Q, q) -> list:
+    """(group, shape) of X_P and of each K-factor of Z_Q, after checking
+    the input."""
     gfq.check_prime(q)
     if P.group != pair.group:
         raise ValueError(f"{P} does not live in {pair}")
     if Q.pair != pair:
         raise ValueError(f"{Q} belongs to a different pair")
     P = _standardize(P)
+    return [(P.group, P.shape)] + _z_factor_data(pair, Q)
+
+
+def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
+    factors = _k_factors(pair, P, Q, q)
+    _check_budget(factors, q, budget)
+    (x_group, x_shape), *z_factors = factors
     moves = _k_moves(pair, q)
-    z_factors = _z_factor_data(pair, Q)
-    _check_budget([(P.group, P.shape)] + z_factors, q, budget)
-    ambient = [m for m, _ in moves]
-    spaces = [_Space.flags(P.group, P.shape, q, ambient)]
+    spaces = [_Space.flags(x_group, x_shape, q, [m for m, _ in moves])]
     for i, (fac_group, fac_shape) in enumerate(z_factors):
-        mats = [factors[i] for _, factors in moves]
+        mats = [per_factor[i] for _, per_factor in moves]
         spaces.append(_Space.flags(fac_group, fac_shape, q, mats))
     return _product_orbits(spaces)
 
@@ -329,15 +315,13 @@ def _parabolic_generators(P: ParabolicSpec, q: int) -> list[Mat]:
     dim = group.dim
     gens: list[Mat] = []
     if q > 2:
-        prim = _primitive(q)
+        prim = _primitive_root(q)
         for i in range(n):
             if group.family is GroupFamily.GENERAL_LINEAR:
                 gens.append(_unit_matrix_with(n, {(i, i): prim}, q))
             else:
                 entries = {(i, i): prim, (dim - 1 - i, dim - 1 - i): pow(prim, -1, q)}
-                m = _unit_matrix_with(dim, entries, q)
-                assert _is_symplectic(m, n, q)
-                gens.append(m)
+                gens.append(_checked_symplectic(_unit_matrix_with(dim, entries, q), n, q))
     for alpha in sorted(parabolic_root_set(P)):
         gens.append(_root_element(group, alpha, q))
     return gens
@@ -348,13 +332,6 @@ def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:
     for (i, j), v in entries.items():
         m[i][j] = v % q
     return tuple(tuple(r) for r in m)
-
-
-def _primitive(q: int) -> int:
-    for g in range(2, q):
-        if len({pow(g, e, q) for e in range(1, q)}) == q - 1:
-            return g
-    raise ValueError(q)
 
 
 def _root_element(group: GroupDatum, alpha, q: int) -> Mat:
@@ -390,15 +367,39 @@ def _sp_root_element(n: int, alpha, q: int) -> Mat:
     if negative:
         positions = [(b, a) for a, b in positions]
     if len(positions) == 1:
-        m = _unit_matrix_with(dim, {positions[0]: 1}, q)
-        assert _is_symplectic(m, n, q)
-        return m
+        return _checked_symplectic(_unit_matrix_with(dim, {positions[0]: 1}, q), n, q)
     first, second = positions
     for corr in range(q):
         m = _unit_matrix_with(dim, {first: 1, second: corr}, q)
         if _is_symplectic(m, n, q):
             return m
     raise RuntimeError(f"no symplectic root element for {alpha}")
+
+
+def _triple_specs(group: GroupDatum, parabolics: list[ParabolicSpec], q: int):
+    """The parabolics in Standard form, after checking the input."""
+    gfq.check_prime(q)
+    if len(parabolics) not in (2, 3):
+        raise ValueError("need two or three parabolic specs")
+    if any(P.group != group for P in parabolics):
+        raise ValueError("all parabolics must share the group")
+    specs = [_standardize(P) for P in parabolics]
+    if not specs[0].is_standard:
+        raise ValueError("first parabolic must normalize to Standard")
+    return specs
+
+
+def check_triple_budget(
+    group: GroupDatum,
+    parabolics: list[ParabolicSpec],
+    q: int,
+    budget: int = DEFAULT_BUDGET,
+) -> None:
+    """Raise BudgetExceededError, from closed-form sizes alone, where
+    count_triple_orbits with the same arguments would; lets a caller
+    refuse a list of fields before counting any of them."""
+    _, *rest = _triple_specs(group, parabolics, q)
+    _check_budget([(group, P.shape) for P in rest], q, budget)
 
 
 def count_triple_orbits(
@@ -414,17 +415,9 @@ def count_triple_orbits(
     what gets enumerated.  For a pair this is the Bruhat double coset
     count, independent of q.
     """
-    gfq.check_prime(q)
-    if len(parabolics) not in (2, 3):
-        raise ValueError("need two or three parabolic specs")
-    if any(P.group != group for P in parabolics):
-        raise ValueError("all parabolics must share the group")
-    specs = [_standardize(P) for P in parabolics]
-    first, rest = specs[0], specs[1:]
-    if not first.is_standard:
-        raise ValueError("first parabolic must normalize to Standard")
-    gens = _parabolic_generators(first, q)
+    first, *rest = _triple_specs(group, parabolics, q)
     _check_budget([(group, P.shape) for P in rest], q, budget)
+    gens = _parabolic_generators(first, q)
     spaces = [_Space.flags(group, P.shape, q, gens) for P in rest]
     _, orbits = _product_orbits(spaces)
     return orbits
@@ -455,8 +448,11 @@ def growth_probe(
 ) -> OrbitCountReport:
     """Count orbits at each field size and classify the trend.
 
+    Every field is checked against the budget before any is counted.
     Entries keep the order of ``q_list``; the trend is judged in order
     of field size."""
+    for q in q_list:
+        _check_budget(_k_factors(pair, P, Q, q), q, budget)
     entries = []
     for q in q_list:
         points, orbits = _count_K_orbits_full(pair, P, Q, q, budget)

@@ -172,6 +172,30 @@ def test_product_refused_before_enumeration(capsys, monkeypatch):
     assert "4326400" in err
 
 
+def test_every_field_refused_before_any_is_counted(capsys, monkeypatch):
+    # q = 3 fits the budget and q = 5 does not: nothing may be counted
+    import dflag.orbits
+
+    def fail(*args, **kwargs):
+        raise AssertionError("counted a field before refusing a later one")
+
+    dflag.orbits._space_points.cache_clear()
+    dflag.orbits._perm_for.cache_clear()
+    monkeypatch.setattr(dflag.orbits, "enumerate_flags", fail)
+    code, _, err = run(
+        capsys, "probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1",
+        "--q", "1,1;1,1", "--qlist", "3,5", "--budget", "100000",
+    )
+    assert code == 2
+    assert "1044576" in err
+    code, _, err = run(
+        capsys, "triple-orbits", "--family", "A", "--n", "4",
+        "--triple", "1,1,1,1;1,1,1,1", "--qlist", "3,5", "--budget", "10000",
+    )
+    assert code == 2
+    assert "29016" in err
+
+
 def test_growth_hint_ignores_qlist_order(capsys):
     args = ("probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1", "--q", "1,1;1,1")
     ascending = run_json(capsys, *args, "--qlist", "2,3")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dflag import gfq
@@ -5,16 +7,22 @@ from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from dflag.flags import (
+    apply_to_flag,
     enumerate_flags,
     flag_count,
     gaussian_binomial,
+    gl_generators,
     group_order,
     group_points,
+    sp_generators,
     symplectic_gram,
 )
 from dflag.groups import ParabolicSpec, borel, gl, sp, whole_group
 from dflag.orbits import (
-    UnionFind,
+    _perm_for,
+    _product_orbits,
+    _Space,
+    _space_points,
     count_K_orbits,
     count_triple_orbits,
     growth_probe,
@@ -136,19 +144,73 @@ def test_symplectic_gram_antidiagonal():
 # ------------------------------------------------------------ orbit counts
 
 
-def test_union_find_audit():
-    uf = UnionFind(6)
-    uf.union(0, 1)
-    uf.union(1, 2)
-    uf.union(4, 5)
-    assert uf.count == 3
-    assert uf.orbit_sizes() == [1, 2, 3]
+def _reference_orbits(spaces):
+    """Orbit count on the product by plain union-find over tuples."""
+    points = [()]
+    for s in spaces:
+        points = [pt + (i,) for pt in points for i in range(len(s.points))]
+    parent = {pt: pt for pt in points}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for g in range(len(spaces[0].perms)):
+        for pt in points:
+            image = tuple(s.perms[g][i] for s, i in zip(spaces, pt))
+            parent[find(pt)] = find(image)
+    return len(points), sum(1 for pt in points if find(pt) == pt)
 
 
-def test_orbit_size_audit_raises(monkeypatch):
-    monkeypatch.setattr(UnionFind, "orbit_sizes", lambda self: [1] * self.count)
+def test_orbit_walk_on_hand_built_space():
+    # one generator with cycles (0) (1 2) (3 4 5): orbits of sizes 1, 2, 3
+    space = _Space(list(range(6)), [(0, 2, 1, 4, 5, 3)])
+    assert _product_orbits([space]) == (6, 3)
+    assert _reference_orbits([space]) == (6, 3)
+
+
+def test_non_bijective_generator_raises():
+    collapsing = _Space(list(range(3)), [(0, 0, 1)])
     with pytest.raises(CrossCheckError):
-        count_triple_orbits(gl(3), [borel(gl(3))] * 2, 2)
+        _product_orbits([collapsing])
+    fine = _Space(list(range(3)), [(1, 2, 0)])
+    with pytest.raises(CrossCheckError):
+        _product_orbits([fine, collapsing])
+    out_of_range = _Space(list(range(2)), [(1, 2)])
+    with pytest.raises(CrossCheckError):
+        _product_orbits([out_of_range])
+
+
+def test_product_orbits_match_reference_union_find():
+    rng = random.Random(20261018)
+    for trial in range(60):
+        n_factors = 1 + trial % 3
+        n_gens = rng.randint(0, 3)
+        spaces = []
+        for _ in range(n_factors):
+            size = rng.randint(1, 7)
+            perms = []
+            for _ in range(n_gens):
+                perm = list(range(size))
+                rng.shuffle(perm)
+                perms.append(tuple(perm))
+            spaces.append(_Space(list(range(size)), perms))
+        assert _product_orbits(spaces) == _reference_orbits(spaces)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_memoized_permutation_matches_per_flag_action(q):
+    cases = [
+        (gl(4), C((1, 1, 1, 1)), gl_generators(4, q)),
+        (sp(2), SC((1, 1), 0), sp_generators(2, q)),
+    ]
+    for group, shape, gens in cases:
+        pts, index = _space_points(group, shape, q)
+        assert len(pts[0]) >= 2
+        for m in gens:
+            plain = tuple(index[apply_to_flag(m, pt, q)] for pt in pts)
+            assert _perm_for(group, shape, q, m) == plain
 
 
 def test_kgb_counts_match_clans():
@@ -238,6 +300,22 @@ def test_type_c_triple_counts_stabilize_at_odd_q():
     assert counts[3] == counts[5] == 18
 
 
+def test_symplectic_audits_raise(monkeypatch):
+    import dflag.orbits
+
+    monkeypatch.setattr(dflag.orbits, "_is_symplectic", lambda *args: False)
+    ci = SymmetricPairSpec.parse("CI:2")
+    with pytest.raises(CrossCheckError):
+        count_K_orbits(ci, borel(sp(2)), whole_K(ci), 3)
+    cii = SymmetricPairSpec.parse("CII:1,1")
+    with pytest.raises(CrossCheckError):
+        count_K_orbits(cii, borel(sp(2)), whole_K(cii), 3)
+    P = ParabolicSpec(sp(2), SC((1,), 2))
+    for q in (2, 3):  # root elements at q = 2, the torus first at q = 3
+        with pytest.raises(CrossCheckError):
+            count_triple_orbits(sp(2), [P, P], q)
+
+
 def test_ai_oracle_unsupported():
     ai = SymmetricPairSpec.parse("AI:3")
     with pytest.raises(UnsupportedPairError):
@@ -255,9 +333,6 @@ def test_aii_oracle_supported():
 def test_orbit_count_is_generator_set_invariant():
     # diagonal GL_2(F_2) on P^1 x P^1: 2 orbits (Bruhat), whether counted
     # with the small generating set or with every group element
-    from dflag.flags import gl_generators
-    from dflag.orbits import _product_orbits, _Space
-
     small = gl_generators(2, 2)
     full = list(group_points(gl(2), 2).elements)
     counts = []
