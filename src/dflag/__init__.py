@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     UnsupportedPairError,
 )
-from .flags import enumerate_flags, flag_count, group_points
+from .flags import enumerate_flags, flag_count
 from .groups import (
     GroupDatum,
     GroupFamily,

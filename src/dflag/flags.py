@@ -1,4 +1,4 @@
-"""Enumeration of flag varieties and group points over small prime fields.
+"""Enumeration of flag varieties over small prime fields.
 
 A flag point is a tuple of nested subspaces, each in canonical reduced
 row echelon form.  For Sp_2n the symplectic form is the anti-diagonal
@@ -17,7 +17,6 @@ work as well as the output) and to audit the enumerations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import gfq
@@ -30,12 +29,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "gaussian_binomial",
     "flag_count",
-    "group_order",
     "enumerate_flags",
-    "group_points",
-    "GroupPoints",
-    "gl_generators",
-    "sp_generators",
     "symplectic_gram",
     "apply_to_flag",
 ]
@@ -53,7 +47,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise CrossCheckError(f"[{n} choose {k}]_{q} is not an integer")
     return num // den
 
 
@@ -84,24 +79,12 @@ def _sp_flag_count(n: int, dims: tuple[int, ...], q: int) -> int:
 def flag_count(group: GroupDatum, shape, q: int) -> int:
     """|G/P| over F_q, in closed form."""
     gfq.check_prime(q)
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        assert isinstance(shape, Composition)
+    kind = Composition if group.family is GroupFamily.GENERAL_LINEAR else SymplecticComposition
+    if not isinstance(shape, kind):
+        raise ValueError(f"{group} needs a {kind.__name__}, got {shape!r}")
+    if kind is Composition:
         return _gl_flag_count(group.n, shape.breaks(), q)
-    assert isinstance(shape, SymplecticComposition)
     return _sp_flag_count(group.n, shape.isotropic_dims(), q)
-
-
-def group_order(group: GroupDatum, q: int) -> int:
-    n = group.n
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        order = 1
-        for i in range(n):
-            order *= q**n - q**i
-        return order
-    order = q ** (n * n)
-    for i in range(1, n + 1):
-        order *= q ** (2 * i) - 1
-    return order
 
 
 @lru_cache(maxsize=None)
@@ -114,10 +97,6 @@ def symplectic_gram(n: int, q: int) -> Mat:
         row[dim - i] = 1 if i <= n else (-1) % q
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _form_value(gram: Mat, u: Vec, v: Vec, q: int) -> int:
-    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v))) % q
 
 
 @lru_cache(maxsize=None)
@@ -261,126 +240,3 @@ def apply_to_flag(g: Mat, flag: FlagPoint, q: int) -> FlagPoint:
     return tuple(
         gfq.rref([gfq.mat_vec(g, row, q) for row in sub], q) for sub in flag
     )
-
-
-def _elementary(n: int, i: int, j: int, c: int, q: int) -> Mat:
-    rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    rows[i][j] = c % q
-    return tuple(tuple(r) for r in rows)
-
-
-def gl_generators(n: int, q: int) -> list[Mat]:
-    """A small verified generating set of GL_n(F_q)."""
-    gfq.check_prime(q)
-    gens: list[Mat] = []
-    if n >= 2:
-        gens.append(_elementary(n, 0, 1, 1, q))
-        cycle = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cycle[i][(i - 1) % n] = 1
-        gens.append(tuple(tuple(r) for r in cycle))
-    if q > 2:
-        primitive = _primitive_root(q)
-        diag = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        diag[0][0] = primitive
-        gens.append(tuple(tuple(r) for r in diag))
-    return gens
-
-
-def _primitive_root(q: int) -> int:
-    for g in range(2, q):
-        seen = set()
-        x = 1
-        for _ in range(q - 1):
-            x = (x * g) % q
-            seen.add(x)
-        if len(seen) == q - 1:
-            return g
-    raise ValueError(f"no primitive root mod {q}")
-
-
-def _transvection(v: Vec, gram: Mat, q: int) -> Mat:
-    """x -> x + <x, v> v for the symplectic form."""
-    dim = len(v)
-    cols = []
-    for j in range(dim):
-        e = tuple(1 if i == j else 0 for i in range(dim))
-        coeff = _form_value(gram, e, v, q)
-        cols.append(tuple((e[i] + coeff * v[i]) % q for i in range(dim)))
-    return gfq.transpose(tuple(cols))
-
-
-def sp_generators(n: int, q: int) -> list[Mat]:
-    """Symplectic transvections along coordinate and pair directions.
-
-    Generation is verified against the group order for the sizes the
-    test suite exercises.
-    """
-    gfq.check_prime(q)
-    gram = symplectic_gram(n, q)
-    dim = 2 * n
-    directions = []
-    for i in range(dim):
-        directions.append(tuple(1 if a == i else 0 for a in range(dim)))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            directions.append(tuple(1 if a in (i, j) else 0 for a in range(dim)))
-    gens = []
-    scalars = range(1, q) if q > 2 else (1,)
-    for v in directions:
-        for c in scalars:
-            cv = tuple((c * x) % q for x in v)
-            m = _transvection(cv, gram, q)
-            if m != gfq.identity(dim):
-                gens.append(m)
-    # dedupe preserving order
-    seen = set()
-    out = []
-    for m in gens:
-        if m not in seen:
-            seen.add(m)
-            out.append(m)
-    return out
-
-
-@dataclass(frozen=True)
-class GroupPoints:
-    group: GroupDatum
-    q: int
-    generators: tuple[Mat, ...]
-    order: int
-    elements: tuple[Mat, ...] | None  # None when the order exceeds the budget
-
-
-def group_points(group: GroupDatum, q: int, budget: int = DEFAULT_BUDGET) -> GroupPoints:
-    """Generators always; the full element list when it fits the budget,
-    in which case generation is verified against the order formula."""
-    gfq.check_prime(q)
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        gens = gl_generators(group.n, q)
-    else:
-        gens = sp_generators(group.n, q)
-    order = group_order(group, q)
-    elements = None
-    if order <= budget:
-        elements = _closure(gens, group.dim, q)
-        assert len(elements) == order, (
-            f"generators produced {len(elements)} elements, order is {order}"
-        )
-    return GroupPoints(group, q, tuple(gens), order, elements)
-
-
-def _closure(gens, dim: int, q: int) -> tuple[Mat, ...]:
-    start = gfq.identity(dim)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = gfq.mat_mul(g, m, q)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return tuple(sorted(seen))

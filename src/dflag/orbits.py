@@ -20,12 +20,9 @@ from .compositions import Composition
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from .flags import (
     DEFAULT_BUDGET,
-    _primitive_root,
     apply_to_flag,
     enumerate_flags,
     flag_count,
-    gl_generators,
-    sp_generators,
     symplectic_gram,
 )
 from .groups import (
@@ -215,56 +212,80 @@ def _checked_symplectic(m: Mat, n: int, q: int) -> Mat:
     return m
 
 
-_AI_UNSUPPORTED = (
-    "orbit counting over F_q is not implemented for AI pairs "
-    "(orthogonal groups degenerate in characteristic 2)"
-)
+def _primitive_root(q: int) -> int:
+    for g in range(2, q):
+        seen = set()
+        x = 1
+        for _ in range(q - 1):
+            x = (x * g) % q
+            seen.add(x)
+        if len(seen) == q - 1:
+            return g
+    raise ValueError(f"no primitive root mod {q}")
 
 
-def _k_moves(pair: SymmetricPairSpec, q: int):
-    """Generators of K(F_q) as (ambient matrix, per-factor matrices)."""
-    kind = pair.kind
-    n, p = pair.group.n, pair.p
+def _generators(group: GroupDatum, q: int) -> list[Mat]:
+    """A small set of matrices that generates group(F_q), q prime.
+
+    GL_n: E_12(1), the n-cycle c with c e_k = e_(k+1), and for q > 2
+    diag(z, 1, ..., 1) with z a primitive root.  The conjugates
+    c^k E_12 c^-k are E_(k+1,k+2)(1) for every k, indices taken mod n:
+    the root elements of the simple roots and of the lowest root
+    e_n - e_1.  Commutators of E_(n,1) with the simple ones give every
+    E_ij(1), whose powers are all elementary matrices over F_q, so the
+    set generates SL_n.  The diagonal element's determinant z generates
+    F_q^*, which gives GL_n (over F_2, GL_n = SL_n).
+
+    Sp_2n: x_(+-a)(1) for the simple roots a = e_i - e_(i+1) and 2 e_n.
+    Over F_q, q prime, x_a(1) generates the root subgroup X_a, and
+    x_a(1) x_-a(-1) x_a(1) lifts the reflection s_a, so the group holds
+    X_b for every root b; these generate Sp_2n(F_q) in every
+    characteristic, F_2 included (Steinberg, Lectures on Chevalley
+    Groups, section 3).
+    """
+    n = group.n
+    if group.family is GroupFamily.SYMPLECTIC:
+        simple = [tuple(int(k == i) - int(k == i + 1) for k in range(n)) for i in range(n - 1)]
+        simple.append(tuple(2 * int(k == n - 1) for k in range(n)))
+        return [
+            _sp_root_element(n, tuple(sign * c for c in alpha), q)
+            for alpha in simple
+            for sign in (1, -1)
+        ]
+    gens: list[Mat] = []
+    if n >= 2:
+        gens.append(_unit_matrix_with(n, {(0, 1): 1}, q))
+        gens.append(tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n)))
+    if q > 2:
+        gens.append(_unit_matrix_with(n, {(0, 0): _primitive_root(q)}, q))
+    return gens
+
+
+def _k_blocks(pair: SymmetricPairSpec):
+    """(group, embedding into G) for each factor of K, in the order of
+    the factors of Q; embed(m, q) is the image of a factor matrix m."""
+    kind, n, p = pair.kind, pair.group.n, pair.p
     if kind is PairKind.AIII:
-        qq = pair.q
-        moves = []
-        for a in gl_generators(p, q):
-            moves.append((_embed_block(a, list(range(p)), n, q), [a, None]))
-        for b in gl_generators(qq, q):
-            moves.append((_embed_block(b, list(range(p, n)), n, q), [None, b]))
-        return moves
+        return [
+            (gl(p), lambda m, q: _embed_block(m, range(p), n, q)),
+            (gl(pair.q), lambda m, q: _embed_block(m, range(p, n), n, q)),
+        ]
     if kind is PairKind.CI:
-        return [(_ci_embed(a, n, q), [a]) for a in gl_generators(n, q)]
+        return [(gl(n), lambda m, q: _ci_embed(m, n, q))]
     if kind is PairKind.CII:
-        qq = pair.q
         dim = 2 * n
-        plus = list(range(p)) + list(range(dim - p, dim))
-        middle = list(range(p, dim - p))
-        moves = []
-        for m in sp_generators(p, q):
-            big = _checked_symplectic(_embed_block(m, plus, dim, q), n, q)
-            moves.append((big, [m, None]))
-        for m in sp_generators(qq, q):
-            big = _checked_symplectic(_embed_block(m, middle, dim, q), n, q)
-            moves.append((big, [None, m]))
-        return moves
-    if kind is PairKind.AII:
-        return [(m, [m]) for m in sp_generators(n // 2, q)]
-    raise UnsupportedPairError(_AI_UNSUPPORTED)
+        plus = [*range(p), *range(dim - p, dim)]
 
+        def sp_block(coords):
+            return lambda m, q: _checked_symplectic(_embed_block(m, coords, dim, q), n, q)
 
-def _z_factor_data(pair: SymmetricPairSpec, Q: KParabolicSpec):
-    """(group, shape) per K-factor flag variety."""
-    kind = pair.kind
-    if kind is PairKind.AIII:
-        return [(gl(pair.p), Q.factors[0]), (gl(pair.q), Q.factors[1])]
-    if kind is PairKind.CI:
-        return [(gl(pair.group.n), Q.factors[0])]
-    if kind is PairKind.CII:
-        return [(sp(pair.p), Q.factors[0]), (sp(pair.q), Q.factors[1])]
+        return [(sp(p), sp_block(plus)), (sp(pair.q), sp_block(range(p, dim - p)))]
     if kind is PairKind.AII:
-        return [(sp(pair.group.n // 2), Q.factors[0])]
-    raise UnsupportedPairError(_AI_UNSUPPORTED)
+        return [(sp(n // 2), lambda m, q: m)]
+    raise UnsupportedPairError(
+        "orbit counting over F_q is not implemented for AI pairs "
+        "(orthogonal groups degenerate in characteristic 2)"
+    )
 
 
 def count_K_orbits(
@@ -288,18 +309,32 @@ def _k_factors(pair, P, Q, q) -> list:
     if Q.pair != pair:
         raise ValueError(f"{Q} belongs to a different pair")
     P = _standardize(P)
-    return [(P.group, P.shape)] + _z_factor_data(pair, Q)
+    z_factors = [(group, shape) for (group, _), shape in zip(_k_blocks(pair), Q.factors)]
+    return [(P.group, P.shape)] + z_factors
 
 
 def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
+    """(points, orbits): each generator of a K-factor moves X_P through
+    its embedding, its own factor of Z_Q, and no other factor."""
     factors = _k_factors(pair, P, Q, q)
+    blocks = _k_blocks(pair)
+    ambient, per_factor = [], [[] for _ in blocks]
+    for i, (group, embed) in enumerate(blocks):
+        for m in _generators(group, q):
+            ambient.append(embed(m, q))
+            for j, mats in enumerate(per_factor):
+                mats.append(m if j == i else None)
+    return _count_orbits(factors, [ambient, *per_factor], q, budget)
+
+
+def _count_orbits(factors, mats, q: int, budget: int) -> tuple[int, int]:
+    """(points, orbits) on the product of the flag varieties ``factors``,
+    each a (group, shape), after the budget check; mats[i] lists the
+    matrix by which each generator acts on factor i (None: trivially)."""
     _check_budget(factors, q, budget)
-    (x_group, x_shape), *z_factors = factors
-    moves = _k_moves(pair, q)
-    spaces = [_Space.flags(x_group, x_shape, q, [m for m, _ in moves])]
-    for i, (fac_group, fac_shape) in enumerate(z_factors):
-        mats = [per_factor[i] for _, per_factor in moves]
-        spaces.append(_Space.flags(fac_group, fac_shape, q, mats))
+    spaces = [
+        _Space.flags(group, shape, q, m) for (group, shape), m in zip(factors, mats, strict=True)
+    ]
     return _product_orbits(spaces)
 
 
@@ -353,17 +388,18 @@ def _sp_root_element(n: int, alpha, q: int) -> Mat:
     negative = support[0][1] < 0
     vec = tuple(-c for c in alpha) if negative else alpha
     support = [(i, c) for i, c in enumerate(vec) if c]
-    if len(support) == 1:
-        (i, c) = support[0]
-        assert c == 2
+    coeffs = [c for _, c in support]
+    if coeffs == [2]:
+        (i, _), = support
         positions = [(i, dim - 1 - i)]
+    elif coeffs == [1, -1]:
+        (i, _), (j, _) = support
+        positions = [(i, j), (dim - 1 - j, dim - 1 - i)]
+    elif coeffs == [1, 1]:
+        (i, _), (j, _) = support
+        positions = [(i, dim - 1 - j), (j, dim - 1 - i)]
     else:
-        (i, ci), (j, cj) = support
-        if ci == 1 and cj == -1:
-            positions = [(i, j), (dim - 1 - j, dim - 1 - i)]
-        else:
-            assert ci == 1 and cj == 1
-            positions = [(i, dim - 1 - j), (j, dim - 1 - i)]
+        raise CrossCheckError(f"{alpha} is not a root of Sp_{dim}")
     if negative:
         positions = [(b, a) for a, b in positions]
     if len(positions) == 1:
@@ -373,7 +409,7 @@ def _sp_root_element(n: int, alpha, q: int) -> Mat:
         m = _unit_matrix_with(dim, {first: 1, second: corr}, q)
         if _is_symplectic(m, n, q):
             return m
-    raise RuntimeError(f"no symplectic root element for {alpha}")
+    raise CrossCheckError(f"no symplectic root element for {alpha}")
 
 
 def _triple_specs(group: GroupDatum, parabolics: list[ParabolicSpec], q: int):
@@ -416,10 +452,9 @@ def count_triple_orbits(
     count, independent of q.
     """
     first, *rest = _triple_specs(group, parabolics, q)
-    _check_budget([(group, P.shape) for P in rest], q, budget)
     gens = _parabolic_generators(first, q)
-    spaces = [_Space.flags(group, P.shape, q, gens) for P in rest]
-    _, orbits = _product_orbits(spaces)
+    factors = [(group, P.shape) for P in rest]
+    _, orbits = _count_orbits(factors, [gens] * len(factors), q, budget)
     return orbits
 
 

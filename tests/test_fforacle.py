@@ -1,3 +1,4 @@
+import ast
 import random
 
 import pytest
@@ -11,14 +12,12 @@ from dflag.flags import (
     enumerate_flags,
     flag_count,
     gaussian_binomial,
-    gl_generators,
-    group_order,
-    group_points,
-    sp_generators,
     symplectic_gram,
 )
 from dflag.groups import ParabolicSpec, borel, gl, sp, whole_group
 from dflag.orbits import (
+    _generators,
+    _k_blocks,
     _perm_for,
     _product_orbits,
     _Space,
@@ -114,26 +113,83 @@ def test_budget_exceeded_carries_count():
     assert info.value.size == 2080
 
 
-# ------------------------------------------------------------ group points
+# ------------------------------------------------------------ generators
 
 
-def test_group_orders():
-    assert group_points(gl(2), 2).order == 6
-    assert group_points(gl(3), 2).order == 168
-    assert group_points(sp(2), 2).order == 720
+def _closure(gens, dim, q):
+    """Every product of the generators, by breadth-first multiplication."""
+    seen = {gfq.identity(dim)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [gfq.mat_mul(g, m, q) for m in frontier for g in gens]
+        frontier = [m for m in set(frontier) if m not in seen]
+        seen.update(frontier)
+    return sorted(seen)
 
 
-def test_generators_verified_by_closure():
-    for group, q in [(gl(2), 3), (gl(3), 2), (sp(1), 5), (sp(2), 2), (sp(2), 3)]:
-        pts = group_points(group, q, budget=60000)
-        assert pts.elements is not None
-        assert len(pts.elements) == group_order(group, q)
+def _unit(dim, entries):
+    return tuple(
+        tuple(entries.get((i, j), int(i == j)) for j in range(dim)) for i in range(dim)
+    )
 
 
-def test_generators_always_available_past_budget():
-    pts = group_points(gl(4), 3, budget=1000)
-    assert pts.elements is None
-    assert pts.generators
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gl_generators_reach_every_cyclic_simple_root(n, q):
+    # <E_(k,k+1) for k mod n> is SL_n, and the diagonal generator's
+    # determinant generates F_q^*: the proof in the _generators docstring
+    gens = _generators(gl(n), q)
+    assert len(gens) == (2 if n >= 2 else 0) + (q > 2)
+    if n >= 2:
+        e12, cycle = gens[:2]
+        conj = e12
+        for k in range(n):
+            assert conj == _unit(n, {(k, (k + 1) % n): 1})
+            conj = gfq.mat_mul(gfq.mat_mul(cycle, conj, q), gfq.mat_inv(cycle, q), q)
+    if q > 2:
+        z = gens[-1][0][0]
+        assert gens[-1] == _unit(n, {(0, 0): z})
+        assert len({pow(z, k, q) for k in range(1, q)}) == q - 1
+
+
+def _sp_weight(k, n):
+    """The torus weight of coordinate k of F_q^2n, in epsilon coordinates."""
+    w = [0] * n
+    if k < n:
+        w[k] = 1
+    else:
+        w[2 * n - 1 - k] = -1
+    return w
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sp_generators_are_the_simple_root_elements(n, q):
+    dim = 2 * n
+    j = symplectic_gram(n, q)
+    positions = {}  # root -> matrix positions (a, b) of weight wt(a) - wt(b)
+    for a in range(dim):
+        for b in range(dim):
+            root = tuple(x - y for x, y in zip(_sp_weight(a, n), _sp_weight(b, n)))
+            positions.setdefault(root, set()).add((a, b))
+    found = []
+    for g in _generators(sp(n), q):
+        assert gfq.mat_mul(gfq.mat_mul(gfq.transpose(g), j, q), g, q) == j
+        support = {
+            (a, b) for a in range(dim) for b in range(dim) if g[a][b] != int(a == b)
+        }
+        (root,) = [r for r, where in positions.items() if where == support]
+        found.append(root)
+    simple = [tuple(int(k == i) - int(k == i + 1) for k in range(n)) for i in range(n - 1)]
+    simple.append(tuple(2 * int(k == n - 1) for k in range(n)))
+    expected = simple + [tuple(-c for c in r) for r in simple]
+    assert sorted(found) == sorted(expected)
+
+
+def test_generators_close_to_small_groups():
+    # |GL_2(F_3)| = 48, |GL_3(F_2)| = 168, |Sp_2(F_5)| = 120, |Sp_4(F_2)| = 720
+    for group, q, order in [(gl(2), 3, 48), (gl(3), 2, 168), (sp(1), 5, 120), (sp(2), 2, 720)]:
+        assert len(_closure(_generators(group, q), group.dim, q)) == order
 
 
 def test_symplectic_gram_antidiagonal():
@@ -202,8 +258,8 @@ def test_product_orbits_match_reference_union_find():
 @pytest.mark.parametrize("q", [2, 3])
 def test_memoized_permutation_matches_per_flag_action(q):
     cases = [
-        (gl(4), C((1, 1, 1, 1)), gl_generators(4, q)),
-        (sp(2), SC((1, 1), 0), sp_generators(2, q)),
+        (gl(4), C((1, 1, 1, 1)), _generators(gl(4), q)),
+        (sp(2), SC((1, 1), 0), _generators(sp(2), q)),
     ]
     for group, shape, gens in cases:
         pts, index = _space_points(group, shape, q)
@@ -307,9 +363,13 @@ def test_symplectic_audits_raise(monkeypatch):
     ci = SymmetricPairSpec.parse("CI:2")
     with pytest.raises(CrossCheckError):
         count_K_orbits(ci, borel(sp(2)), whole_K(ci), 3)
-    cii = SymmetricPairSpec.parse("CII:1,1")
+    for token in ("CII:1,1", "CII:1,2"):  # CII:1,2 and AII:4: Sp_4 root elements
+        cii = SymmetricPairSpec.parse(token)
+        with pytest.raises(CrossCheckError):
+            count_K_orbits(cii, borel(cii.group), whole_K(cii), 3)
+    aii = SymmetricPairSpec.parse("AII:4")
     with pytest.raises(CrossCheckError):
-        count_K_orbits(cii, borel(sp(2)), whole_K(cii), 3)
+        count_K_orbits(aii, borel(gl(4)), whole_K(aii), 3)
     P = ParabolicSpec(sp(2), SC((1,), 2))
     for q in (2, 3):  # root elements at q = 2, the torus first at q = 3
         with pytest.raises(CrossCheckError):
@@ -333,8 +393,8 @@ def test_aii_oracle_supported():
 def test_orbit_count_is_generator_set_invariant():
     # diagonal GL_2(F_2) on P^1 x P^1: 2 orbits (Bruhat), whether counted
     # with the small generating set or with every group element
-    small = gl_generators(2, 2)
-    full = list(group_points(gl(2), 2).elements)
+    small = _generators(gl(2), 2)
+    full = _closure(small, 2, 2)
     counts = []
     for gens in (small, full):
         spaces = [
@@ -343,3 +403,45 @@ def test_orbit_count_is_generator_set_invariant():
         _, orbits = _product_orbits(spaces)
         counts.append(orbits)
     assert counts == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "token, P, Q",
+    [
+        ("CII:1,1", SC((1, 1), 0), "1,1;1,1"),
+        ("AII:4", C((2, 2)), "1,2,1"),
+    ],
+)
+def test_k_orbits_match_the_whole_group(token, P, Q):
+    # every element of K(F_2), not just the generators, acting on X_P x Z_Q
+    pair = SymmetricPairSpec.parse(token)
+    Q = KParabolicSpec.parse(pair, Q)
+    blocks = _k_blocks(pair)
+    elements = [[]]  # per element of K: (factor matrix, embedding) per factor
+    for group, embed in blocks:
+        factor = _closure(_generators(group, 2), group.dim, 2)
+        assert len(factor) == {1: 6, 2: 720}[group.n]  # |Sp_2(F_2)|, |Sp_4(F_2)|
+        elements = [e + [(m, embed(m, 2))] for e in elements for m in factor]
+    ambient = []
+    for e in elements:
+        g = gfq.identity(pair.group.dim)
+        for _, big in e:
+            g = gfq.mat_mul(g, big, 2)
+        ambient.append(g)
+    spaces = [_Space.flags(pair.group, P, 2, ambient)]
+    for i, ((group, _), shape) in enumerate(zip(blocks, Q.factors)):
+        spaces.append(_Space.flags(group, shape, 2, [e[i][0] for e in elements]))
+    _, orbits = _product_orbits(spaces)
+    assert orbits == count_K_orbits(pair, ParabolicSpec(pair.group, P), Q, 2)
+
+
+def test_no_assert_in_the_oracle():
+    # the oracle's audits raise CrossCheckError, which python -O keeps
+    import dflag.flags
+    import dflag.orbits
+
+    for module in (dflag.flags, dflag.orbits):
+        with open(module.__file__) as f:
+            tree = ast.parse(f.read())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"assert in {module.__name__} at lines {lines}"
