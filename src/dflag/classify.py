@@ -29,7 +29,7 @@ from .groups import (
     ParabolicSpec,
     is_product_open,
 )
-from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec
+from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec, check_membership
 
 __all__ = [
     "MatchedRow",
@@ -152,7 +152,6 @@ def mwz_classify_C(
     for c in triple:
         if not c.is_proper:
             raise ValueError(f"improper parabolic (P = G) rejected: {c}")
-    siegel = (n, n)
     pencil = (1, 2 * n - 2, 1) if n >= 2 else None
     rows: dict[str, MatchedRow] = {}
     for perm in itertools.permutations(range(3)):
@@ -160,7 +159,6 @@ def mwz_classify_C(
         fa, fb, fc = a.full_parts, b.full_parts, c.full_parts
         la, lb, lc = len(fa), len(fb), len(fc)
         if la == 2 and lb == 2:
-            assert fa == siegel and fb == siegel
             _add(rows, "SpD_{r+2}", f"SpD_{lc + 2}", perm)
         if la == 2 and lb == 3:
             if lc == 3:
@@ -217,7 +215,6 @@ class DoubleFlagVerdict:
 
 def _class_composition(P: ParabolicSpec) -> Composition:
     """Conjugacy-class representative shape of a type A parabolic."""
-    assert isinstance(P.shape, Composition)
     if P.orientation is Orientation.OPPOSITE:
         return P.shape.reversed_()
     return P.shape
@@ -356,7 +353,7 @@ def finiteness_via_triple(
 
     One-directional: absence of a witness yields Unknown.
     """
-    _validate_double_inputs(pair, P, Q)
+    check_membership(pair, P, Q)
     if not P.is_proper:
         return _trivial_finite("P = G, so the double flag variety is Z_Q")
     if Q.is_whole_K:
@@ -376,7 +373,6 @@ def finiteness_via_triple(
         if type_a:
             verdict = mwz_classify_A(p_shape, theta_shape, Composition(shape))
         else:
-            assert isinstance(P.shape, SymplecticComposition)
             verdict = mwz_classify_C(P.shape, P.shape, shape)
         if verdict.finite:
             row = verdict.matched_rows[0]
@@ -412,30 +408,29 @@ def finiteness_via_intersection(
     Borel and the product is open the verdict is exact in both
     directions; otherwise a non-finite triple yields Unknown.
     """
-    _validate_double_inputs(pair, P1, Q)
+    check_membership(pair, P1, Q)
     kind = pair.kind
     if not P1.is_proper:
         return _trivial_finite("P = G, so the double flag variety is Z_Q")
     if kind is PairKind.AIII:
-        lam = Q.factors[0]
-        mu = Q.factors[1]
-        assert isinstance(lam, Composition) and isinstance(mu, Composition)
+        lam, mu = Q.factors
         p2 = ParabolicSpec(pair.group, Composition(lam.parts + mu.parts))
         p3 = ParabolicSpec(
             pair.group, Composition((pair.p, pair.q)), Orientation.OPPOSITE
         )
-        open_pair = is_product_open(p2, p3)
-        assert open_pair, "the (Q-shape, opposite (p,q)) product is always open"
+        if not is_product_open(p2, p3):
+            raise CrossCheckError(
+                f"the product of {p2.shape} and opposite {p3.shape} is not open"
+            )
         verdict = mwz_classify_A(
             _class_composition(P1), Composition(p2.shape.parts), Composition((pair.p, pair.q))
         )
-        return _intersection_outcome(P1, p2, p3, verdict, open_pair)
+        return _intersection_outcome(P1, p2, p3, verdict, True)
     if kind is PairKind.CI and Q.is_whole_K:
         n = pair.group.n
         siegel = SymplecticComposition((n,), 0)
         p2 = ParabolicSpec(pair.group, siegel)
         p3 = ParabolicSpec(pair.group, siegel, Orientation.OPPOSITE)
-        assert isinstance(P1.shape, SymplecticComposition)
         verdict = mwz_classify_C(P1.shape, siegel, siegel)
         return _intersection_outcome(P1, p2, p3, verdict, is_product_open(p2, p3))
     return DoubleFlagVerdict(Status.UNKNOWN, None)
@@ -470,13 +465,6 @@ def _intersection_outcome(
             ),
         )
     return DoubleFlagVerdict(Status.UNKNOWN, None)
-
-
-def _validate_double_inputs(pair, P, Q):
-    if P.group != pair.group:
-        raise ValueError(f"{P} does not live in {pair}")
-    if Q.pair != pair:
-        raise ValueError("Q belongs to a different pair")
 
 
 BOREL_CASES = ("i", "ii", "iii", "iv", "v")
@@ -529,7 +517,7 @@ def summary_lookup(
     An empty answer only means the tables do not cover the input; the
     tables are not exhaustive.
     """
-    _validate_double_inputs(pair, P, Q)
+    check_membership(pair, P, Q)
     kind = pair.kind
     n = pair.group.n
     rows: list[SummaryRow] = []
@@ -542,7 +530,6 @@ def summary_lookup(
     elif kind is PairKind.AII and n >= 4:
         shape = _class_composition(P)
         (qf,) = Q.factors
-        assert isinstance(qf, SymplecticComposition)
         if shape.is_maximal:
             rows.append(SummaryRow(kind, 1, "P maximal, Q arbitrary"))
         if shape.length == 3 and qf.is_siegel:
@@ -550,7 +537,6 @@ def summary_lookup(
     elif kind is PairKind.AIII:
         shape = _class_composition(P)
         q1, q2 = Q.factors
-        assert isinstance(q1, Composition) and isinstance(q2, Composition)
         if q1.is_mirabolic and not q2.is_proper:
             rows.append(SummaryRow(kind, 1, "P arbitrary, Q = (mirabolic, GL_q)"))
         if not q1.is_proper and q2.is_mirabolic:
@@ -566,16 +552,12 @@ def summary_lookup(
         if pair.p == 2 and not q1.is_proper and q2.is_maximal:
             rows.append(SummaryRow(kind, 7, "p = 2, Q = (GL_2, maximal)"))
     elif kind is PairKind.CI and n >= 2:
-        assert isinstance(P.shape, SymplecticComposition)
         if P.shape.is_siegel:
             rows.append(SummaryRow(kind, 1, "P Siegel, Q arbitrary"))
         if P.shape.full_parts == (1, 2 * n - 2, 1):
             rows.append(SummaryRow(kind, 2, "P the isotropic-line stabilizer, Q arbitrary"))
     elif kind is PairKind.CII:
-        assert isinstance(P.shape, SymplecticComposition)
         q1, q2 = Q.factors
-        assert isinstance(q1, SymplecticComposition)
-        assert isinstance(q2, SymplecticComposition)
         if P.shape.is_siegel:
             rows.append(SummaryRow(kind, 1, "P Siegel, Q arbitrary"))
         if (

@@ -7,6 +7,10 @@ versioned schema, or plot-ready tsv).
 Exit codes: 0 success, 1 parse error, 2 budget exceeded, 3 internal
 cross-check disagreement (an oracle contradicting a proven verdict is
 always a bug or a documented caveat, and is printed loudly).
+
+Each `_cmd_*` returns its exit code, its JSON document, its text lines
+and its TSV rows; `main` alone stamps the schema and command name on
+the document and renders the format asked for.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ __all__ = ["main"]
 SCHEMA_VERSION = 1
 BUDGET_ENV = "DFLAG_BUDGET"
 
+# exit code, JSON document, text lines, TSV rows
+_Output = tuple[int, dict, list[str], list[tuple]]
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports bad input through ParseError (exit 1)."""
@@ -53,7 +60,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _default_budget() -> int:
+def _budget(args) -> int:
+    if args.budget is not None:
+        return args.budget
     raw = os.environ.get(BUDGET_ENV)
     if raw is None:
         return DEFAULT_BUDGET
@@ -64,7 +73,9 @@ def _default_budget() -> int:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="dflag", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is
+    # about the code
+    parser = _Parser(prog="dflag", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
@@ -156,27 +167,24 @@ def _parse_qlist(text: str) -> tuple[int, ...]:
 
 
 def _group_shape(family: str, n: int, text: str):
-    if family == "A":
-        shape = Composition.parse(text)
-        if shape.size != n:
-            raise ParseError(f"shape {text!r} has size {shape.size}, expected {n}")
-        return gl(n), shape
-    shape = SymplecticComposition.parse(text)
-    if shape.size != 2 * n:
-        raise ParseError(f"shape {text!r} has size {shape.size}, expected {2 * n}")
-    return sp(n), shape
+    type_a = family == "A"
+    shape = (Composition if type_a else SymplecticComposition).parse(text)
+    size = n if type_a else 2 * n
+    if shape.size != size:
+        raise ParseError(f"shape {text!r} has size {shape.size}, expected {size}")
+    return (gl(n) if type_a else sp(n)), shape
 
 
-def _pair_and_parabolic(pair_token: str, p_text: str):
-    """Build the pair (inferring rank from the shape when needed) and P."""
-    head = pair_token.split(":")[0].strip().upper()
-    if head in ("CI", "CII"):
-        shape = SymplecticComposition.parse(p_text)
-    else:
-        shape = Composition.parse(p_text)
-    pair = SymmetricPairSpec.parse(pair_token, ambient_dim=shape.size)
+def _pair_P_Q(args):
+    """Build the pair (inferring rank from P's shape when needed), P, and
+    Q when the subcommand takes --q (None otherwise)."""
+    head = args.pair.split(":")[0].strip().upper()
+    parse = SymplecticComposition.parse if head in ("CI", "CII") else Composition.parse
+    shape = parse(args.p)
+    pair = SymmetricPairSpec.parse(args.pair, ambient_dim=shape.size)
     P = ParabolicSpec(pair.group, shape)
-    return pair, P
+    Q = KParabolicSpec.parse(pair, args.q) if hasattr(args, "q") else None
+    return pair, P, Q
 
 
 def _emit(doc: dict, text_lines: list[str], tsv_rows: list[tuple], fmt: str) -> str:
@@ -187,25 +195,18 @@ def _emit(doc: dict, text_lines: list[str], tsv_rows: list[tuple], fmt: str) -> 
     return "\n".join(text_lines)
 
 
-def _cmd_mwz(args) -> tuple[int, str]:
+def _cmd_mwz(args) -> _Output:
     shapes = [t for t in args.triple.split(";") if t.strip()]
     if len(shapes) != 3:
         raise ParseError("--triple needs exactly three shapes")
-    if args.family == "A":
-        comps = [Composition.parse(t) for t in shapes]
-        for c in comps:
-            if c.size != args.n:
-                raise ParseError(f"shape {c} has size {c.size}, expected {args.n}")
-        verdict = mwz_classify_A(*comps)
-    else:
-        comps = [SymplecticComposition.parse(t) for t in shapes]
-        for c in comps:
-            if c.size != 2 * args.n:
-                raise ParseError(f"shape {c} has size {c.size}, expected {2 * args.n}")
-        verdict = mwz_classify_C(*comps)
+    type_a = args.family == "A"
+    size = args.n if type_a else 2 * args.n
+    comps = [(Composition if type_a else SymplecticComposition).parse(t) for t in shapes]
+    for c in comps:
+        if c.size != size:
+            raise ParseError(f"shape {c} has size {c.size}, expected {size}")
+    verdict = (mwz_classify_A if type_a else mwz_classify_C)(*comps)
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "mwz",
         "finite": verdict.finite,
         "matched_rows": [
             {"family": r.family, "label": r.label} for r in verdict.matched_rows
@@ -215,68 +216,51 @@ def _cmd_mwz(args) -> tuple[int, str]:
     word = "finite" if verdict.finite else "infinite"
     lines = [f"{word}: {', '.join(verdict.labels()) if verdict.finite else 'no table row matches'}"]
     rows = [("finite", verdict.finite)] + [("row", lbl) for lbl in verdict.labels()]
-    return 0, _emit(doc, lines, rows, args.format)
+    return 0, doc, lines, rows
 
 
-def _verdict_doc(verdict, summary_rows) -> dict:
+def _verdict_doc(verdict, summary_rows) -> tuple[dict, list[str]]:
+    """The verdict's JSON fields and its text lines."""
+    witness = verdict.witness.as_dict() if verdict.witness else None
     doc = {
         "status": verdict.status.value,
-        "witness": verdict.witness.as_dict() if verdict.witness else None,
+        "witness": witness,
         "summary_rows": [
             {"citation": r.citation, "description": r.description} for r in summary_rows
         ],
     }
-    return doc
-
-
-def _cmd_classify(args) -> tuple[int, str]:
-    pair, P = _pair_and_parabolic(args.pair, args.p)
-    Q = KParabolicSpec.parse(pair, args.q)
-    verdict, rows = classify_double_flag(pair, P, Q)
-    doc = {"schema": SCHEMA_VERSION, "command": "classify", **_verdict_doc(verdict, rows)}
     lines = [f"status: {verdict.status.value}"]
-    if verdict.witness:
-        for k, v in sorted(verdict.witness.as_dict().items()):
-            lines.append(f"  {k}: {v}")
-    for r in rows:
-        lines.append(f"summary: {r.citation} ({r.description})")
-    tsv = [("status", verdict.status.value)]
-    return 0, _emit(doc, lines, tsv, args.format)
+    lines += [f"  {k}: {v}" for k, v in sorted((witness or {}).items())]
+    lines += [f"summary: {r.citation} ({r.description})" for r in summary_rows]
+    return doc, lines
 
 
-def _cmd_aiii_borel(args) -> tuple[int, str]:
+def _cmd_classify(args) -> _Output:
+    verdict, rows = classify_double_flag(*_pair_P_Q(args))
+    doc, lines = _verdict_doc(verdict, rows)
+    return 0, doc, lines, [("status", verdict.status.value)]
+
+
+def _cmd_aiii_borel(args) -> _Output:
     pair = SymmetricPairSpec.parse(args.pair)
     if pair.kind is not PairKind.AIII:
         raise ParseError("aiii-borel needs an AIII:p,q pair")
     Q = KParabolicSpec.parse(pair, args.q)
     case = classify_AIII_borel(pair.p, pair.q, Q.factors[0], Q.factors[1])
-    doc = {"schema": SCHEMA_VERSION, "command": "aiii-borel", "case": case}
-    return 0, _emit(doc, [f"case: {case}"], [("case", case)], args.format)
+    return 0, {"case": case}, [f"case: {case}"], [("case", case)]
 
 
-def _report_rows(report) -> list[tuple]:
-    rows = [("q", "points", "orbits")]
-    rows += [(q, pts, orb) for q, pts, orb in report.entries]
-    return rows
-
-
-def _cmd_probe_orbits(args) -> tuple[int, str]:
-    pair, P = _pair_and_parabolic(args.pair, args.p)
-    Q = KParabolicSpec.parse(pair, args.q)
-    budget = args.budget if args.budget is not None else _default_budget()
+def _cmd_probe_orbits(args) -> _Output:
+    pair, P, Q = _pair_P_Q(args)
+    budget = _budget(args)
     report = growth_probe(pair, P, Q, _parse_qlist(args.qlist), budget)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "probe-orbits",
-        "entries": report.rows(),
-        "hint": report.hint,
-    }
+    doc = {"entries": report.rows(), "hint": report.hint}
     lines = [f"q={q} points={pts} orbits={orb}" for q, pts, orb in report.entries]
     lines.append(f"hint: {report.hint}")
-    return 0, _emit(doc, lines, _report_rows(report), args.format)
+    return 0, doc, lines, [("q", "points", "orbits"), *report.entries]
 
 
-def _cmd_triple_orbits(args) -> tuple[int, str]:
+def _cmd_triple_orbits(args) -> _Output:
     shapes = [t for t in args.triple.split(";") if t.strip()]
     if len(shapes) not in (2, 3):
         raise ParseError("--triple needs two or three shapes")
@@ -285,7 +269,7 @@ def _cmd_triple_orbits(args) -> tuple[int, str]:
     for t in shapes:
         group, shape = _group_shape(args.family, args.n, t)
         specs.append(ParabolicSpec(group, shape))
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget = _budget(args)
     q_list = _parse_qlist(args.qlist)
     for q in q_list:
         check_triple_budget(group, specs, q, budget)
@@ -293,65 +277,41 @@ def _cmd_triple_orbits(args) -> tuple[int, str]:
     for q in q_list:
         orbits = count_triple_orbits(group, specs, q, budget)
         entries.append((q, orbits))
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "triple-orbits",
-        "entries": [{"q": q, "orbits": orb} for q, orb in entries],
-    }
+    doc = {"entries": [{"q": q, "orbits": orb} for q, orb in entries]}
     lines = [f"q={q} orbits={orb}" for q, orb in entries]
-    rows = [("q", "orbits")] + entries
-    return 0, _emit(doc, lines, rows, args.format)
+    return 0, doc, lines, [("q", "orbits"), *entries]
 
 
-def _cmd_bruhat(args) -> tuple[int, str]:
+def _listing(key: str, label: str, items) -> _Output:
+    """A count followed by one line (or TSV row) per item."""
+    items = [str(x) for x in items]
+    lines = [f"count: {len(items)}"] + [f"  {x}" for x in items]
+    rows = [("count", len(items))] + [(label, x) for x in items]
+    return 0, {"count": len(items), key: items}, lines, rows
+
+
+def _cmd_bruhat(args) -> _Output:
     group, shape = _group_shape(args.family, args.n, args.p)
     _, shape2 = _group_shape(args.family, args.n, args.q2)
     result = bruhat_double_cosets(
         ParabolicSpec(group, shape), ParabolicSpec(group, shape2)
     )
-    reps = [str(w) for w in result.representatives]
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "bruhat",
-        "count": result.count,
-        "representatives": reps,
-    }
-    lines = [f"count: {result.count}"] + [f"  {r}" for r in reps]
-    rows = [("count", result.count)] + [("rep", r) for r in reps]
-    return 0, _emit(doc, lines, rows, args.format)
+    return _listing("representatives", "rep", result.representatives)
 
 
-def _cmd_clans(args) -> tuple[int, str]:
+def _cmd_clans(args) -> _Output:
     pair = SymmetricPairSpec.parse(args.pair)
     if pair.kind is not PairKind.AIII:
         raise ParseError("clans need an AIII:p,q signature")
-    clans = enumerate_clans(pair.p, pair.q)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "clans",
-        "count": len(clans),
-        "clans": [str(c) for c in clans],
-    }
-    lines = [f"count: {len(clans)}"] + [f"  {c}" for c in clans]
-    rows = [("count", len(clans))] + [("clan", str(c)) for c in clans]
-    return 0, _emit(doc, lines, rows, args.format)
+    return _listing("clans", "clan", enumerate_clans(pair.p, pair.q))
 
 
-def _cmd_twisted_involutions(args) -> tuple[int, str]:
+def _cmd_twisted_involutions(args) -> _Output:
     group = gl(args.n) if args.family == "A" else sp(args.n)
-    elements = twisted_involutions(group, args.twist)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "twisted-involutions",
-        "count": len(elements),
-        "elements": [str(w) for w in elements],
-    }
-    lines = [f"count: {len(elements)}"] + [f"  {w}" for w in elements]
-    rows = [("count", len(elements))] + [("element", str(w)) for w in elements]
-    return 0, _emit(doc, lines, rows, args.format)
+    return _listing("elements", "element", twisted_involutions(group, args.twist))
 
 
-def _cmd_branch(args) -> tuple[int, str]:
+def _cmd_branch(args) -> _Output:
     lam = Partition.parse(args.weight)
     if args.mode == "restrict":
         if not args.pair:
@@ -378,25 +338,21 @@ def _cmd_branch(args) -> tuple[int, str]:
         rows = [("nu", "multiplicity")] + [(str(nu), c) for nu, c in dec]
         audit = weyl_dim_gl(lam, args.n) * weyl_dim_gl(mu, args.n)
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "branch",
         "mode": args.mode,
         "terms": terms,
         "multiplicity_free": dec.is_multiplicity_free,
         "dimension_audit": audit,
     }
     lines.append(f"multiplicity-free: {dec.is_multiplicity_free}")
-    return 0, _emit(doc, lines, rows, args.format)
+    return 0, doc, lines, rows
 
 
-def _cmd_spherical_probe(args) -> tuple[int, str]:
-    pair, P = _pair_and_parabolic(args.pair, args.p)
+def _cmd_spherical_probe(args) -> _Output:
+    pair, P, _ = _pair_P_Q(args)
     if pair.group.family is not GroupFamily.GENERAL_LINEAR:
         raise ParseError("spherical probes are implemented for type A pairs")
     tensor = spherical_probe_tensor(P, pair, args.kmax, args.lmax)
     doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "spherical-probe",
         "tensor": {
             "multiplicity_free": tensor.multiplicity_free,
             "first_failure": list(tensor.first_failure) if tensor.first_failure else None,
@@ -422,27 +378,16 @@ def _cmd_spherical_probe(args) -> tuple[int, str]:
             + ("multiplicity free" if restr.multiplicity_free else f"fails at k={restr.first_failure}")
         )
         rows.append(("restriction", restr.multiplicity_free, restr.first_failure or ""))
-    return 0, _emit(doc, lines, rows, args.format)
+    return 0, doc, lines, rows
 
 
-def _cmd_report(args) -> tuple[int, str]:
-    pair, P = _pair_and_parabolic(args.pair, args.p)
-    Q = KParabolicSpec.parse(pair, args.q)
-    budget = args.budget if args.budget is not None else _default_budget()
+def _cmd_report(args) -> _Output:
+    pair, P, Q = _pair_P_Q(args)
+    budget = _budget(args)
     verdict, rows = classify_double_flag(pair, P, Q)
     report = growth_probe(pair, P, Q, _parse_qlist(args.qlist), budget)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "report",
-        **_verdict_doc(verdict, rows),
-        "oracle": {"entries": report.rows(), "hint": report.hint},
-    }
-    lines = [f"status: {verdict.status.value}"]
-    if verdict.witness:
-        for k, v in sorted(verdict.witness.as_dict().items()):
-            lines.append(f"  {k}: {v}")
-    for r in rows:
-        lines.append(f"summary: {r.citation} ({r.description})")
+    doc, lines = _verdict_doc(verdict, rows)
+    doc["oracle"] = {"entries": report.rows(), "hint": report.hint}
     for q, pts, orb in report.entries:
         lines.append(f"oracle: q={q} points={pts} orbits={orb}")
     lines.append(f"oracle hint: {report.hint}")
@@ -465,10 +410,8 @@ def _cmd_report(args) -> tuple[int, str]:
                 )
     doc["branching_probes"] = probes_doc or None
 
-    agreement = True
     caveat = None
     if verdict.status is Status.FINITE_PROVEN and report.hint == "Growing":
-        agreement = False
         caveat = (
             "proven-finite verdict but orbit counts grow along "
             f"{[e[0] for e in report.entries]}: {[e[2] for e in report.entries]}. "
@@ -477,15 +420,12 @@ def _cmd_report(args) -> tuple[int, str]:
             "(re-probe at odd q); otherwise it is a bug."
         )
     if verdict.status is Status.INFINITE_PROVEN and report.hint == "Bounded":
-        agreement = False
         caveat = "proven-infinite verdict but orbit counts do not grow; this is a bug"
+    agreement = caveat is None
     doc["agreement"] = agreement
     doc["caveat"] = caveat
-    if not agreement:
-        lines.append("DISAGREEMENT: " + caveat)
-        return 3, _emit(doc, lines, [("agreement", False)], args.format)
-    lines.append("agreement: ok")
-    return 0, _emit(doc, lines, [("agreement", True)], args.format)
+    lines.append("agreement: ok" if agreement else "DISAGREEMENT: " + caveat)
+    return (0 if agreement else 3), doc, lines, [("agreement", agreement)]
 
 
 _COMMANDS = {
@@ -507,7 +447,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code, output = _COMMANDS[args.command](args)
+        code, doc, lines, rows = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -523,6 +463,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    doc = {"schema": SCHEMA_VERSION, "command": args.command, **doc}
+    output = _emit(doc, lines, rows, args.format)
     if output:
         print(output)
     return code

@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .compositions import Composition
+from .errors import CrossCheckError
 from .groups import GroupFamily, Orientation, ParabolicSpec
 from .pairs import SymmetricPairSpec, theta_on_parabolic
 
@@ -316,7 +317,8 @@ def weyl_dim_gl(lam: Partition, n: int) -> int:
     for i in range(n):
         for j in range(i + 1, n):
             value *= Fraction(full[i] - full[j] + j - i, j - i)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise CrossCheckError(f"Weyl dimension of {lam} for GL_{n} is not integral: {value}")
     return int(value)
 
 
@@ -332,7 +334,6 @@ def highest_weight_of_parabolic(P: ParabolicSpec) -> Partition:
         raise ValueError("highest weights are implemented for type A only")
     if P.orientation is not Orientation.STANDARD:
         raise ValueError("highest weights take a Standard parabolic")
-    assert isinstance(P.shape, Composition)
     breaks = P.shape.breaks()
     n = P.group.n
     return Partition(tuple(sum(1 for d in breaks if d >= j) for j in range(1, n + 1)))

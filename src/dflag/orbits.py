@@ -35,7 +35,7 @@ from .groups import (
     sp,
 )
 from .gfq import Mat
-from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec
+from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec, check_membership
 
 __all__ = [
     "OrbitCountReport",
@@ -304,10 +304,7 @@ def _k_factors(pair, P, Q, q) -> list:
     """(group, shape) of X_P and of each K-factor of Z_Q, after checking
     the input."""
     gfq.check_prime(q)
-    if P.group != pair.group:
-        raise ValueError(f"{P} does not live in {pair}")
-    if Q.pair != pair:
-        raise ValueError(f"{Q} belongs to a different pair")
+    check_membership(pair, P, Q)
     P = _standardize(P)
     z_factors = [(group, shape) for (group, _), shape in zip(_k_blocks(pair), Q.factors)]
     return [(P.group, P.shape)] + z_factors

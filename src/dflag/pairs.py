@@ -38,6 +38,7 @@ __all__ = [
     "theta_on_parabolic",
     "is_theta_stable",
     "intersect_with_K",
+    "check_membership",
     "whole_K",
 ]
 
@@ -120,16 +121,6 @@ class SymmetricPairSpec:
     def is_inner(self) -> bool:
         """Whether theta is conjugation by a diagonal matrix."""
         return self.kind in (PairKind.AIII, PairKind.CI, PairKind.CII)
-
-    def k_description(self) -> str:
-        n = self.group.n
-        return {
-            PairKind.AI: f"SO_{n}",
-            PairKind.AII: f"Sp_{n}",
-            PairKind.AIII: f"GL_{self.p} x GL_{self.q}",
-            PairKind.CI: f"GL_{n}",
-            PairKind.CII: f"Sp_{2 * self.p} x Sp_{2 * self.q}",
-        }[self.kind]
 
     def __str__(self) -> str:
         if self.kind in (PairKind.AIII, PairKind.CII):
@@ -239,9 +230,15 @@ def whole_K(pair: SymmetricPairSpec) -> KParabolicSpec:
     return KParabolicSpec(pair, (Composition((n,)),))
 
 
-def _check_membership(pair: SymmetricPairSpec, P: ParabolicSpec) -> None:
+def check_membership(
+    pair: SymmetricPairSpec, P: ParabolicSpec, Q: KParabolicSpec | None = None
+) -> None:
+    """Raise ValueError unless P is a parabolic of the pair's G and Q,
+    when given, a parabolic of its K."""
     if P.group != pair.group:
-        raise ValueError(f"parabolic of {P.group} does not live in pair {pair}")
+        raise ValueError(f"{P} does not live in {pair}")
+    if Q is not None and Q.pair != pair:
+        raise ValueError(f"{Q} belongs to a different pair")
 
 
 def theta_on_parabolic(pair: SymmetricPairSpec, P: ParabolicSpec) -> ParabolicSpec:
@@ -251,19 +248,17 @@ def theta_on_parabolic(pair: SymmetricPairSpec, P: ParabolicSpec) -> ParabolicSp
     the class of theta(P) is the opposite parabolic's, represented as
     the same orientation with reversed composition.
     """
-    _check_membership(pair, P)
+    check_membership(pair, P)
     if pair.is_inner:
         return P
-    assert isinstance(P.shape, Composition)
     return ParabolicSpec(P.group, P.shape.reversed_(), P.orientation)
 
 
 def is_theta_stable(pair: SymmetricPairSpec, P: ParabolicSpec) -> bool:
     """Whether the fixed matrix realization of P is preserved by theta."""
-    _check_membership(pair, P)
+    check_membership(pair, P)
     if pair.is_inner:
         return True
-    assert isinstance(P.shape, Composition)
     return P.shape.is_palindromic
 
 
@@ -299,26 +294,21 @@ def intersect_with_K(pair: SymmetricPairSpec, P: ParabolicSpec) -> KParabolicSpe
     kind = pair.kind
     n, p = pair.group.n, pair.p
     if kind is PairKind.AIII:
-        assert isinstance(P.shape, Composition)
         b, c = _clip_overlap(P.shape.parts, p)
         return KParabolicSpec(
             pair, (Composition(_drop_zeros(b)), Composition(_drop_zeros(c)))
         )
     if kind is PairKind.AI:
-        assert isinstance(P.shape, Composition)
         return KParabolicSpec(pair, (P.shape,))
     if kind is PairKind.AII:
-        assert isinstance(P.shape, Composition)
         return KParabolicSpec(
             pair, (SymplecticComposition.from_full(P.shape.parts),)
         )
     if kind is PairKind.CI:
-        assert isinstance(P.shape, SymplecticComposition)
         tail = n - sum(P.shape.left)
         parts = _drop_zeros(P.shape.left + (tail,))
         return KParabolicSpec(pair, (Composition(parts),))
     # CII: each isotropic step splits between the two symplectic factors
-    assert isinstance(P.shape, SymplecticComposition)
     b, c = _clip_overlap(P.shape.left, p)
     q = pair.q
     facp = SymplecticComposition(_drop_zeros(b), 2 * (p - sum(b)))

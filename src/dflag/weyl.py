@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import CrossCheckError
 from .groups import (
     GroupDatum,
     GroupFamily,
@@ -61,10 +62,6 @@ class WeylElement:
         return "[" + ",".join(str(v) for v in self.values) + "]"
 
 
-def _identity(n: int) -> OneLine:
-    return tuple(range(1, n + 1))
-
-
 def _apply(w: OneLine, i: int) -> int:
     """Image of +-i under w."""
     return w[i - 1] if i > 0 else -w[-i - 1]
@@ -98,19 +95,12 @@ def _root_image(w: OneLine, root, family: GroupFamily):
 
 
 @lru_cache(maxsize=None)
-def _length_table(group: GroupDatum) -> dict:
-    return {}
-
-
 def _length(group: GroupDatum, w: OneLine) -> int:
-    table = _length_table(group)
-    if w not in table:
-        table[w] = sum(
-            1
-            for alpha in positive_roots(group)
-            if not is_positive_root(group, _root_image(w, alpha, group.family))
-        )
-    return table[w]
+    return sum(
+        1
+        for alpha in positive_roots(group)
+        if not is_positive_root(group, _root_image(w, alpha, group.family))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +191,8 @@ def bruhat_double_cosets(P: ParabolicSpec, P2: ParabolicSpec) -> DoubleCosetResu
         seen |= orbit
         min_len = min(_length(group, u) for u in orbit)
         minima = [u for u in orbit if _length(group, u) == min_len]
-        assert len(minima) == 1, f"minimal representative not unique in {sorted(orbit)}"
+        if len(minima) != 1:
+            raise CrossCheckError(f"minimal representative not unique in {sorted(orbit)}")
         reps.append(minima[0])
     reps.sort(key=lambda u: (_length(group, u), u))
     return DoubleCosetResult(len(reps), tuple(WeylElement(group, u) for u in reps))

@@ -322,3 +322,17 @@ def test_probe_tensor_mirabolic():
     pair = SymmetricPairSpec.parse("AIII:1,3")
     t = spherical_probe_tensor(ParabolicSpec(gl(4), C((1, 3))), pair, 1, 1)
     assert t.multiplicity_free
+
+
+def test_non_integral_weyl_dimension_raises(monkeypatch):
+    import fractions
+
+    import dflag.lr
+    from dflag.errors import CrossCheckError
+
+    # halving every factor of the product formula leaves 1/2 for GL_2
+    monkeypatch.setattr(
+        dflag.lr, "Fraction", lambda a, b=1: fractions.Fraction(a, 2 * b)
+    )
+    with pytest.raises(CrossCheckError, match="not integral"):
+        weyl_dim_gl(Partition((1,)), 2)

@@ -388,3 +388,14 @@ def test_verdict_invariants():
         DoubleFlagVerdict(Status.UNKNOWN, Witness("triple", ()))
     with pytest.raises(ValueError):
         DoubleFlagVerdict(Status.FINITE_PROVEN, None)
+
+
+def test_non_open_intersection_product_raises(monkeypatch):
+    import dflag.classify
+    from dflag.errors import CrossCheckError
+
+    monkeypatch.setattr(dflag.classify, "is_product_open", lambda p2, p3: False)
+    pair = SymmetricPairSpec.parse("AIII:2,2")
+    Q = KParabolicSpec.parse(pair, "1,1;1,1")
+    with pytest.raises(CrossCheckError, match="not open"):
+        dflag.classify.finiteness_via_intersection(pair, borel(gl(4)), Q)

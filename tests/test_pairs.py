@@ -138,3 +138,31 @@ def test_kparabolic_ai_requires_palindrome():
     KParabolicSpec.parse(ai, "1,1,1")
     with pytest.raises(ParseError):
         KParabolicSpec.parse(ai, "2,1")
+
+
+def test_every_entry_point_checks_membership():
+    from dflag.classify import (
+        finiteness_via_intersection,
+        finiteness_via_triple,
+        summary_lookup,
+    )
+    from dflag.orbits import count_K_orbits
+
+    pair = SymmetricPairSpec.parse("AIII:1,2")
+    other = SymmetricPairSpec.parse("AIII:2,1")
+    P = borel(gl(3))
+    foreign_P = borel(gl(4))
+    Q = whole_K(pair)
+    for check in (theta_on_parabolic, is_theta_stable):
+        with pytest.raises(ValueError, match="does not live in"):
+            check(pair, foreign_P)
+    for check in (
+        finiteness_via_triple,
+        finiteness_via_intersection,
+        summary_lookup,
+        lambda pair, P, Q: count_K_orbits(pair, P, Q, 2),
+    ):
+        with pytest.raises(ValueError, match="does not live in"):
+            check(pair, foreign_P, Q)
+        with pytest.raises(ValueError, match="different pair"):
+            check(other, P, Q)

@@ -119,3 +119,15 @@ def test_twisted_involutions_type_c_identity_only():
 def test_rejects_non_automorphism():
     with pytest.raises(ValueError):
         twisted_involutions(gl(4), {1: 2, 2: 1, 3: 3})
+
+
+def test_non_unique_minimal_representative_raises(monkeypatch):
+    import dflag.weyl
+    from dflag.errors import CrossCheckError
+
+    # with every length 0, a double coset of more than one element has
+    # no unique minimum
+    monkeypatch.setattr(dflag.weyl, "_length", lambda group, w: 0)
+    P = ParabolicSpec(gl(3), Composition((2, 1)))
+    with pytest.raises(CrossCheckError, match="not unique"):
+        bruhat_double_cosets(P, P)
