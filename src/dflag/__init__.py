@@ -67,6 +67,7 @@ from .pairs import (
     SymmetricPairSpec,
     intersect_with_K,
     is_theta_stable,
+    k_parabolic_of_split,
     theta_on_parabolic,
     whole_K,
 )

@@ -29,7 +29,13 @@ from .groups import (
     ParabolicSpec,
     is_product_open,
 )
-from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec, check_membership
+from .pairs import (
+    KParabolicSpec,
+    PairKind,
+    SymmetricPairSpec,
+    check_membership,
+    k_parabolic_of_split,
+)
 
 __all__ = [
     "MatchedRow",
@@ -80,10 +86,6 @@ class TripleFlagVerdict:
         return tuple(sorted({r.family for r in self.matched_rows}))
 
 
-def _sorted_parts(c: Composition) -> tuple[int, ...]:
-    return c.sorted_key()
-
-
 def mwz_classify_A(
     lam: Composition, mu: Composition, nu: Composition
 ) -> TripleFlagVerdict:
@@ -106,7 +108,7 @@ def mwz_classify_A(
         la, lb, lc = a.length, b.length, c.length
         if la != 2:
             continue
-        if _sorted_parts(a) == (n - 1, 1):
+        if a.sorted_key() == (n - 1, 1):
             q, r = sorted((lb, lc))
             _add(rows, "S_{q,r}", f"S_{{{q},{r}}}", perm)
         if lb == 2:
@@ -118,13 +120,13 @@ def mwz_classify_A(
                 _add(rows, "E_7", "E_7", perm)
             if lc == 5:
                 _add(rows, "E_8", "E_8", perm)
-            if _sorted_parts(a) == (n - 2, 2) and n >= 4:
+            if a.sorted_key() == (n - 2, 2) and n >= 4:
                 _add(rows, "E^{(a)}_{r+3}", f"E^{{(a)}}_{lc + 3}", perm)
             if 1 in b.parts:
                 _add(rows, "E^{(b)}_{r+3}", f"E^{{(b)}}_{lc + 3}", perm)
     matched = tuple(sorted(rows.values(), key=lambda r: r.label))
     normalized = tuple(
-        sorted((_sorted_parts(c) for c in triple), key=lambda p: (len(p), p))
+        sorted((c.sorted_key() for c in triple), key=lambda p: (len(p), p))
     )
     return TripleFlagVerdict(bool(matched), matched, normalized)
 
@@ -213,13 +215,6 @@ class DoubleFlagVerdict:
             raise ValueError("proven verdicts carry a witness; Unknown never does")
 
 
-def _class_composition(P: ParabolicSpec) -> Composition:
-    """Conjugacy-class representative shape of a type A parabolic."""
-    if P.orientation is Orientation.OPPOSITE:
-        return P.shape.reversed_()
-    return P.shape
-
-
 def _compositions(n: int):
     """All ordered compositions of n."""
     for cuts in range(1 << (n - 1)):
@@ -259,12 +254,34 @@ def _splittings(parts: tuple[int, ...], total_b: int):
     yield from rec(0, total_b, ())
 
 
-def _drop0(parts) -> tuple[int, ...]:
-    return tuple(p for p in parts if p)
-
-
 def _fmt_split(b, c) -> str:
     return " ".join(f"{x}+{y}" for x, y in zip(b, c))
+
+
+def _theta_stable_splits(pair: SymmetricPairSpec):
+    """(descriptor, mwz shape, plus, minus) for each theta-stable P': in
+    type A a shape with each block split between theta's eigenspaces
+    (AIII) or a palindromic shape met whole (AI, AII); in type C a shape
+    with each isotropic step split."""
+    n = pair.group.n
+    if pair.group.family is GroupFamily.SYMPLECTIC:
+        # a step's part in either eigenspace is isotropic there, so at
+        # most the rank of K's factor on it (CI's GL_n acts on both)
+        cap_plus, cap_minus = pair.k_factors[0].rank, pair.k_factors[-1].rank
+        for shape in _symplectic_shapes(n):
+            for b in itertools.product(*(range(x + 1) for x in shape.left)):
+                c = tuple(x - y for x, y in zip(shape.left, b))
+                if sum(b) <= cap_plus and sum(c) <= cap_minus:
+                    yield shape.full_parts, shape, b, c
+        return
+    for shape in _compositions(n):
+        if len(shape) < 2:
+            continue
+        if pair.is_inner:
+            for b in _splittings(shape, pair.p):
+                yield shape, shape, b, tuple(x - y for x, y in zip(shape, b))
+        elif shape == tuple(reversed(shape)):
+            yield shape, shape, shape, (0,) * len(shape)
 
 
 def _triple_candidates(pair: SymmetricPairSpec):
@@ -275,49 +292,12 @@ def _triple_candidates(pair: SymmetricPairSpec):
     of the standard parabolic of that shape (the block splitting records
     which K-conjugate realization is used).
     """
-    kind = pair.kind
-    n, p, q = pair.group.n, pair.p, pair.q
     out = []
-    if kind is PairKind.AIII:
-        for shape in _compositions(n):
-            if len(shape) < 2:
-                continue
-            for b in _splittings(shape, p):
-                c = tuple(x - y for x, y in zip(shape, b))
-                qc = KParabolicSpec(
-                    pair, (Composition(_drop0(b)), Composition(_drop0(c)))
-                )
-                out.append((shape, _fmt_split(b, c), qc.conjugacy_key(), shape))
-    elif kind in (PairKind.AI, PairKind.AII):
-        for shape in _compositions(n):
-            if len(shape) < 2 or shape != tuple(reversed(shape)):
-                continue
-            if kind is PairKind.AI:
-                qc = KParabolicSpec(pair, (Composition(shape),))
-            else:
-                qc = KParabolicSpec(pair, (SymplecticComposition.from_full(shape),))
-            out.append((shape, "", qc.conjugacy_key(), shape))
-    elif kind is PairKind.CI:
-        for shape in _symplectic_shapes(n):
-            if not shape.is_proper:
-                continue
-            for b in _all_splittings(shape.left):
-                c = tuple(x - y for x, y in zip(shape.left, b))
-                parts = _drop0(b + (shape.middle // 2,) + tuple(reversed(c)))
-                qc = KParabolicSpec(pair, (Composition(parts),))
-                out.append((shape.full_parts, _fmt_split(b, c), qc.conjugacy_key(), shape))
-    else:  # CII
-        for shape in _symplectic_shapes(n):
-            if not shape.is_proper:
-                continue
-            for b in _all_splittings(shape.left):
-                c = tuple(x - y for x, y in zip(shape.left, b))
-                if sum(b) > p or sum(c) > q:
-                    continue
-                facp = SymplecticComposition(_drop0(b), 2 * (p - sum(b)))
-                facq = SymplecticComposition(_drop0(c), 2 * (q - sum(c)))
-                qc = KParabolicSpec(pair, (facp, facq))
-                out.append((shape.full_parts, _fmt_split(b, c), qc.conjugacy_key(), shape))
+    inner = pair.is_inner
+    for descriptor, shape, plus, minus in _theta_stable_splits(pair):
+        qc = k_parabolic_of_split(pair, plus, minus)
+        split = _fmt_split(plus, minus) if inner else ""
+        out.append((descriptor, split, qc.conjugacy_key(), shape))
     if len(out) > SEARCH_CAP:
         raise BudgetExceededError(
             f"theta-stable search space has {len(out)} candidates", len(out), SEARCH_CAP
@@ -326,11 +306,6 @@ def _triple_candidates(pair: SymmetricPairSpec):
     # the search order lexicographic and independent of generation order
     out.sort(key=lambda item: (item[0], item[1]))
     return out
-
-
-def _all_splittings(parts: tuple[int, ...]):
-    for b in itertools.product(*(range(part + 1) for part in parts)):
-        yield b
 
 
 def _trivial_finite(reason: str) -> DoubleFlagVerdict:
@@ -363,7 +338,7 @@ def finiteness_via_triple(
     target = Q.conjugacy_key()
     type_a = pair.group.family is GroupFamily.GENERAL_LINEAR
     if type_a:
-        p_shape = _class_composition(P)
+        p_shape = P.standard_form().shape
         theta_shape = (
             p_shape if pair.is_inner else p_shape.reversed_()
         )
@@ -423,7 +398,7 @@ def finiteness_via_intersection(
                 f"the product of {p2.shape} and opposite {p3.shape} is not open"
             )
         verdict = mwz_classify_A(
-            _class_composition(P1), Composition(p2.shape.parts), Composition((pair.p, pair.q))
+            P1.standard_form().shape, Composition(p2.shape.parts), Composition((pair.p, pair.q))
         )
         return _intersection_outcome(P1, p2, p3, verdict, True)
     if kind is PairKind.CI and Q.is_whole_K:
@@ -522,20 +497,20 @@ def summary_lookup(
     n = pair.group.n
     rows: list[SummaryRow] = []
     if kind is PairKind.AI and n >= 3:
-        shape = _class_composition(P)
+        shape = P.standard_form().shape
         if shape.is_maximal:
             rows.append(SummaryRow(kind, 1, "P maximal, Q arbitrary"))
         if shape.length == 3 and _is_siegel_so(Q.factors[0], n):
             rows.append(SummaryRow(kind, 2, "P of length 3, Q Siegel (n even)"))
     elif kind is PairKind.AII and n >= 4:
-        shape = _class_composition(P)
+        shape = P.standard_form().shape
         (qf,) = Q.factors
         if shape.is_maximal:
             rows.append(SummaryRow(kind, 1, "P maximal, Q arbitrary"))
         if shape.length == 3 and qf.is_siegel:
             rows.append(SummaryRow(kind, 2, "P of length 3, Q Siegel"))
     elif kind is PairKind.AIII:
-        shape = _class_composition(P)
+        shape = P.standard_form().shape
         q1, q2 = Q.factors
         if q1.is_mirabolic and not q2.is_proper:
             rows.append(SummaryRow(kind, 1, "P arbitrary, Q = (mirabolic, GL_q)"))

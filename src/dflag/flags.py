@@ -29,6 +29,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "gaussian_binomial",
     "flag_count",
+    "budgeted_flag_count",
     "enumerate_flags",
     "symplectic_gram",
     "apply_to_flag",
@@ -201,6 +202,19 @@ def _isotropic_extensions(space_dim: int, sub: Mat, k: int, q: int):
             yield gfq.rref(list(sub) + rows, q)
 
 
+def budgeted_flag_count(group: GroupDatum, shape, q: int, budget: int) -> int:
+    """flag_count, or BudgetExceededError (carrying it) when it exceeds
+    the budget."""
+    count = flag_count(group, shape, q)
+    if count > budget:
+        raise BudgetExceededError(
+            f"{group}/{shape} has {count} points over F_{q}, budget {budget}",
+            count,
+            budget,
+        )
+    return count
+
+
 def enumerate_flags(
     group: GroupDatum, shape, q: int, budget: int = DEFAULT_BUDGET
 ) -> list[FlagPoint]:
@@ -210,14 +224,7 @@ def enumerate_flags(
     of enumerating past the budget, and CrossCheckError if the number
     enumerated differs from the closed form.
     """
-    gfq.check_prime(q)
-    count = flag_count(group, shape, q)
-    if count > budget:
-        raise BudgetExceededError(
-            f"{group}/{shape} has {count} points over F_{q}, budget {budget}",
-            count,
-            budget,
-        )
+    count = budgeted_flag_count(group, shape, q, budget)
     if group.family is GroupFamily.SYMPLECTIC:
         dims, extend = shape.isotropic_dims(), _isotropic_extensions
     else:

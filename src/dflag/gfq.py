@@ -77,19 +77,9 @@ def rref(rows, q: int) -> Mat:
 
 
 def mat_inv(a: Mat, q: int) -> Mat:
-    """Inverse of a square matrix, by Gauss-Jordan on [a | I]."""
+    """Inverse of a square matrix: the right half of rref([a | I])."""
     n = len(a)
-    work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] % q != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, q)
-        work[col] = [(x * inv) % q for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] % q:
-                factor = work[r][col]
-                work[r] = [(x - factor * y) % q for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
+    reduced = rref([tuple(row) + e for row, e in zip(a, identity(n))], q)
+    if tuple(row[:n] for row in reduced) != identity(n):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)

@@ -117,6 +117,16 @@ class ParabolicSpec:
             return all(p == 1 for p in self.shape.parts)
         return all(p == 1 for p in self.shape.left) and self.shape.middle == 0
 
+    def standard_form(self) -> "ParabolicSpec":
+        """The conjugate Standard spec: an Opposite one is conjugate to the
+        Standard spec of the reversed composition in type A and of the
+        same shape in type C."""
+        if self.is_standard:
+            return self
+        if isinstance(self.shape, Composition):
+            return ParabolicSpec(self.group, self.shape.reversed_())
+        return ParabolicSpec(self.group, self.shape)
+
     def excluded_simples(self) -> frozenset[int]:
         """Simple roots removed from the Levi (the flag's break points)."""
         if isinstance(self.shape, Composition):

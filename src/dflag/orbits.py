@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import gfq
-from .compositions import Composition
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from .flags import (
     DEFAULT_BUDGET,
     apply_to_flag,
+    budgeted_flag_count,
     enumerate_flags,
     flag_count,
     symplectic_gram,
@@ -28,14 +28,13 @@ from .flags import (
 from .groups import (
     GroupDatum,
     GroupFamily,
-    Orientation,
     ParabolicSpec,
     gl,
     parabolic_root_set,
     sp,
 )
 from .gfq import Mat
-from .pairs import KParabolicSpec, PairKind, SymmetricPairSpec, check_membership
+from .pairs import KFactor, KParabolicSpec, SymmetricPairSpec, check_membership
 
 __all__ = [
     "OrbitCountReport",
@@ -44,16 +43,6 @@ __all__ = [
     "count_triple_orbits",
     "growth_probe",
 ]
-
-
-def _standardize(P: ParabolicSpec) -> ParabolicSpec:
-    """Replace an Opposite spec by the conjugate Standard one: reversed
-    composition in type A, same shape in type C."""
-    if P.orientation is Orientation.STANDARD:
-        return P
-    if isinstance(P.shape, Composition):
-        return ParabolicSpec(P.group, P.shape.reversed_())
-    return ParabolicSpec(P.group, P.shape)
 
 
 @lru_cache(maxsize=None)
@@ -107,14 +96,7 @@ def _check_budget(factors, q: int, budget: int) -> None:
     then the product."""
     total = 1
     for group, shape in factors:
-        count = flag_count(group, shape, q)
-        if count > budget:
-            raise BudgetExceededError(
-                f"{group}/{shape} has {count} points over F_{q}, budget {budget}",
-                count,
-                budget,
-            )
-        total *= count
+        total *= budgeted_flag_count(group, shape, q, budget)
     if total > budget:
         raise BudgetExceededError(
             f"product has {total} points, budget {budget}", total, budget
@@ -177,27 +159,14 @@ def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
     return total, orbits
 
 
-def _embed_block(m: Mat, coords: list[int], dim: int, q: int) -> Mat:
-    big = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+def _embed_block(m: Mat, coords, dim: int, big: Mat | None = None) -> Mat:
+    """big (the identity by default) with m written on the rows and
+    columns ``coords``."""
+    big = [list(r) for r in (big or gfq.identity(dim))]
     for a, i in enumerate(coords):
         for b, j in enumerate(coords):
             big[i][j] = m[a][b]
     return tuple(tuple(r) for r in big)
-
-
-def _ci_embed(a: Mat, n: int, q: int) -> Mat:
-    """diag(A, w A^{-T} w) in Sp_2n for the anti-diagonal form."""
-    inv_t = gfq.transpose(gfq.mat_inv(a, q))
-    w = [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)]
-    w = tuple(tuple(r) for r in w)
-    mirrored = gfq.mat_mul(gfq.mat_mul(w, inv_t, q), w, q)
-    dim = 2 * n
-    big = [[0] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            big[i][j] = a[i][j]
-            big[n + i][n + j] = mirrored[i][j]
-    return _checked_symplectic(tuple(tuple(r) for r in big), n, q)
 
 
 def _is_symplectic(m: Mat, n: int, q: int) -> bool:
@@ -264,28 +233,34 @@ def _generators(group: GroupDatum, q: int) -> list[Mat]:
 def _k_blocks(pair: SymmetricPairSpec):
     """(group, embedding into G) for each factor of K, in the order of
     the factors of Q; embed(m, q) is the image of a factor matrix m."""
-    kind, n, p = pair.kind, pair.group.n, pair.p
-    if kind is PairKind.AIII:
-        return [
-            (gl(p), lambda m, q: _embed_block(m, range(p), n, q)),
-            (gl(pair.q), lambda m, q: _embed_block(m, range(p, n), n, q)),
-        ]
-    if kind is PairKind.CI:
-        return [(gl(n), lambda m, q: _ci_embed(m, n, q))]
-    if kind is PairKind.CII:
-        dim = 2 * n
-        plus = [*range(p), *range(dim - p, dim)]
+    blocks = []
+    for factor in pair.k_factors:
+        if factor.family == "so":
+            raise UnsupportedPairError(
+                "orbit counting over F_q is not implemented for AI pairs "
+                "(orthogonal groups degenerate in characteristic 2)"
+            )
+        group = (gl if factor.family == "gl" else sp)(factor.rank)
+        blocks.append((group, _embedding(pair.group, factor)))
+    return blocks
 
-        def sp_block(coords):
-            return lambda m, q: _checked_symplectic(_embed_block(m, coords, dim, q), n, q)
 
-        return [(sp(p), sp_block(plus)), (sp(pair.q), sp_block(range(p, dim - p)))]
-    if kind is PairKind.AII:
-        return [(sp(n // 2), lambda m, q: m)]
-    raise UnsupportedPairError(
-        "orbit counting over F_q is not implemented for AI pairs "
-        "(orthogonal groups degenerate in characteristic 2)"
-    )
+def _embedding(group: GroupDatum, factor: KFactor):
+    """m placed on the factor's coordinates.  CI's GL_n also acts by
+    the contragredient A^{-T} on their mirror images, which the
+    anti-diagonal form pairs with them; every image in Sp_2n is audited."""
+    n, dim, coords = group.n, group.dim, factor.coords
+    if group.family is GroupFamily.GENERAL_LINEAR:
+        return lambda m, q: _embed_block(m, coords, dim)
+
+    def embed(m: Mat, q: int) -> Mat:
+        big = _embed_block(m, coords, dim)
+        if factor.family == "gl":
+            dual = gfq.transpose(gfq.mat_inv(m, q))
+            big = _embed_block(dual, [dim - 1 - c for c in coords], dim, big)
+        return _checked_symplectic(big, n, q)
+
+    return embed
 
 
 def count_K_orbits(
@@ -300,12 +275,12 @@ def count_K_orbits(
     return orbits
 
 
-def _k_factors(pair, P, Q, q) -> list:
+def _orbit_factors(pair, P, Q, q) -> list:
     """(group, shape) of X_P and of each K-factor of Z_Q, after checking
     the input."""
     gfq.check_prime(q)
     check_membership(pair, P, Q)
-    P = _standardize(P)
+    P = P.standard_form()
     z_factors = [(group, shape) for (group, _), shape in zip(_k_blocks(pair), Q.factors)]
     return [(P.group, P.shape)] + z_factors
 
@@ -313,7 +288,7 @@ def _k_factors(pair, P, Q, q) -> list:
 def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
     """(points, orbits): each generator of a K-factor moves X_P through
     its embedding, its own factor of Z_Q, and no other factor."""
-    factors = _k_factors(pair, P, Q, q)
+    factors = _orbit_factors(pair, P, Q, q)
     blocks = _k_blocks(pair)
     ambient, per_factor = [], [[] for _ in blocks]
     for i, (group, embed) in enumerate(blocks):
@@ -416,7 +391,7 @@ def _triple_specs(group: GroupDatum, parabolics: list[ParabolicSpec], q: int):
         raise ValueError("need two or three parabolic specs")
     if any(P.group != group for P in parabolics):
         raise ValueError("all parabolics must share the group")
-    specs = [_standardize(P) for P in parabolics]
+    specs = [P.standard_form() for P in parabolics]
     if not specs[0].is_standard:
         raise ValueError("first parabolic must normalize to Standard")
     return specs
@@ -484,7 +459,7 @@ def growth_probe(
     Entries keep the order of ``q_list``; the trend is judged in order
     of field size."""
     for q in q_list:
-        _check_budget(_k_factors(pair, P, Q, q), q, budget)
+        _check_budget(_orbit_factors(pair, P, Q, q), q, budget)
     entries = []
     for q in q_list:
         points, orbits = _count_K_orbits_full(pair, P, Q, q, budget)

@@ -26,18 +26,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 
 from .compositions import Composition, SymplecticComposition
 from .errors import ParseError
-from .groups import GroupDatum, GroupFamily, ParabolicSpec, gl, sp
+from .groups import GroupDatum, GroupFamily, ParabolicSpec, gl, sp, whole_group
 
 __all__ = [
     "PairKind",
     "SymmetricPairSpec",
+    "KFactor",
     "KParabolicSpec",
     "theta_on_parabolic",
     "is_theta_stable",
     "intersect_with_K",
+    "k_parabolic_of_split",
     "check_membership",
     "whole_K",
 ]
@@ -122,6 +125,11 @@ class SymmetricPairSpec:
         """Whether theta is conjugation by a diagonal matrix."""
         return self.kind in (PairKind.AIII, PairKind.CI, PairKind.CII)
 
+    @cached_property
+    def k_factors(self) -> tuple["KFactor", ...]:
+        """K's simple factors, from a table shared by equal pairs."""
+        return _k_factor_table(self.kind, self.group.n, self.p, self.q)
+
     def __str__(self) -> str:
         if self.kind in (PairKind.AIII, PairKind.CII):
             return f"{self.kind.value}:{self.p},{self.q}"
@@ -129,6 +137,38 @@ class SymmetricPairSpec:
 
 
 KShape = Composition | SymplecticComposition
+
+
+@dataclass(frozen=True)
+class KFactor:
+    """One simple factor of K: GL_rank, Sp_2rank or (for AI) SO_rank.
+
+    ``coords`` are the coordinates of G's natural module it acts on,
+    0-based; its flag shapes have size ``len(coords)``.  CI's GL_n acts
+    on e_1..e_n and dually on the mirrored half.
+    """
+
+    family: str  # "gl", "sp" or "so"
+    rank: int
+    coords: tuple[int, ...]
+
+
+_SHAPE_TYPES = {"gl": Composition, "so": Composition, "sp": SymplecticComposition}
+
+
+@lru_cache(maxsize=None)
+def _k_factor_table(kind: PairKind, n: int, p: int, q: int) -> tuple[KFactor, ...]:
+    """K's simple factors, the one on theta's +1 eigenspace first."""
+    if kind is PairKind.AIII:
+        return (KFactor("gl", p, tuple(range(p))), KFactor("gl", q, tuple(range(p, n))))
+    if kind is PairKind.CII:
+        dim = 2 * n
+        plus = (*range(p), *range(dim - p, dim))
+        return (KFactor("sp", p, plus), KFactor("sp", q, tuple(range(p, dim - p))))
+    everything = tuple(range(n))
+    if kind is PairKind.AII:
+        return (KFactor("sp", n // 2, everything),)
+    return (KFactor("so" if kind is PairKind.AI else "gl", n, everything),)
 
 
 @dataclass(frozen=True)
@@ -146,44 +186,28 @@ class KParabolicSpec:
     factors: tuple[KShape, ...]
 
     def __post_init__(self):
-        kind = self.pair.kind
-        n, p, q = self.pair.group.n, self.pair.p, self.pair.q
-        want: list[tuple[type, int]]
-        if kind is PairKind.AIII:
-            want = [(Composition, p), (Composition, q)]
-        elif kind is PairKind.CII:
-            want = [(SymplecticComposition, 2 * p), (SymplecticComposition, 2 * q)]
-        elif kind is PairKind.AI:
-            want = [(Composition, n)]
-        elif kind is PairKind.AII:
-            want = [(SymplecticComposition, n)]
-        else:
-            want = [(Composition, n)]
-        if len(self.factors) != len(want):
-            raise ValueError(f"{kind.value} needs {len(want)} factor shape(s)")
-        for shape, (typ, size) in zip(self.factors, want):
+        table = self.pair.k_factors
+        if len(self.factors) != len(table):
+            raise ValueError(f"{self.pair.kind.value} needs {len(table)} factor shape(s)")
+        for shape, factor in zip(self.factors, table):
+            typ = _SHAPE_TYPES[factor.family]
             if not isinstance(shape, typ):
-                raise ValueError(f"{kind.value} factor needs {typ.__name__}")
-            if shape.size != size:
+                raise ValueError(f"{self.pair.kind.value} factor needs {typ.__name__}")
+            if shape.size != len(factor.coords):
                 raise ValueError(
-                    f"{kind.value} factor size {shape.size}, expected {size}"
+                    f"{self.pair.kind.value} factor size {shape.size}, "
+                    f"expected {len(factor.coords)}"
                 )
-        if kind is PairKind.AI and not self.factors[0].is_palindromic:
-            raise ValueError("AI flag shapes must be palindromic")
+            if factor.family == "so" and not shape.is_palindromic:
+                raise ValueError(f"{self.pair.kind.value} flag shapes must be palindromic")
 
     @classmethod
     def parse(cls, pair: SymmetricPairSpec, text: str) -> "KParabolicSpec":
         """Factors separated by ';', each a comma-separated shape."""
         chunks = [c for c in (t.strip() for t in text.split(";")) if c]
-        kind = pair.kind
-        if kind is PairKind.AIII:
-            shapes: tuple[KShape, ...] = tuple(Composition.parse(c) for c in chunks)
-        elif kind is PairKind.CII:
-            shapes = tuple(SymplecticComposition.parse(c) for c in chunks)
-        elif kind is PairKind.AII:
-            shapes = tuple(SymplecticComposition.parse(c) for c in chunks)
-        else:
-            shapes = tuple(Composition.parse(c) for c in chunks)
+        # the factors of each K share one shape type
+        typ = _SHAPE_TYPES[pair.k_factors[0].family]
+        shapes = tuple(typ.parse(c) for c in chunks)
         try:
             return cls(pair, shapes)
         except ValueError as exc:
@@ -197,10 +221,10 @@ class KParabolicSpec:
         shape itself.
         """
         keys = []
-        for shape in self.factors:
-            if isinstance(shape, Composition) and self.pair.kind is not PairKind.AI:
+        for factor, shape in zip(self.pair.k_factors, self.factors):
+            if factor.family == "gl":
                 keys.append(("gl", shape.sorted_key()))
-            elif isinstance(shape, Composition):
+            elif factor.family == "so":
                 keys.append(("so", shape.parts))
             else:
                 keys.append(("sp", shape.full_parts))
@@ -215,19 +239,8 @@ class KParabolicSpec:
 
 
 def whole_K(pair: SymmetricPairSpec) -> KParabolicSpec:
-    """Q = K itself (the point flag variety)."""
-    n, p, q = pair.group.n, pair.p, pair.q
-    kind = pair.kind
-    if kind is PairKind.AIII:
-        return KParabolicSpec(pair, (Composition((p,)), Composition((q,))))
-    if kind is PairKind.CII:
-        return KParabolicSpec(
-            pair,
-            (SymplecticComposition((), 2 * p), SymplecticComposition((), 2 * q)),
-        )
-    if kind is PairKind.AII:
-        return KParabolicSpec(pair, (SymplecticComposition((), n),))
-    return KParabolicSpec(pair, (Composition((n,)),))
+    """Q = K itself (the point flag variety), cut out by P' = G."""
+    return intersect_with_K(pair, whole_group(pair.group))
 
 
 def check_membership(
@@ -262,25 +275,36 @@ def is_theta_stable(pair: SymmetricPairSpec, P: ParabolicSpec) -> bool:
     return P.shape.is_palindromic
 
 
-def _clip_overlap(parts: tuple[int, ...], cut: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split each block of a flag shape at coordinate ``cut``.
-
-    Returns (sizes within the first ``cut`` coordinates, sizes within the
-    rest), block by block, zeros kept.
-    """
-    lo, hi = [], []
-    start = 0
-    for part in parts:
-        end = start + part
-        inside = max(0, min(end, cut) - min(start, cut))
-        lo.append(inside)
-        hi.append(part - inside)
-        start = end
-    return tuple(lo), tuple(hi)
-
-
 def _drop_zeros(parts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p for p in parts if p)
+    return tuple(filter(None, parts))
+
+
+def k_parabolic_of_split(
+    pair: SymmetricPairSpec, plus: tuple[int, ...], minus: tuple[int, ...]
+) -> KParabolicSpec:
+    """K meet P' for a theta-stable P' whose i-th block (the i-th
+    isotropic step in type C) has plus[i] dimensions on the coordinates
+    of K's first factor, theta's +1 eigenspace, and minus[i] on the rest.
+    For AI and AII that factor is all of K, so minus is all zeros.
+
+    In type C every step comes with its mirror under the form.  An Sp
+    factor sees its own part of both, around its Levi; CI's GL_n, on a
+    Lagrangian, sees the -1 part of each step through its mirror, after
+    the middle.  Raises ValueError for a split that does not fit K.
+    """
+    in_sp = pair.group.family is GroupFamily.SYMPLECTIC
+    shapes = []
+    for factor, own, other in zip(pair.k_factors, (plus, minus), (minus, plus)):
+        if factor.family != "sp":
+            if in_sp:
+                own = own + (factor.rank - sum(own) - sum(other),) + other[::-1]
+            shapes.append(Composition(_drop_zeros(own)))
+        elif in_sp:
+            left = _drop_zeros(own)
+            shapes.append(SymplecticComposition(left, 2 * (factor.rank - sum(left))))
+        else:
+            shapes.append(SymplecticComposition.from_full(own))
+    return KParabolicSpec(pair, tuple(shapes))
 
 
 def intersect_with_K(pair: SymmetricPairSpec, P: ParabolicSpec) -> KParabolicSpec:
@@ -291,26 +315,14 @@ def intersect_with_K(pair: SymmetricPairSpec, P: ParabolicSpec) -> KParabolicSpe
     """
     if not is_theta_stable(pair, P):
         raise ValueError(f"{P} is not theta-stable for {pair}")
-    kind = pair.kind
-    n, p = pair.group.n, pair.p
-    if kind is PairKind.AIII:
-        b, c = _clip_overlap(P.shape.parts, p)
-        return KParabolicSpec(
-            pair, (Composition(_drop_zeros(b)), Composition(_drop_zeros(c)))
-        )
-    if kind is PairKind.AI:
-        return KParabolicSpec(pair, (P.shape,))
-    if kind is PairKind.AII:
-        return KParabolicSpec(
-            pair, (SymplecticComposition.from_full(P.shape.parts),)
-        )
-    if kind is PairKind.CI:
-        tail = n - sum(P.shape.left)
-        parts = _drop_zeros(P.shape.left + (tail,))
-        return KParabolicSpec(pair, (Composition(parts),))
-    # CII: each isotropic step splits between the two symplectic factors
-    b, c = _clip_overlap(P.shape.left, p)
-    q = pair.q
-    facp = SymplecticComposition(_drop_zeros(b), 2 * (p - sum(b)))
-    facq = SymplecticComposition(_drop_zeros(c), 2 * (q - sum(c)))
-    return KParabolicSpec(pair, (facp, facq))
+    # the standard realization's blocks (isotropic steps) fill the
+    # coordinates in order; count those on K's first factor
+    shape = P.shape
+    blocks = shape.parts if isinstance(shape, Composition) else shape.left
+    first = set(pair.k_factors[0].coords)
+    plus, start = [], 0
+    for size in blocks:
+        plus.append(len(first.intersection(range(start, start + size))))
+        start += size
+    minus = tuple(size - x for size, x in zip(blocks, plus))
+    return k_parabolic_of_split(pair, tuple(plus), minus)

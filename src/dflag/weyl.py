@@ -198,29 +198,16 @@ def bruhat_double_cosets(P: ParabolicSpec, P2: ParabolicSpec) -> DoubleCosetResu
     return DoubleCosetResult(len(reps), tuple(WeylElement(group, u) for u in reps))
 
 
-def _diagram_action(group: GroupDatum, action) -> dict[int, int]:
-    """Normalize ``action`` to a map on simple-root indices and check it
-    is a diagram automorphism."""
-    indices = list(group.simple_indices)
+def _is_flip(group: GroupDatum, action) -> bool:
+    """Whether ``action`` (None, "identity" or "flip") is the diagram
+    flip; type C has no diagram automorphism but the identity."""
     if action in (None, "identity"):
-        mapping = {i: i for i in indices}
-    elif action == "flip":
-        if group.family is not GroupFamily.GENERAL_LINEAR:
-            raise ValueError("the diagram flip only exists in type A")
-        mapping = {i: group.n - i for i in indices}
-    else:
-        mapping = dict(action)
-    if sorted(mapping) != indices or sorted(mapping.values()) != indices:
-        raise ValueError(f"not a bijection on simple roots: {mapping}")
-    # adjacency must be preserved; in type C the long root alpha_n is
-    # distinguished, which forces the identity
-    for i in indices:
-        for j in indices:
-            if (abs(i - j) == 1) != (abs(mapping[i] - mapping[j]) == 1):
-                raise ValueError(f"not a diagram automorphism: {mapping}")
-    if group.family is GroupFamily.SYMPLECTIC and mapping[group.n] != group.n:
-        raise ValueError(f"not a diagram automorphism of type C: {mapping}")
-    return mapping
+        return False
+    if action != "flip":
+        raise ValueError(f"unknown diagram action {action!r}")
+    if group.family is not GroupFamily.GENERAL_LINEAR:
+        raise ValueError("the diagram flip only exists in type A")
+    return True
 
 
 def _flip(w: OneLine) -> OneLine:
@@ -236,13 +223,6 @@ def twisted_involutions(group: GroupDatum, action="identity") -> tuple[WeylEleme
     >>> len(twisted_involutions(gl(3)))
     4
     """
-    mapping = _diagram_action(group, action)
-    is_flip = any(mapping[i] != i for i in mapping)
-
-    def theta(w: OneLine) -> OneLine:
-        return _flip(w) if is_flip else w
-
-    out = [
-        w for w in enumerate_weyl(group) if theta(w) == _inverse(w)
-    ]
+    theta = _flip if _is_flip(group, action) else (lambda w: w)
+    out = [w for w in enumerate_weyl(group) if theta(w) == _inverse(w)]
     return tuple(WeylElement(group, w) for w in sorted(out))

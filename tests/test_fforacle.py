@@ -1,4 +1,5 @@
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -49,6 +50,16 @@ def test_mat_inv():
     assert gfq.mat_mul(a, inv, 5) == gfq.identity(2)
     with pytest.raises(ValueError):
         gfq.mat_inv(((1, 1), (2, 2)), 3)
+
+
+def test_mat_inv_of_every_2x2_over_F3():
+    for entries in itertools.product(range(3), repeat=4):
+        a = (entries[:2], entries[2:])
+        if (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % 3:
+            assert gfq.mat_mul(a, gfq.mat_inv(a, 3), 3) == gfq.identity(2)
+        else:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                gfq.mat_inv(a, 3)
 
 
 def test_prime_guard():
@@ -112,6 +123,21 @@ def test_budget_exceeded_carries_count():
     with pytest.raises(BudgetExceededError) as info:
         enumerate_flags(gl(4), C((1, 1, 1, 1)), 3, budget=100)
     assert info.value.size == 2080
+
+
+def test_one_refusal_for_a_space_over_budget():
+    # the enumeration and the product check refuse a space in one wording
+    from dflag.orbits import _check_budget
+
+    messages = []
+    for refuse in (
+        lambda: enumerate_flags(sp(2), SC((1, 1), 0), 3, budget=100),
+        lambda: _check_budget([(gl(2), C((1, 1))), (sp(2), SC((1, 1), 0))], 3, 100),
+    ):
+        with pytest.raises(BudgetExceededError) as info:
+            refuse()
+        messages.append(str(info.value))
+    assert messages == ["Sp4/1,1,1,1 has 160 points over F_3, budget 100"] * 2
 
 
 # ------------------------------------------------------------ generators

@@ -9,6 +9,7 @@ from dflag.pairs import (
     SymmetricPairSpec,
     intersect_with_K,
     is_theta_stable,
+    k_parabolic_of_split,
     theta_on_parabolic,
     whole_K,
 )
@@ -166,3 +167,27 @@ def test_every_entry_point_checks_membership():
             check(pair, foreign_P, Q)
         with pytest.raises(ValueError, match="different pair"):
             check(other, P, Q)
+
+
+def test_k_factors_are_one_shared_table():
+    first, again = SymmetricPairSpec.parse("CII:1,2"), SymmetricPairSpec.parse("CII:1,2")
+    assert first.k_factors is again.k_factors
+    plus, minus = first.k_factors
+    assert (plus.family, plus.rank, plus.coords) == ("sp", 1, (0, 5))
+    assert (minus.family, minus.rank, minus.coords) == ("sp", 2, (1, 2, 3, 4))
+    (ci,) = SymmetricPairSpec.parse("CI:3").k_factors
+    assert (ci.family, ci.rank, ci.coords) == ("gl", 3, (0, 1, 2))
+    (ai,) = SymmetricPairSpec.parse("AI:3").k_factors
+    assert ai.family == "so"
+
+
+def test_k_parabolic_of_split():
+    ci = SymmetricPairSpec.parse("CI:3")
+    # one isotropic line split 1 + 0, then a 2-step split 0 + 1 (middle 2)
+    Q = k_parabolic_of_split(ci, (1, 0), (0, 1))
+    assert str(Q) == "1,1,1"
+    aiii = SymmetricPairSpec.parse("AIII:2,2")
+    assert str(k_parabolic_of_split(aiii, (1, 1, 0), (0, 1, 1))) == "1,1;1,1"
+    with pytest.raises(ValueError):
+        # the Sp_2 factor of CII:1,2 holds no isotropic plane
+        k_parabolic_of_split(SymmetricPairSpec.parse("CII:1,2"), (2,), (0,))

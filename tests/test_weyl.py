@@ -121,6 +121,12 @@ def test_rejects_non_automorphism():
         twisted_involutions(gl(4), {1: 2, 2: 1, 3: 3})
 
 
+def test_rejects_an_unknown_diagram_action():
+    with pytest.raises(ValueError, match="unknown diagram action 'swap'"):
+        twisted_involutions(gl(3), "swap")
+    assert twisted_involutions(gl(3), None) == twisted_involutions(gl(3), "identity")
+
+
 def test_non_unique_minimal_representative_raises(monkeypatch):
     import dflag.weyl
     from dflag.errors import CrossCheckError
