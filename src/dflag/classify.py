@@ -255,7 +255,7 @@ def _splittings(parts: tuple[int, ...], total_b: int):
 
 
 def _fmt_split(b, c) -> str:
-    return " ".join(f"{x}+{y}" for x, y in zip(b, c))
+    return " ".join(map("{}+{}".format, b, c))
 
 
 def _theta_stable_splits(pair: SymmetricPairSpec):
