@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .compositions import Composition, SymplecticComposition
 from .errors import BudgetExceededError, CrossCheckError
@@ -304,7 +305,7 @@ def _triple_candidates(pair: SymmetricPairSpec):
         )
     # the first matching candidate is reported as the witness, so keep
     # the search order lexicographic and independent of generation order
-    out.sort(key=lambda item: (item[0], item[1]))
+    out.sort(key=itemgetter(0, 1))
     return out
 
 

@@ -247,7 +247,7 @@ def _k_blocks(pair: SymmetricPairSpec):
 
 def _embedding(group: GroupDatum, factor: KFactor):
     """m placed on the factor's coordinates.  CI's GL_n also acts by
-    the contragredient A^{-T} on their mirror images, which the
+    the contragredient m^{-T} on their mirror images, which the
     anti-diagonal form pairs with them; every image in Sp_2n is audited."""
     n, dim, coords = group.n, group.dim, factor.coords
     if group.family is GroupFamily.GENERAL_LINEAR:

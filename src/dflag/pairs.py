@@ -24,9 +24,9 @@ theta-stable exactly when its shape is palindromic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .compositions import Composition, SymplecticComposition
 from .errors import ParseError
@@ -60,6 +60,8 @@ class SymmetricPairSpec:
     group: GroupDatum
     p: int = 0
     q: int = 0
+    # K's simple factors, from a table shared by equal pairs
+    k_factors: tuple[KFactor, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind, group = self.kind, self.group
@@ -78,6 +80,7 @@ class SymmetricPairSpec:
                 )
         elif self.p or self.q:
             raise ValueError(f"{kind.value} takes no (p, q) datum")
+        object.__setattr__(self, "k_factors", _k_factor_table(kind, group.n, self.p, self.q))
 
     @classmethod
     def parse(cls, token: str, ambient_dim: int | None = None) -> "SymmetricPairSpec":
@@ -124,11 +127,6 @@ class SymmetricPairSpec:
     def is_inner(self) -> bool:
         """Whether theta is conjugation by a diagonal matrix."""
         return self.kind in (PairKind.AIII, PairKind.CI, PairKind.CII)
-
-    @cached_property
-    def k_factors(self) -> tuple["KFactor", ...]:
-        """K's simple factors, from a table shared by equal pairs."""
-        return _k_factor_table(self.kind, self.group.n, self.p, self.q)
 
     def __str__(self) -> str:
         if self.kind in (PairKind.AIII, PairKind.CII):
