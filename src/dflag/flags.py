@@ -12,12 +12,19 @@ all subspaces.
 Closed-form point counts are Gaussian binomial products; they are used
 to enforce the enumeration budget up front (which thereby bounds the
 work as well as the output) and to audit the enumerations.
+
+A matrix acts on flags through its move, built once per matrix: a
+monomial part (one nonzero entry per row, a transversal) plus the few
+other nonzero entries as (target, source, coefficient) updates.  Group
+generators are monomial up to at most two entries, so moving a vector
+costs O(dim) instead of the O(dim^2) of a dense product.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import gfq
 from .compositions import Composition, SymplecticComposition
@@ -32,6 +39,8 @@ __all__ = [
     "budgeted_flag_count",
     "enumerate_flags",
     "symplectic_gram",
+    "Move",
+    "matrix_move",
     "apply_to_flag",
 ]
 
@@ -242,8 +251,77 @@ def enumerate_flags(
     return flags
 
 
-def apply_to_flag(g: Mat, flag: FlagPoint, q: int) -> FlagPoint:
-    """Image of a flag under the linear map g (acting on column vectors)."""
-    return tuple(
-        gfq.rref([gfq.mat_vec(g, row, q) for row in sub], q) for sub in flag
+class Move(NamedTuple):
+    """A matrix g as sparse updates of a column vector v:
+    (g v)[i] = a * v[j] for (j, a) = monomial[i], plus c * v[source] at
+    target for each (target, source, c) of extras."""
+
+    monomial: tuple[tuple[int, int], ...]
+    extras: tuple[tuple[int, int, int], ...]
+
+
+def _transversal(g: Mat) -> list[int] | None:
+    """A permutation s with every g[i][s[i]] nonzero (the diagonal when
+    it has no zero), by augmenting paths; None if there is none."""
+    dim = len(g)
+    if all(g[i][i] for i in range(dim)):
+        return list(range(dim))
+    row_of = [None] * dim  # row_of[j]: the row matched to column j
+
+    def augment(i: int, seen: set) -> bool:
+        for j in range(dim):
+            if g[i][j] and j not in seen:
+                seen.add(j)
+                if row_of[j] is None or augment(row_of[j], seen):
+                    row_of[j] = i
+                    return True
+        return False
+
+    if not all(augment(i, set()) for i in range(dim)):
+        return None
+    sigma = [0] * dim
+    for j, i in enumerate(row_of):
+        sigma[i] = j
+    return sigma
+
+
+def _sparse_parts(g: Mat) -> Move | None:
+    """g split into a transversal and its other nonzero entries, or None
+    when g has no transversal."""
+    sigma = _transversal(g)
+    if sigma is None:
+        return None
+    return Move(
+        tuple((j, g[i][j]) for i, j in enumerate(sigma)),
+        tuple(
+            (i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x and j != sigma[i]
+        ),
     )
+
+
+def _move_vec(move: Move, v: Vec) -> list[int]:
+    """The image of v, entries not yet reduced mod q."""
+    w = [a * v[j] for j, a in move.monomial]
+    for i, j, c in move.extras:
+        w[i] += c * v[j]
+    return w
+
+
+def matrix_move(g: Mat, q: int) -> Move:
+    """The move of an invertible matrix over F_q, audited: its image of
+    each basis vector e_j must be column j of g.  A singular g, or a move
+    that does not reproduce g, raises CrossCheckError."""
+    dim = len(g)
+    move = _sparse_parts(g)
+    if move is None or len(gfq.rref(g, q)) != dim:
+        raise CrossCheckError(f"a {dim}x{dim} matrix to act by is singular over F_{q}")
+    for j, e in enumerate(gfq.identity(dim)):
+        if [x % q for x in _move_vec(move, e)] != [row[j] % q for row in g]:
+            raise CrossCheckError(f"the move of a {dim}x{dim} matrix misses column {j}")
+    return move
+
+
+def apply_to_flag(move: Move, flag: FlagPoint, q: int) -> FlagPoint:
+    """Image of a flag under the linear map of ``move`` (acting on column
+    vectors)."""
+    return tuple(gfq.rref([_move_vec(move, row) for row in sub], q) for sub in flag)

@@ -11,7 +11,6 @@ from __future__ import annotations
 __all__ = [
     "check_prime",
     "mat_mul",
-    "mat_vec",
     "identity",
     "rref",
     "mat_inv",
@@ -43,10 +42,6 @@ def mat_mul(a: Mat, b: Mat, q: int) -> Mat:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt) for row in a
     )
-
-
-def mat_vec(a: Mat, v: Vec, q: int) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) % q for row in a)
 
 
 def rref(rows, q: int) -> Mat:

@@ -23,6 +23,7 @@ from .flags import (
     budgeted_flag_count,
     enumerate_flags,
     flag_count,
+    matrix_move,
     symplectic_gram,
 )
 from .groups import (
@@ -56,14 +57,16 @@ def _space_points(group: GroupDatum, shape, q: int):
 
 @lru_cache(maxsize=512)
 def _perm_for(group: GroupDatum, shape, q: int, mat: Mat):
-    """The permutation of the point indices induced by mat.  Nested flags
-    share their lower subspaces, so each distinct subspace is moved once."""
+    """The permutation of the point indices induced by mat, acting through
+    its move.  Nested flags share their lower subspaces, so each distinct
+    subspace is moved once."""
     pts, index = _space_points(group, shape, q)
+    move = matrix_move(mat, q)
     images = {}
     for pt in pts:
         for sub in pt:
             if sub not in images:
-                images[sub] = apply_to_flag(mat, (sub,), q)[0]
+                images[sub] = apply_to_flag(move, (sub,), q)[0]
     image = images.__getitem__
     return tuple(index[tuple(map(image, pt))] for pt in pts)
 

@@ -14,6 +14,7 @@ from dflag.flags import (
     enumerate_flags,
     flag_count,
     gaussian_binomial,
+    matrix_move,
     symplectic_gram,
 )
 from dflag.groups import ParabolicSpec, borel, gl, sp, whole_group
@@ -292,7 +293,8 @@ def test_memoized_permutation_matches_per_flag_action(q):
         pts, index = _space_points(group, shape, q)
         assert len(pts[0]) >= 2
         for m in gens:
-            plain = tuple(index[apply_to_flag(m, pt, q)] for pt in pts)
+            move = matrix_move(m, q)
+            plain = tuple(index[apply_to_flag(move, pt, q)] for pt in pts)
             assert _perm_for(group, shape, q, m) == plain
 
 

@@ -11,6 +11,7 @@ canonical form ``gfq.rref``.
 import itertools
 from collections import defaultdict
 from functools import lru_cache
+from operator import mul
 
 import pytest
 
@@ -41,8 +42,9 @@ def _all_subspaces(dim, k, q):
     out = []
     for pivots in itertools.combinations(range(dim), k):
         slots = [(r, c) for r, p in enumerate(pivots) for c in range(p + 1, dim) if c not in pivots]
+        template = [[int(c == p) for c in range(dim)] for p in pivots]
         for values in itertools.product(range(q), repeat=len(slots)):
-            rows = [[int(c == p) for c in range(dim)] for p in pivots]
+            rows = [row[:] for row in template]
             for (r, c), v in zip(slots, values):
                 rows[r][c] = v
             out.append(tuple(map(tuple, rows)))
@@ -63,11 +65,16 @@ def _isotropic_subspaces(n, k, q):
     return [w for w in _all_subspaces(2 * n, k, q) if _isotropic(w, n, q)]
 
 
-def _combine(coeffs, rows, q):
-    return gfq.rref(
-        [[sum(a * row[j] for a, row in zip(c, rows)) % q for j in range(len(rows[0]))] for c in coeffs],
-        q,
-    )
+@lru_cache(maxsize=None)
+def _faces(w, k, q):
+    """The k-subspaces of the row space of the echelon matrix w, as c w
+    for each k-subspace c of F_q^dim(w).  A product of two reduced
+    echelon matrices of full rank is one, so each face is canonical."""
+    cols = list(zip(*w))
+    return [
+        tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in coeffs)
+        for coeffs in _all_subspaces(len(w), k, q)
+    ]
 
 
 def _reference_flags(n, dims, q):
@@ -78,8 +85,7 @@ def _reference_flags(n, dims, q):
             ends[flag[-1] if flag else ()].append(flag)
         new = []
         for w in _isotropic_subspaces(n, d, q):
-            for coeffs in _all_subspaces(d, prev, q):
-                v = _combine(coeffs, w, q) if prev else ()
+            for v in _faces(w, prev, q):
                 new.extend(flag + (w,) for flag in ends.get(v, ()))
         flags, prev = new, d
     return sorted(flags)
@@ -90,14 +96,18 @@ CASES = [(n, q) for q in (2, 3) for n in (1, 2, 3)] + [(n, 5) for n in (1, 2)]
 
 @pytest.mark.parametrize("n,q", CASES)
 def test_enumeration_matches_brute_force(n, q):
+    subs, steps = set(), set()  # over every shape, each checked once below
     for shape in _symplectic_shapes(n):
         flags = enumerate_flags(sp(n), shape, q)
         assert flags == _reference_flags(n, shape.isotropic_dims(), q), shape
-        for sub in {sub for flag in flags for sub in flag}:
-            assert gfq.rref(sub, q) == sub
-            assert _isotropic(sub, n, q)
-        for small, big in {step for flag in flags for step in zip(flag, flag[1:])}:
-            assert gfq.rref(big + small, q) == big
+        for flag in flags:
+            subs.update(flag)
+            steps.update(zip(flag, flag[1:]))
+    for sub in subs:
+        assert gfq.rref(sub, q) == sub
+        assert _isotropic(sub, n, q)
+    for small, big in steps:
+        assert gfq.rref(big + small, q) == big
 
 
 def test_symplectic_enumeration_lists_no_plain_subspaces():

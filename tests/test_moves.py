@@ -1,0 +1,153 @@
+"""The sparse move of a matrix against the dense matrix-vector product.
+
+The reference multiplies the matrix into each echelon row of a subspace
+and reduces the result with ``gfq.rref``.  ``apply_to_flag`` maps a flag
+one subspace at a time, so comparing the two on every distinct subspace
+of a flag variety compares them on every point of it.
+"""
+
+import pytest
+
+import dflag.flags
+import dflag.orbits
+from dflag import gfq
+from dflag.compositions import Composition as C
+from dflag.compositions import SymplecticComposition as SC
+from dflag.errors import CrossCheckError
+from dflag.flags import apply_to_flag, matrix_move
+from dflag.groups import GroupFamily, ParabolicSpec, gl, sp
+from dflag.orbits import (
+    _generators,
+    _k_blocks,
+    _parabolic_generators,
+    _perm_for,
+    _space_points,
+)
+from dflag.pairs import SymmetricPairSpec
+
+
+def _dense_image(g, sub, q):
+    return gfq.rref(
+        [tuple(sum(x * y for x, y in zip(row, v)) % q for row in g) for v in sub], q
+    )
+
+
+def _standard_parabolics(group):
+    if group.family is GroupFamily.GENERAL_LINEAR:
+        shapes = [C((1, 1, 1, 1)), C((2, 1, 1)), C((1, 2, 1)), C((1, 1, 2)), C((2, 2)),
+                  C((3, 1)), C((1, 3)), C((4,))]
+    else:
+        shapes = [SC((1, 1), 0), SC((2,), 0), SC((1,), 2), SC((), 4)]
+    return [ParabolicSpec(group, shape) for shape in shapes]
+
+
+def _embedded(token, q):
+    """Every _generators matrix of every factor of K, embedded in G."""
+    blocks = _k_blocks(SymmetricPairSpec.parse(token))
+    return [embed(m, q) for factor, embed in blocks for m in _generators(factor, q)]
+
+
+def _matrices(group, pairs, q):
+    """Every matrix of _generators and _parabolic_generators for group
+    and of the _k_blocks embeddings of ``pairs``."""
+    mats = list(_generators(group, q))
+    for token in pairs:
+        mats += _embedded(token, q)
+    for P in _standard_parabolics(group):
+        mats += _parabolic_generators(P, q)
+    return sorted(set(mats))
+
+
+SPACES = [
+    (gl(4), C((1, 1, 1, 1)), ("AIII:2,2",)),
+    (sp(2), SC((1, 1), 0), ("CI:2", "CII:1,1")),
+]
+
+
+def _check_moves(group, shape, mats, q):
+    pts, _ = _space_points(group, shape, q)
+    subs = sorted({sub for pt in pts for sub in pt})
+    for g in mats:
+        move = matrix_move(g, q)
+        for sub in subs:
+            assert apply_to_flag(move, (sub,), q) == (_dense_image(g, sub, q),)
+        assert apply_to_flag(move, pts[-1], q) == tuple(_dense_image(g, s, q) for s in pts[-1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("group, shape, pairs", SPACES)
+def test_move_matches_the_dense_product(group, shape, pairs, q):
+    _check_moves(group, shape, _matrices(group, pairs, q), q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cii_1_2_embeddings_move_like_the_dense_product(q):
+    # CII:1,2 embeds into Sp_6, so its embeddings act on the lines of F_q^6
+    _check_moves(sp(3), SC((1,), 4), _embedded("CII:1,2", q), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_generators_are_monomial_up_to_two_entries(q):
+    mats = _embedded("CII:1,2", q)
+    for group, _, pairs in SPACES:
+        mats += _matrices(group, pairs, q)
+    for g in mats:
+        assert len(matrix_move(g, q).extras) <= 2
+
+
+def test_a_zero_diagonal_takes_a_matching():
+    # the 4-cycle and an anti-diagonal matrix have no nonzero diagonal entry
+    cycle = _generators(gl(4), 3)[1]
+    flip = tuple(tuple(int(i + j == 3) * (i + 1) for j in range(4)) for i in range(4))
+    for g in (cycle, flip):
+        move = matrix_move(g, 5)
+        assert move.extras == ()
+        assert all(g[i][j] == a for i, (j, a) in enumerate(move.monomial))
+
+
+def test_a_move_that_drops_an_entry_is_refused(monkeypatch):
+    real = dflag.flags._sparse_parts
+
+    def dropped(g):
+        move = real(g)
+        return move._replace(extras=move.extras[:-1])
+
+    monkeypatch.setattr(dflag.flags, "_sparse_parts", dropped)
+    x = _generators(sp(2), 3)[0]
+    assert len(real(x).extras) == 2
+    with pytest.raises(CrossCheckError, match="misses column"):
+        matrix_move(x, 3)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        ((1, 1), (1, 1)),  # singular, with a transversal
+        ((1, 0), (1, 0)),  # singular, without one
+    ],
+)
+def test_a_singular_matrix_is_refused(g):
+    with pytest.raises(CrossCheckError, match="singular"):
+        matrix_move(g, 3)
+
+
+def test_one_action_per_distinct_subspace_per_generator(monkeypatch):
+    group, shape, q = sp(2), SC((1, 1), 0), 3
+    pts, _ = _space_points(group, shape, q)
+    distinct = len({sub for pt in pts for sub in pt})
+    assert distinct == 80  # the 40 lines and 40 Lagrangian planes of F_3^4
+    calls = []
+
+    def counted(move, flag, q):
+        calls.append(flag)
+        return apply_to_flag(move, flag, q)
+
+    monkeypatch.setattr(dflag.orbits, "apply_to_flag", counted)
+    _perm_for.cache_clear()
+    try:
+        for g in _generators(group, q):
+            calls.clear()
+            _perm_for(group, shape, q, g)
+            assert len(calls) == len(set(calls)) == distinct
+    finally:
+        _perm_for.cache_clear()
