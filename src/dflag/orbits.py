@@ -1,6 +1,12 @@
 """Orbit counting over F_q by closure under generators.
 
-Spaces are lists of canonical points; each generator is converted once
+Every count is one parabolic acting on the remaining flag varieties.
+The triple count lets P1 act on X_P2 (x X_P3), since G is transitive
+on X_P1.  The K-orbits on X_P x Z_Q match the Q-orbits on X_P one to
+one, since K is transitive on Z_Q = K/Q, so only X_P is enumerated; the
+points column is still |X_P x Z_Q|, from the closed forms.
+
+Spaces are lists of canonical points; each matrix is converted once
 into a permutation of the point indices, acting on each distinct
 subspace of the points only once.  Orbit fusion on a product of spaces
 is then pure integer work: every factor after the first is folded into
@@ -8,12 +14,31 @@ one permutation per generator, and each orbit is walked from a list
 that grows while it is read.  Every permutation is checked to be a
 bijection, and the sum of orbit sizes is audited against the total
 point count on every call.
+
+Q is the product of the Standard parabolics of its shapes in K's
+factors, the stabilizer of the base flag of Z_Q.  In type A such a
+parabolic is generated by the Borel B = T U and the root subgroups
+X_-a of the simple roots a of its Levi (commutators of these give the
+Levi's other negative roots), and U by the simple root subgroups,
+because [I + E_ij, I + E_jk] = I + E_ik over every field, F_2
+included; over F_p every X_a is generated by x_a(1).  In a GL factor
+of K these generators are words in K's own generators (see
+_gl_parabolic_words), so their permutations of X_P are composed from
+those of K's generators, integer work only, and no other matrix acts
+on X_P; every word's matrix is audited against the matrix it stands
+for.  In an Sp factor each generator is a matrix acting directly: the
+Levi's blocks take their own generators and the unipotent radical the
+root element x_b(1) of every radical root b.  The simple radical roots
+would not suffice: over F_2 the type C commutator relations lose their
+factor 2, and the unipotent radical of the Borel of Sp_4(F_2), of order
+16, is not generated by two elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import gfq
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
@@ -46,10 +71,11 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _space_points(group: GroupDatum, shape, q: int):
     """Canonical point list and index of one flag variety, shared across
-    orbit computations."""
+    orbit computations.  Only the walked factors are enumerated (X_P, or
+    the two last factors of a triple), so a few entries suffice."""
     count = flag_count(group, shape, q)
     pts = enumerate_flags(group, shape, q, budget=count)
     return tuple(pts), {pt: i for i, pt in enumerate(pts)}
@@ -79,24 +105,15 @@ class _Space:
     perms: list
 
     @classmethod
-    def flags(cls, group: GroupDatum, shape, q: int, mats: list[Mat | None]):
+    def flags(cls, group: GroupDatum, shape, q: int, mats: list[Mat]):
         pts, _ = _space_points(group, shape, q)
-        identity_perm = None
-        perms = []
-        for m in mats:
-            if m is None:
-                if identity_perm is None:
-                    identity_perm = tuple(range(len(pts)))
-                perms.append(identity_perm)
-            else:
-                perms.append(_perm_for(group, shape, q, m))
-        return cls(list(pts), perms)
+        return cls(list(pts), [_perm_for(group, shape, q, m) for m in mats])
 
 
-def _check_budget(factors, q: int, budget: int) -> None:
-    """Refuse a product of flag varieties from their closed-form sizes,
-    before any of them is enumerated: first a factor over the budget,
-    then the product."""
+def _check_budget(factors, q: int, budget: int) -> int:
+    """The size of a product of flag varieties, from their closed forms;
+    refused before any of them is enumerated: first a factor over the
+    budget, then the product."""
     total = 1
     for group, shape in factors:
         total *= budgeted_flag_count(group, shape, q, budget)
@@ -104,6 +121,7 @@ def _check_budget(factors, q: int, budget: int) -> None:
         raise BudgetExceededError(
             f"product has {total} points, budget {budget}", total, budget
         )
+    return total
 
 
 def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
@@ -273,7 +291,12 @@ def count_K_orbits(
     q: int,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Orbits of K(F_q) acting diagonally on X_P(F_q) x Z_Q(F_q)."""
+    """Orbits of K(F_q) acting diagonally on X_P(F_q) x Z_Q(F_q).
+
+    K is transitive on Z_Q = K/Q and Q is the stabilizer of its base
+    flag, so these are counted as the Q(F_q)-orbits on X_P, under the
+    generators of Q described in the module docstring.  The budget is
+    still checked against the whole product."""
     _, orbits = _count_K_orbits_full(pair, P, Q, q, budget)
     return orbits
 
@@ -289,28 +312,114 @@ def _orbit_factors(pair, P, Q, q) -> list:
 
 
 def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
-    """(points, orbits): each generator of a K-factor moves X_P through
-    its embedding, its own factor of Z_Q, and no other factor."""
+    """(|X_P x Z_Q|, orbits), walking X_P alone under Q's generators.
+    In a GL factor of K only K's own generators act on X_P; Q's are
+    words in them."""
     factors = _orbit_factors(pair, P, Q, q)
-    blocks = _k_blocks(pair)
-    ambient, per_factor = [], [[] for _ in blocks]
-    for i, (group, embed) in enumerate(blocks):
-        for m in _generators(group, q):
-            ambient.append(embed(m, q))
-            for j, mats in enumerate(per_factor):
-                mats.append(m if j == i else None)
-    return _count_orbits(factors, [ambient, *per_factor], q, budget)
+    total = _check_budget(factors, q, budget)
+    group, shape = factors[0]
+    perms = []
+    for (kgroup, embed), kshape in zip(_k_blocks(pair), Q.factors):
+        gens = _generators(kgroup, q)
+        if kshape.is_proper and kgroup.family is GroupFamily.SYMPLECTIC:
+            gens = _sp_parabolic_generators(kgroup.n, kshape, q)
+        words = [_Word(m, _perm_for(group, shape, q, embed(m, q))) for m in gens]
+        if kshape.is_proper and kgroup.family is GroupFamily.GENERAL_LINEAR:
+            words = _gl_parabolic_words(kshape, words, q)
+        perms += [w.perm for w in words]
+    pts, _ = _space_points(group, shape, q)
+    _, orbits = _product_orbits([_Space(list(pts), perms)])
+    return total, orbits
 
 
-def _count_orbits(factors, mats, q: int, budget: int) -> tuple[int, int]:
-    """(points, orbits) on the product of the flag varieties ``factors``,
-    each a (group, shape), after the budget check; mats[i] lists the
-    matrix by which each generator acts on factor i (None: trivially)."""
-    _check_budget(factors, q, budget)
-    spaces = [
-        _Space.flags(group, shape, q, m) for (group, shape), m in zip(factors, mats, strict=True)
-    ]
-    return _product_orbits(spaces)
+class _Word(NamedTuple):
+    """An element of a factor of K: its matrix and its permutation of X_P."""
+
+    mat: Mat
+    perm: tuple[int, ...]
+
+
+def _times(a: _Word, b: _Word, q: int) -> _Word:
+    """The word ab, which acts as a after b."""
+    return _Word(gfq.mat_mul(a.mat, b.mat, q), tuple(map(a.perm.__getitem__, b.perm)))
+
+
+def _inverse(a: _Word, q: int) -> _Word:
+    perm = [0] * len(a.perm)
+    for i, j in enumerate(a.perm):
+        perm[j] = i
+    return _Word(gfq.mat_inv(a.mat, q), tuple(perm))
+
+
+def _gl_parabolic_words(shape, gens: list[_Word], q: int) -> list[_Word]:
+    """Generators of the Standard parabolic of ``shape`` in GL_r(F_q), as
+    words in the words ``gens`` of _generators(gl(r), q): u = E_12(1),
+    the cycle c and, for q > 2, d = diag(z, 1, ..., 1).  Indices 1-based:
+
+    * the torus, c^i d c^-i = diag(z at i+1), for q > 2;
+    * every positive simple root, E_(i+1,i+2)(1) = c^i u c^-i;
+    * the negative of each simple root of the Levi (k not a break of
+      ``shape``), E_(k+1,k)(1) = c^(k-1) E_21 c^-(k-1).  E_21 comes from
+      E_(r,1) = c^(r-1) u c^-(r-1) and E_(j,1) = [E_(j,j+1), E_(j+1,1)]
+      for j = r-1, ..., 2, with [a, b] = a b a^-1 b^-1.
+
+    Each word's matrix is audited against the matrix it stands for.
+    """
+    r = shape.size
+    u, c, *torus = gens
+    powers = [None, c]  # powers[k] = c^k
+    while len(powers) < r:
+        powers.append(_times(c, powers[-1], q))
+    inverses = [None] + [_inverse(w, q) for w in powers[1:]]
+
+    def conj(k: int, w: _Word) -> _Word:
+        return w if k == 0 else _times(_times(powers[k], w, q), inverses[k], q)
+
+    words = []  # (word, the matrix it must be)
+    if torus:
+        z = _primitive_root(q)
+        words += [(conj(i, torus[0]), _unit_matrix_with(r, {(i, i): z}, q)) for i in range(r)]
+    simple = [conj(i, u) for i in range(r - 1)]
+    words += [(w, _unit_matrix_with(r, {(i, i + 1): 1}, q)) for i, w in enumerate(simple)]
+    breaks = shape.breaks()
+    levi = [k for k in range(1, r) if k not in breaks]
+    if levi:
+        e = conj(r - 1, u)
+        for j in range(r - 1, 1, -1):
+            a = simple[j - 1]
+            e = _times(_times(a, e, q), _times(_inverse(a, q), _inverse(e, q), q), q)
+        words += [(conj(k - 1, e), _unit_matrix_with(r, {(k, k - 1): 1}, q)) for k in levi]
+    for w, expected in words:
+        if w.mat != expected:
+            raise CrossCheckError(
+                f"a word for a generator of a parabolic of GL_{r}(F_{q}) "
+                "does not give its matrix"
+            )
+    return [w for w, _ in words]
+
+
+def _sp_parabolic_generators(n: int, shape, q: int) -> list[Mat]:
+    """Generators of the Standard parabolic of ``shape`` in Sp_2n(F_q).
+
+    The Levi's come from _generators: each GL block with its
+    contragredient on the mirrored coordinates, the middle Sp block in
+    place.  The unipotent radical takes x_b(1) for every radical root b,
+    which generates it over every F_q, F_2 included.
+    """
+    group = sp(n)
+    gens, start = [], 0
+    for size in shape.left:
+        block = KFactor("gl", size, tuple(range(start, start + size)))
+        embed = _embedding(group, block)
+        gens += [embed(m, q) for m in _generators(gl(size), q)]
+        start += size
+    if shape.middle:
+        rank = shape.middle // 2
+        embed = _embedding(group, KFactor("sp", rank, tuple(range(start, 2 * n - start))))
+        gens += [embed(m, q) for m in _generators(sp(rank), q)]
+    roots = parabolic_root_set(ParabolicSpec(group, shape))
+    radical = sorted(b for b in roots if tuple(-c for c in b) not in roots)
+    return gens + [_sp_root_element(n, b, q) for b in radical]
 
 
 def _parabolic_generators(P: ParabolicSpec, q: int) -> list[Mat]:
@@ -427,9 +536,9 @@ def count_triple_orbits(
     count, independent of q.
     """
     first, *rest = _triple_specs(group, parabolics, q)
+    _check_budget([(group, P.shape) for P in rest], q, budget)
     gens = _parabolic_generators(first, q)
-    factors = [(group, P.shape) for P in rest]
-    _, orbits = _count_orbits(factors, [gens] * len(factors), q, budget)
+    _, orbits = _product_orbits([_Space.flags(group, P.shape, q, gens) for P in rest])
     return orbits
 
 

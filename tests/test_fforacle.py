@@ -434,34 +434,46 @@ def test_orbit_count_is_generator_set_invariant():
     assert counts == [2, 2]
 
 
+# |K factor(F_q)| by (factor, q): the closure below must reach all of it
+ORDERS = {
+    ("Sp2", 2): 6, ("Sp4", 2): 720, ("GL1", 2): 1, ("GL2", 2): 6, ("GL3", 2): 168,
+    ("GL1", 3): 2, ("GL2", 3): 48,
+}
+
+
 @pytest.mark.parametrize(
-    "token, P, Q",
+    "token, P, Q, q",
     [
-        ("CII:1,1", SC((1, 1), 0), "1,1;1,1"),
-        ("AII:4", C((2, 2)), "1,2,1"),
+        pytest.param("CII:1,1", SC((1, 1), 0), "1,1;1,1", 2, id="CII:1,1-P0-1,1;1,1"),
+        pytest.param("AII:4", C((2, 2)), "1,2,1", 2, id="AII:4-P1-1,2,1"),
+        ("AIII:1,2", C((1, 1, 1)), "1;1,1", 2),
+        ("AIII:1,3", C((1, 1, 1, 1)), "1;2,1", 2),  # a Levi word, E_21
+        ("CI:1", SC((1,), 0), "1", 3),
+        ("CI:2", SC((1, 1), 0), "1,1", 3),  # the torus words matter at q = 3
+        ("CI:2", SC((1,), 2), "1,1", 3),
     ],
 )
-def test_k_orbits_match_the_whole_group(token, P, Q):
-    # every element of K(F_2), not just the generators, acting on X_P x Z_Q
+def test_k_orbits_match_the_whole_group(token, P, Q, q):
+    # every element of K(F_q), not just the generators, acting on X_P x Z_Q
     pair = SymmetricPairSpec.parse(token)
     Q = KParabolicSpec.parse(pair, Q)
     blocks = _k_blocks(pair)
     elements = [[]]  # per element of K: (factor matrix, embedding) per factor
     for group, embed in blocks:
-        factor = _closure(_generators(group, 2), group.dim, 2)
-        assert len(factor) == {1: 6, 2: 720}[group.n]  # |Sp_2(F_2)|, |Sp_4(F_2)|
-        elements = [e + [(m, embed(m, 2))] for e in elements for m in factor]
+        factor = _closure(_generators(group, q), group.dim, q)
+        assert len(factor) == ORDERS[str(group), q]
+        elements = [e + [(m, embed(m, q))] for e in elements for m in factor]
     ambient = []
     for e in elements:
         g = gfq.identity(pair.group.dim)
         for _, big in e:
-            g = gfq.mat_mul(g, big, 2)
+            g = gfq.mat_mul(g, big, q)
         ambient.append(g)
-    spaces = [_Space.flags(pair.group, P, 2, ambient)]
+    spaces = [_Space.flags(pair.group, P, q, ambient)]
     for i, ((group, _), shape) in enumerate(zip(blocks, Q.factors)):
-        spaces.append(_Space.flags(group, shape, 2, [e[i][0] for e in elements]))
+        spaces.append(_Space.flags(group, shape, q, [e[i][0] for e in elements]))
     _, orbits = _product_orbits(spaces)
-    assert orbits == count_K_orbits(pair, ParabolicSpec(pair.group, P), Q, 2)
+    assert orbits == count_K_orbits(pair, ParabolicSpec(pair.group, P), Q, q)
 
 
 def test_no_assert_in_the_oracle():
