@@ -41,6 +41,7 @@ __all__ = [
     "symplectic_gram",
     "Move",
     "matrix_move",
+    "move_vector",
     "apply_to_flag",
 ]
 
@@ -299,7 +300,7 @@ def _sparse_parts(g: Mat) -> Move | None:
     )
 
 
-def _move_vec(move: Move, v: Vec) -> list[int]:
+def move_vector(move: Move, v: Vec) -> list[int]:
     """The image of v, entries not yet reduced mod q."""
     w = [a * v[j] for j, a in move.monomial]
     for i, j, c in move.extras:
@@ -316,7 +317,7 @@ def matrix_move(g: Mat, q: int) -> Move:
     if move is None or len(gfq.rref(g, q)) != dim:
         raise CrossCheckError(f"a {dim}x{dim} matrix to act by is singular over F_{q}")
     for j, e in enumerate(gfq.identity(dim)):
-        if [x % q for x in _move_vec(move, e)] != [row[j] % q for row in g]:
+        if [x % q for x in move_vector(move, e)] != [row[j] % q for row in g]:
             raise CrossCheckError(f"the move of a {dim}x{dim} matrix misses column {j}")
     return move
 
@@ -324,4 +325,4 @@ def matrix_move(g: Mat, q: int) -> Move:
 def apply_to_flag(move: Move, flag: FlagPoint, q: int) -> FlagPoint:
     """Image of a flag under the linear map of ``move`` (acting on column
     vectors)."""
-    return tuple(gfq.rref([_move_vec(move, row) for row in sub], q) for sub in flag)
+    return tuple(gfq.rref([move_vector(move, row) for row in sub], q) for sub in flag)

@@ -1,41 +1,54 @@
-"""Orbit counting over F_q by closure under generators.
+"""Orbit counting over F_q by walks over generator permutations.
 
 Every count is one parabolic acting on the remaining flag varieties.
 The triple count lets P1 act on X_P2 (x X_P3), since G is transitive
 on X_P1.  The K-orbits on X_P x Z_Q match the Q-orbits on X_P one to
-one, since K is transitive on Z_Q = K/Q, so only X_P is enumerated; the
+one, since K is transitive on Z_Q = K/Q, so only X_P is walked; the
 points column is still |X_P x Z_Q|, from the closed forms.
 
-Spaces are lists of canonical points; each matrix is converted once
-into a permutation of the point indices, acting on each distinct
-subspace of the points only once.  Orbit fusion on a product of spaces
-is then pure integer work: every factor after the first is folded into
-one permutation per generator, and each orbit is walked from a list
-that grows while it is read.  Every permutation is checked to be a
-bijection, and the sum of orbit sizes is audited against the total
-point count on every call.
+Matrices act on lines.  Each matrix is turned once into a permutation
+of the N = (q^dim - 1)/(q - 1) lines of F_q^dim: every normalized
+vector (first nonzero entry 1) goes through the matrix's move and its
+image is rescaled to lead with 1.  A flag variety X_P is built as the
+orbit of its base flag, span(e_1, ..., e_d) for each break (or
+isotropic dimension) d, under G's generators: a subspace is an
+interned id for the sorted tuple of its line ids (a frozenset would
+take about four times the memory), and a point is the tuple of its
+subspaces' ids.  The walk raises CrossCheckError as soon as it passes
+the closed-form count of X_P, and again if it falls short of it.  X_P
+maps onto the lines or onto a Grassmannian of F_q^dim unless it is a
+single point, so N <= |X_P| and the budget already checked on |X_P|
+bounds the line table too; a single point is never given one.  A
+matrix then permutes the points of X_P with one lookup per subspace
+and one per point, and nothing is row reduced per subspace.
 
-Q is the product of the Standard parabolics of its shapes in K's
-factors, the stabilizer of the base flag of Z_Q.  In type A such a
-parabolic is generated by the Borel B = T U and the root subgroups
-X_-a of the simple roots a of its Levi (commutators of these give the
-Levi's other negative roots), and U by the simple root subgroups,
-because [I + E_ij, I + E_jk] = I + E_ik over every field, F_2
-included; over F_p every X_a is generated by x_a(1).  In a GL factor
-of K these generators are words in K's own generators (see
-_gl_parabolic_words), so their permutations of X_P are composed from
-those of K's generators, integer work only, and no other matrix acts
-on X_P; every word's matrix is audited against the matrix it stands
-for.  In an Sp factor each generator is a matrix acting directly: the
-Levi's blocks take their own generators and the unipotent radical the
-root element x_b(1) of every radical root b.  The simple radical roots
-would not suffice: over F_2 the type C commutator relations lose their
-factor 2, and the unipotent radical of the Borel of Sp_4(F_2), of order
-16, is not generated by two elements.
+Orbit fusion on a product of spaces is pure integer work: every factor
+after the first is folded into one permutation per generator, and each
+orbit is walked from a list that grows while it is read.  Every
+permutation is checked to be a bijection, and the sum of orbit sizes
+is audited against the total point count on every call.
+
+Both parabolics, Q in K and P1 in G, are Standard and act through the
+same generators.  In type A such a parabolic is generated by the Borel
+B = T U and the root subgroups X_-a of the simple roots a of its Levi
+(commutators of these give the Levi's other negative roots), and U by
+the simple root subgroups, because [I + E_ij, I + E_jk] = I + E_ik over
+every field, F_2 included; over F_p every X_a is generated by x_a(1).
+These generators are words in the group's own generators (see
+_gl_parabolic_words), so their permutations of the lines are composed
+from those of the group's generators, integer work only, and every
+word's matrix is audited against the matrix it stands for.  In type C
+each generator is a matrix acting directly: the Levi's blocks take
+their own generators and the unipotent radical the root element x_b(1)
+of every radical root b.  The simple radical roots would not suffice:
+over F_2 the type C commutator relations lose their factor 2, and the
+unipotent radical of the Borel of Sp_4(F_2), of order 16, is not
+generated by two elements.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -44,11 +57,10 @@ from . import gfq
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from .flags import (
     DEFAULT_BUDGET,
-    apply_to_flag,
     budgeted_flag_count,
-    enumerate_flags,
     flag_count,
     matrix_move,
+    move_vector,
     symplectic_gram,
 )
 from .groups import (
@@ -71,30 +83,121 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=8)
-def _space_points(group: GroupDatum, shape, q: int):
-    """Canonical point list and index of one flag variety, shared across
-    orbit computations.  Only the walked factors are enumerated (X_P, or
-    the two last factors of a triple), so a few entries suffice."""
-    count = flag_count(group, shape, q)
-    pts = enumerate_flags(group, shape, q, budget=count)
-    return tuple(pts), {pt: i for i, pt in enumerate(pts)}
+@lru_cache(maxsize=4)
+def _lines(dim: int, q: int):
+    """The normalized vectors of F_q^dim, one per line, and the index of
+    each: the line ids."""
+    vecs = [
+        (0,) * lead + (1,) + rest
+        for lead in range(dim)
+        for rest in itertools.product(range(q), repeat=dim - lead - 1)
+    ]
+    return tuple(vecs), {v: i for i, v in enumerate(vecs)}
 
 
-@lru_cache(maxsize=512)
-def _perm_for(group: GroupDatum, shape, q: int, mat: Mat):
-    """The permutation of the point indices induced by mat, acting through
-    its move.  Nested flags share their lower subspaces, so each distinct
-    subspace is moved once."""
-    pts, index = _space_points(group, shape, q)
+@lru_cache(maxsize=64)
+def _line_perm(mat: Mat, q: int) -> tuple[int, ...]:
+    """The permutation of the line ids of F_q^dim induced by mat: each
+    normalized vector is moved once and its image rescaled."""
+    dim = len(mat)
+    vecs, index = _lines(dim, q)
     move = matrix_move(mat, q)
-    images = {}
-    for pt in pts:
-        for sub in pt:
-            if sub not in images:
-                images[sub] = apply_to_flag(move, (sub,), q)[0]
-    image = images.__getitem__
-    return tuple(index[tuple(map(image, pt))] for pt in pts)
+    inverse = [0] + [pow(a, -1, q) for a in range(1, q)]  # a zero image finds no line
+    perm = []
+    try:
+        for v in vecs:
+            w = [x % q for x in move_vector(move, v)]
+            lead = next(filter(None, w), 0)
+            if lead != 1:
+                w = [x * inverse[lead] % q for x in w]
+            perm.append(index[tuple(w)])
+    except KeyError:
+        raise CrossCheckError(f"the image of a line of F_{q}^{dim} is not a line") from None
+    return tuple(perm)
+
+
+class _Orbit(NamedTuple):
+    """A flag variety as the orbit of its base flag: its subspaces, as
+    sorted tuples of line ids, with their ids, and its points, as tuples
+    of subspace ids, with their indices."""
+
+    name: str
+    subspaces: tuple[tuple[int, ...], ...]
+    subspace_ids: dict[tuple[int, ...], int]
+    points: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
+
+
+@lru_cache(maxsize=8)
+def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
+    """X_P, walked from its base flag under _generators(group, q), each
+    subspace moved once per generator.  Only the walked factors are
+    built (X_P, or the last factors of a triple), so a few entries
+    suffice."""
+    name = f"{group}/{shape} over F_{q}"
+    count = flag_count(group, shape, q)
+    if group.family is GroupFamily.SYMPLECTIC:
+        dims = shape.isotropic_dims()
+    else:
+        dims = shape.breaks()
+    subspaces, gens = [], []
+    if dims:
+        vecs, _ = _lines(group.dim, q)
+        subspaces = [tuple(i for i, v in enumerate(vecs) if not any(v[d:])) for d in dims]
+        gens = [(_line_perm(m, q).__getitem__, {}) for m in _generators(group, q)]
+    subspace_ids = {lines: sid for sid, lines in enumerate(subspaces)}
+    base = tuple(range(len(dims)))
+    points, index = [base], {base: 0}
+    for pt in points:
+        for image, memo in gens:
+            moved = []
+            for sid in pt:
+                tid = memo.get(sid)
+                if tid is None:
+                    lines = tuple(sorted(map(image, subspaces[sid])))
+                    tid = subspace_ids.get(lines)
+                    if tid is None:  # a new subspace makes a new point
+                        tid = subspace_ids[lines] = len(subspaces)
+                        subspaces.append(lines)
+                    memo[sid] = tid
+                moved.append(tid)
+            moved = tuple(moved)
+            if moved not in index:
+                if len(points) == count:
+                    raise CrossCheckError(
+                        f"the orbit of the base flag of {name} passes its {count} points"
+                    )
+                index[moved] = len(points)
+                points.append(moved)
+    if len(points) != count:
+        raise CrossCheckError(
+            f"the orbit of the base flag of {name} has {len(points)} of its {count} points"
+        )
+    return _Orbit(name, tuple(subspaces), subspace_ids, tuple(points), index)
+
+
+def _point_perm(orbit: _Orbit, lines: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation of the points of ``orbit`` induced by the line
+    permutation ``lines``: one lookup per subspace, one per point."""
+    image, ids, index = lines.__getitem__, orbit.subspace_ids, orbit.index
+    try:
+        subs = [ids[tuple(sorted(map(image, sub)))] for sub in orbit.subspaces]
+    except KeyError:
+        raise CrossCheckError(
+            f"the image of a subspace of {orbit.name} is not one of its subspaces"
+        ) from None
+    move = subs.__getitem__
+    try:
+        return tuple([index[tuple(map(move, pt))] for pt in orbit.points])
+    except KeyError:
+        raise CrossCheckError(
+            f"the image of a point of {orbit.name} is not one of its points"
+        ) from None
+
+
+def _perm_for(group: GroupDatum, shape, q: int, mat: Mat) -> tuple[int, ...]:
+    """The permutation of the points of X_P induced by mat."""
+    return _point_perm(_flag_orbit(group, shape, q), _line_perm(mat, q))
 
 
 @dataclass
@@ -106,13 +209,13 @@ class _Space:
 
     @classmethod
     def flags(cls, group: GroupDatum, shape, q: int, mats: list[Mat]):
-        pts, _ = _space_points(group, shape, q)
-        return cls(list(pts), [_perm_for(group, shape, q, m) for m in mats])
+        points = _flag_orbit(group, shape, q).points
+        return cls(points, [_perm_for(group, shape, q, m) for m in mats])
 
 
 def _check_budget(factors, q: int, budget: int) -> int:
     """The size of a product of flag varieties, from their closed forms;
-    refused before any of them is enumerated: first a factor over the
+    refused before any of them is walked: first a factor over the
     budget, then the product."""
     total = 1
     for group, shape in factors:
@@ -312,28 +415,38 @@ def _orbit_factors(pair, P, Q, q) -> list:
 
 
 def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
-    """(|X_P x Z_Q|, orbits), walking X_P alone under Q's generators.
-    In a GL factor of K only K's own generators act on X_P; Q's are
-    words in them."""
+    """(|X_P x Z_Q|, orbits), walking X_P alone under Q's generators."""
     factors = _orbit_factors(pair, P, Q, q)
     total = _check_budget(factors, q, budget)
-    group, shape = factors[0]
-    perms = []
-    for (kgroup, embed), kshape in zip(_k_blocks(pair), Q.factors):
-        gens = _generators(kgroup, q)
-        if kshape.is_proper and kgroup.family is GroupFamily.SYMPLECTIC:
-            gens = _sp_parabolic_generators(kgroup.n, kshape, q)
-        words = [_Word(m, _perm_for(group, shape, q, embed(m, q))) for m in gens]
-        if kshape.is_proper and kgroup.family is GroupFamily.GENERAL_LINEAR:
-            words = _gl_parabolic_words(kshape, words, q)
-        perms += [w.perm for w in words]
-    pts, _ = _space_points(group, shape, q)
-    _, orbits = _product_orbits([_Space(list(pts), perms)])
+    orbit = _flag_orbit(*factors[0], q)
+    if not orbit.subspaces:  # X_G is one point; its lines are not bounded by the budget
+        return total, 1
+    perms = [
+        _point_perm(orbit, w.perm)
+        for (kgroup, embed), kshape in zip(_k_blocks(pair), Q.factors)
+        for w in _parabolic_words(kgroup, kshape, q, embed)
+    ]
+    _, orbits = _product_orbits([_Space(orbit.points, perms)])
     return total, orbits
 
 
+def _parabolic_words(group: GroupDatum, shape, q: int, embed) -> list[_Word]:
+    """Generators of the Standard parabolic of ``shape`` in group(F_q),
+    each with its permutation of the lines of G's natural module, on
+    which it acts through embed(m, q): words in _generators(group, q) in
+    type A, matrices in type C (see the module docstring)."""
+    gens = _generators(group, q)
+    if shape.is_proper and group.family is GroupFamily.SYMPLECTIC:
+        gens = _sp_parabolic_generators(group.n, shape, q)
+    words = [_Word(m, _line_perm(embed(m, q), q)) for m in gens]
+    if shape.is_proper and group.family is GroupFamily.GENERAL_LINEAR:
+        words = _gl_parabolic_words(shape, words, q)
+    return words
+
+
 class _Word(NamedTuple):
-    """An element of a factor of K: its matrix and its permutation of X_P."""
+    """An element of a parabolic: its matrix and its permutation of the
+    lines of G's natural module."""
 
     mat: Mat
     perm: tuple[int, ...]
@@ -422,43 +535,11 @@ def _sp_parabolic_generators(n: int, shape, q: int) -> list[Mat]:
     return gens + [_sp_root_element(n, b, q) for b in radical]
 
 
-def _parabolic_generators(P: ParabolicSpec, q: int) -> list[Mat]:
-    """Generators of P(F_q) for a Standard parabolic: one root-subgroup
-    element per root of Lie(P) plus torus generators.
-
-    P is the product of its torus and root subgroups, so this set
-    certainly generates; no commutator relations are relied on.
-    """
-    group = P.group
-    n = group.n
-    dim = group.dim
-    gens: list[Mat] = []
-    if q > 2:
-        prim = _primitive_root(q)
-        for i in range(n):
-            if group.family is GroupFamily.GENERAL_LINEAR:
-                gens.append(_unit_matrix_with(n, {(i, i): prim}, q))
-            else:
-                entries = {(i, i): prim, (dim - 1 - i, dim - 1 - i): pow(prim, -1, q)}
-                gens.append(_checked_symplectic(_unit_matrix_with(dim, entries, q), n, q))
-    for alpha in sorted(parabolic_root_set(P)):
-        gens.append(_root_element(group, alpha, q))
-    return gens
-
-
 def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:
     m = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     for (i, j), v in entries.items():
         m[i][j] = v % q
     return tuple(tuple(r) for r in m)
-
-
-def _root_element(group: GroupDatum, alpha, q: int) -> Mat:
-    """x_alpha(1) as a matrix in the fixed realization."""
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        i, j = alpha
-        return _unit_matrix_with(group.n, {(i - 1, j - 1): 1}, q)
-    return _sp_root_element(group.n, alpha, q)
 
 
 def _sp_root_element(n: int, alpha, q: int) -> Mat:
@@ -532,13 +613,18 @@ def count_triple_orbits(
 
     G is transitive on the first factor, so this equals the number of
     P1(F_q)-orbits on the product of the remaining factors, which is
-    what gets enumerated.  For a pair this is the Bruhat double coset
+    what gets walked.  For a pair this is the Bruhat double coset
     count, independent of q.
     """
     first, *rest = _triple_specs(group, parabolics, q)
     _check_budget([(group, P.shape) for P in rest], q, budget)
-    gens = _parabolic_generators(first, q)
-    _, orbits = _product_orbits([_Space.flags(group, P.shape, q, gens) for P in rest])
+    walked = [_flag_orbit(group, P.shape, q) for P in rest]
+    walked = [orbit for orbit in walked if orbit.subspaces]  # X_G factors are single points
+    if not walked:
+        return 1
+    lines = [w.perm for w in _parabolic_words(group, first.shape, q, lambda m, q: m)]
+    spaces = [_Space(orbit.points, [_point_perm(orbit, p) for p in lines]) for orbit in walked]
+    _, orbits = _product_orbits(spaces)
     return orbits
 
 

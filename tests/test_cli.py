@@ -160,10 +160,8 @@ def test_product_refused_before_enumeration(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("enumerated a product over the budget")
 
-    dflag.orbits._space_points.cache_clear()
-    dflag.orbits._perm_for.cache_clear()
-    monkeypatch.setattr(dflag.orbits, "enumerate_flags", fail)
-    monkeypatch.setattr(dflag.orbits, "apply_to_flag", fail)
+    monkeypatch.setattr(dflag.orbits, "_flag_orbit", fail)
+    monkeypatch.setattr(dflag.orbits, "_line_perm", fail)
     code, _, err = run(
         capsys, "triple-orbits", "--family", "A", "--n", "4",
         "--triple", "1,1,1,1;1,1,1,1;1,1,1,1", "--qlist", "3", "--budget", "1000000",
@@ -179,9 +177,8 @@ def test_every_field_refused_before_any_is_counted(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("counted a field before refusing a later one")
 
-    dflag.orbits._space_points.cache_clear()
-    dflag.orbits._perm_for.cache_clear()
-    monkeypatch.setattr(dflag.orbits, "enumerate_flags", fail)
+    monkeypatch.setattr(dflag.orbits, "_flag_orbit", fail)
+    monkeypatch.setattr(dflag.orbits, "_line_perm", fail)
     code, _, err = run(
         capsys, "probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1",
         "--q", "1,1;1,1", "--qlist", "3,5", "--budget", "100000",

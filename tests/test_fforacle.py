@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import dflag.orbits
 from dflag import gfq
 from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
@@ -17,14 +18,17 @@ from dflag.flags import (
     matrix_move,
     symplectic_gram,
 )
-from dflag.groups import ParabolicSpec, borel, gl, sp, whole_group
+from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp, whole_group
 from dflag.orbits import (
+    _flag_orbit,
     _generators,
     _k_blocks,
+    _line_perm,
+    _lines,
     _perm_for,
+    _point_perm,
     _product_orbits,
     _Space,
-    _space_points,
     count_K_orbits,
     count_triple_orbits,
     growth_probe,
@@ -283,6 +287,46 @@ def test_product_orbits_match_reference_union_find():
         assert _product_orbits(spaces) == _reference_orbits(spaces)
 
 
+def _rref_points(group, shape, q):
+    """The points of the orbit-built X_P in rref, through their lines."""
+    orbit = _flag_orbit(group, shape, q)
+    vecs, _ = _lines(group.dim, q)
+    subs = [gfq.rref([vecs[i] for i in sub], q) for sub in orbit.subspaces]
+    return [tuple(subs[s] for s in pt) for pt in orbit.points]
+
+
+def _compositions(d):
+    for k in range(d):
+        for cuts in itertools.combinations(range(1, d), k):
+            yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (d,)))
+
+
+def _every_shape(group):
+    """Every shape of GL_n or Sp_2n, the whole group included."""
+    if group.family is GroupFamily.GENERAL_LINEAR:
+        return [C(c) for c in _compositions(group.n)]
+    return [SC((), group.dim)] + [
+        SC(c, group.dim - 2 * d) for d in range(1, group.n + 1) for c in _compositions(d)
+    ]
+
+
+@pytest.mark.parametrize(
+    "group, q",
+    [
+        pytest.param(g, q, id=f"{g}-F{q}")
+        for g, q in [(g, q) for g in (gl(2), gl(3), gl(4), sp(1), sp(2), sp(3)) for q in (2, 3)]
+        + [(sp(2), 5)]
+    ],
+)
+def test_orbit_of_the_base_flag_is_the_flag_variety(group, q):
+    shapes = _every_shape(group) if q < 5 else [SC((1, 1), 0)]
+    if q < 5:
+        symplectic = group.family is GroupFamily.SYMPLECTIC
+        assert len(set(shapes)) == 2 ** (group.n - 1 + symplectic)
+    for shape in shapes:
+        assert sorted(_rref_points(group, shape, q)) == enumerate_flags(group, shape, q), shape
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_memoized_permutation_matches_per_flag_action(q):
     cases = [
@@ -290,12 +334,16 @@ def test_memoized_permutation_matches_per_flag_action(q):
         (sp(2), SC((1, 1), 0), _generators(sp(2), q)),
     ]
     for group, shape, gens in cases:
-        pts, index = _space_points(group, shape, q)
-        assert len(pts[0]) >= 2
+        flags = enumerate_flags(group, shape, q)
+        index = {pt: i for i, pt in enumerate(_rref_points(group, shape, q))}
+        assert sorted(index) == flags
+        assert len(flags[0]) >= 2
         for m in gens:
             move = matrix_move(m, q)
-            plain = tuple(index[apply_to_flag(move, pt, q)] for pt in pts)
-            assert _perm_for(group, shape, q, m) == plain
+            plain = [None] * len(flags)
+            for pt in flags:
+                plain[index[pt]] = index[apply_to_flag(move, pt, q)]
+            assert _perm_for(group, shape, q, m) == tuple(plain)
 
 
 def test_kgb_counts_match_clans():
@@ -403,6 +451,32 @@ def test_symplectic_audits_raise(monkeypatch):
     for q in (2, 3):  # root elements at q = 2, the torus first at q = 3
         with pytest.raises(CrossCheckError):
             count_triple_orbits(sp(2), [P, P], q)
+
+
+def test_a_matrix_that_leaves_X_P_is_a_cross_check_error(monkeypatch):
+    # E_12(1) is not symplectic for the anti-diagonal form: it moves a
+    # Lagrangian plane of F_3^4 off the Lagrangian planes
+    e12 = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(4)) for i in range(4))
+    lagrangian = SC.from_full((2, 2))
+    with pytest.raises(CrossCheckError, match="image of a subspace of Sp4/2,2 over F_3"):
+        _perm_for(sp(2), lagrangian, 3, e12)
+    orbit = _flag_orbit(sp(2), lagrangian, 3)
+    identity = tuple(range(len(_lines(4, 3)[0])))
+    with pytest.raises(CrossCheckError, match="image of a point of Sp4/2,2 over F_3"):
+        _point_perm(orbit._replace(index={}), identity)
+    real = dflag.orbits.matrix_move
+
+    def degenerate(m, q):  # the move of m, with e_1 sent to 0
+        move = real(m, q)
+        return move._replace(monomial=((0, 0),) + move.monomial[1:])
+
+    monkeypatch.setattr(dflag.orbits, "matrix_move", degenerate)
+    _line_perm.cache_clear()
+    try:
+        with pytest.raises(CrossCheckError, match="image of a line of F_3\\^4"):
+            _line_perm(e12, 3)
+    finally:
+        _line_perm.cache_clear()
 
 
 def test_ai_oracle_unsupported():

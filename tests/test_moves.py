@@ -14,14 +14,16 @@ from dflag import gfq
 from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
-from dflag.flags import apply_to_flag, matrix_move
+from dflag.flags import apply_to_flag, enumerate_flags, matrix_move
 from dflag.groups import GroupFamily, ParabolicSpec, gl, sp
 from dflag.orbits import (
+    _flag_orbit,
     _generators,
     _k_blocks,
-    _parabolic_generators,
+    _line_perm,
+    _lines,
+    _parabolic_words,
     _perm_for,
-    _space_points,
 )
 from dflag.pairs import SymmetricPairSpec
 
@@ -48,13 +50,13 @@ def _embedded(token, q):
 
 
 def _matrices(group, pairs, q):
-    """Every matrix of _generators and _parabolic_generators for group
-    and of the _k_blocks embeddings of ``pairs``."""
+    """Every matrix of _generators and of the Standard parabolics'
+    generators for group, and of the _k_blocks embeddings of ``pairs``."""
     mats = list(_generators(group, q))
     for token in pairs:
         mats += _embedded(token, q)
     for P in _standard_parabolics(group):
-        mats += _parabolic_generators(P, q)
+        mats += [w.mat for w in _parabolic_words(group, P.shape, q, lambda m, q: m)]
     return sorted(set(mats))
 
 
@@ -65,7 +67,7 @@ SPACES = [
 
 
 def _check_moves(group, shape, mats, q):
-    pts, _ = _space_points(group, shape, q)
+    pts = enumerate_flags(group, shape, q)
     subs = sorted({sub for pt in pts for sub in pt})
     for g in mats:
         move = matrix_move(g, q)
@@ -131,23 +133,27 @@ def test_a_singular_matrix_is_refused(g):
         matrix_move(g, 3)
 
 
-def test_one_action_per_distinct_subspace_per_generator(monkeypatch):
+def test_each_matrix_moves_each_line_once(monkeypatch):
     group, shape, q = sp(2), SC((1, 1), 0), 3
-    pts, _ = _space_points(group, shape, q)
-    distinct = len({sub for pt in pts for sub in pt})
-    assert distinct == 80  # the 40 lines and 40 Lagrangian planes of F_3^4
-    calls = []
+    vecs, _ = _lines(group.dim, q)
+    assert len(vecs) == 40  # the lines of F_3^4
+    moved = []
+    real = dflag.orbits.move_vector
 
-    def counted(move, flag, q):
-        calls.append(flag)
-        return apply_to_flag(move, flag, q)
+    def counted(move, v):
+        moved.append((move, v))
+        return real(move, v)
 
-    monkeypatch.setattr(dflag.orbits, "apply_to_flag", counted)
-    _perm_for.cache_clear()
+    monkeypatch.setattr(dflag.orbits, "move_vector", counted)
+    _flag_orbit.cache_clear()
+    _line_perm.cache_clear()
     try:
-        for g in _generators(group, q):
-            calls.clear()
+        gens = _generators(group, q)
+        for g in gens:
             _perm_for(group, shape, q, g)
-            assert len(calls) == len(set(calls)) == distinct
+        # the walk's 40 lines and 40 Lagrangian planes, none of them moved
+        assert len(_flag_orbit(group, shape, q).subspaces) == 80
+        assert sorted(moved) == sorted((matrix_move(g, q), v) for g in set(gens) for v in vecs)
     finally:
-        _perm_for.cache_clear()
+        _flag_orbit.cache_clear()
+        _line_perm.cache_clear()

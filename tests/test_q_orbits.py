@@ -8,23 +8,28 @@ so the two must agree on every (P, Q) at every field.
 """
 
 import itertools
+import sys
 
 import pytest
 
 import dflag.cli
+import dflag.flags
 import dflag.orbits
 from dflag import gfq
 from dflag.compositions import Composition, SymplecticComposition
 from dflag.errors import CrossCheckError
-from dflag.groups import GroupFamily, ParabolicSpec, borel
+from dflag.flags import flag_count
+from dflag.groups import GroupFamily, ParabolicSpec, borel, gl
 from dflag.orbits import (
     _count_K_orbits_full,
+    _flag_orbit,
     _generators,
     _k_blocks,
+    _line_perm,
+    _lines,
     _perm_for,
     _product_orbits,
     _Space,
-    _space_points,
     count_K_orbits,
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec
@@ -72,10 +77,10 @@ def _full_product_walk(pair, P, Q, q):
                 mats.append(m if j == i else None)
     spaces = [_Space.flags(pair.group, P.standard_form().shape, q, ambient)]
     for (group, _), shape, mats in zip(blocks, Q.factors, per_factor):
-        pts, _ = _space_points(group, shape, q)
+        pts = _flag_orbit(group, shape, q).points
         identity = tuple(range(len(pts)))
         perms = [identity if m is None else _perm_for(group, shape, q, m) for m in mats]
-        spaces.append(_Space(list(pts), perms))
+        spaces.append(_Space(pts, perms))
     return _product_orbits(spaces)
 
 
@@ -125,25 +130,101 @@ def test_a_wrong_word_is_a_cross_check_error(monkeypatch, capsys):
     assert err.startswith("CROSS-CHECK DISAGREEMENT") and "parse error" not in err
 
 
-def test_only_K_generators_act_and_only_on_X_P(monkeypatch):
+def _refuse_everywhere(monkeypatch, name):
+    """Make every dflag module's reference to flags.<name> fail."""
+    real = getattr(dflag.flags, name)
+
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "dflag" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, fail)
+
+
+def _clear_caches():
+    _flag_orbit.cache_clear()
+    _line_perm.cache_clear()
+
+
+def test_only_K_generators_act_and_only_on_lines(monkeypatch):
+    # each matrix moves each line of F_3^4 once, and nothing moves a
+    # subspace: G's 3 generators build X_P, and K's 6 add 4 more, since
+    # GL_2 x 1 shares E_12(1) and diag(z, 1, 1, 1) with G
     pair = SymmetricPairSpec.parse("AIII:2,2")
     P = borel(pair.group)
     Q = KParabolicSpec.parse(pair, "1,1;1,1")
     q = 3
-    dflag.orbits._space_points.cache_clear()
-    dflag.orbits._perm_for.cache_clear()
-    dims = []  # per call, the length of the vectors moved
-    real = dflag.orbits.apply_to_flag
+    _clear_caches()
+    moved = []  # (move, vector) per vector moved
+    real = dflag.orbits.move_vector
 
-    def counted(move, flag, q):
-        dims.append(len(flag[0][0]))
-        return real(move, flag, q)
+    def counted(move, v):
+        moved.append((move, v))
+        return real(move, v)
 
-    monkeypatch.setattr(dflag.orbits, "apply_to_flag", counted)
-    count_K_orbits(pair, P, Q, q)
-    pts, _ = _space_points(pair.group, P.shape, q)
-    subspaces = {sub for pt in pts for sub in pt}
-    n_gens = sum(len(_generators(group, q)) for group, _ in _k_blocks(pair))
-    assert (n_gens, len(subspaces)) == (6, 210)
-    assert len(dims) == n_gens * len(subspaces) == 1260
-    assert set(dims) == {4}  # vectors of F_3^4, none of Z_Q's F_3^2
+    monkeypatch.setattr(dflag.orbits, "move_vector", counted)
+    _refuse_everywhere(monkeypatch, "apply_to_flag")
+    try:
+        count_K_orbits(pair, P, Q, q)
+    finally:
+        _clear_caches()
+    vecs, _ = _lines(4, q)
+    moves = {move for move, _ in moved}
+    assert (len(moved), len(moves), len(vecs)) == (280, 7, 40)
+    assert sorted(moved) == sorted((move, v) for move in moves for v in vecs)
+    assert {len(v) for _, v in moved} == {4}  # vectors of F_3^4, none of Z_Q's F_3^2
+
+
+def test_row_reduction_only_audits_matrices(monkeypatch):
+    # no subspace is row reduced, so the rref calls do not depend on P
+    pair = SymmetricPairSpec.parse("AIII:2,2")
+    Q = KParabolicSpec.parse(pair, "1,1;1,1")
+    _refuse_everywhere(monkeypatch, "apply_to_flag")
+    real = gfq.rref
+    callers = []
+
+    def counted(rows, q):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(rows, q)
+
+    monkeypatch.setattr(gfq, "rref", counted)
+    calls = []
+    for shape in ((1, 1, 1, 1), (2, 2)):
+        _clear_caches()
+        callers.clear()
+        try:
+            count_K_orbits(pair, ParabolicSpec(pair.group, Composition(shape)), Q, 3)
+        finally:
+            _clear_caches()
+        assert set(callers) == {"matrix_move", "mat_inv"}
+        calls.append(len(callers))
+    assert calls[0] == calls[1]
+
+
+def test_a_walk_past_its_count_stops(monkeypatch):
+    # X = P^3(F_3): one subspace of one line per point, so each point
+    # walked looks up one line per generator
+    group, shape, q = gl(4), Composition((1, 3)), 3
+    count = flag_count(group, shape, q)
+    assert count == 40
+    lookups = []
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            lookups.append(i)
+            return tuple.__getitem__(self, i)
+
+    real = _line_perm
+    monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: Counted(real(m, q)))
+    n_gens = len(_generators(group, q))
+    for low in (count - 1, 1):
+        monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: low)
+        _flag_orbit.cache_clear()
+        lookups.clear()
+        try:
+            with pytest.raises(CrossCheckError, match=f"passes its {low} points"):
+                _flag_orbit(group, shape, q)
+        finally:
+            _flag_orbit.cache_clear()
+        assert 0 < len(lookups) <= (low + 1) * n_gens
