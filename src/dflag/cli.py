@@ -72,90 +72,6 @@ def _budget(args) -> int:
         raise ParseError(f"bad {BUDGET_ENV} value {raw!r}") from exc
 
 
-def _build_parser() -> _Parser:
-    # --help shows the docstring without its last paragraph, which is
-    # about the code
-    parser = _Parser(prog="dflag", description=__doc__.rsplit("\n\n", 1)[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "tsv"),
-            default="text",
-            help="tsv columns: probe-orbits q/points/orbits; triple-orbits "
-            "q/orbits; branch target/multiplicity; others key/value",
-        )
-        return p
-
-    p = add("mwz", "classify a triple of parabolic shapes (GL or Sp tables)")
-    p.add_argument("--family", choices=("A", "C"), required=True)
-    p.add_argument("--n", type=int, required=True, help="rank: GL_n or Sp_2n")
-    p.add_argument("--triple", required=True, help="three shapes, ';'-separated")
-
-    p = add("classify", "double-flag verdict: both criteria plus summary tables")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--p", required=True, help="parabolic shape of G")
-    p.add_argument("--q", required=True, help="K-parabolic factor shapes, ';'-separated")
-
-    p = add("aiii-borel", "the five-case table for AIII with P = Borel")
-    p.add_argument("--pair", required=True, help="AIII:p,q with q >= p")
-    p.add_argument("--q", required=True, help="Q1;Q2")
-
-    p = add("probe-orbits", "orbit counts of K(F_q) on the double flag variety")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--qlist", default="2,3")
-    p.add_argument("--budget", type=int, default=None)
-
-    p = add("triple-orbits", "orbit counts of diagonal G(F_q) on a flag product")
-    p.add_argument("--family", choices=("A", "C"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--triple", required=True, help="two or three shapes, ';'-separated")
-    p.add_argument("--qlist", default="2,3")
-    p.add_argument("--budget", type=int, default=None)
-
-    p = add("bruhat", "double coset count and minimal-length representatives")
-    p.add_argument("--family", choices=("A", "C"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q2", required=True, help="second parabolic shape")
-
-    p = add("clans", "clans of signature (p, q)")
-    p.add_argument("--pair", required=True, help="AIII:p,q")
-
-    p = add("twisted-involutions", "elements v of W with theta(v) = v^{-1}")
-    p.add_argument("--family", choices=("A", "C"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--twist", choices=("identity", "flip"), default="identity")
-
-    p = add("branch", "restriction to a Levi or tensor decomposition")
-    p.add_argument("--mode", choices=("restrict", "tensor"), required=True)
-    p.add_argument("--weight", required=True, help="partition, e.g. 3,2,1")
-    p.add_argument("--weight2", help="second partition (tensor mode)")
-    p.add_argument("--pair", help="AIII:p,q (restrict mode)")
-    p.add_argument("--n", type=int, help="rank bound (tensor mode)")
-
-    p = add("spherical-probe", "multiplicity-freeness sweeps for a parabolic")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--lmax", type=int, default=4)
-
-    p = add("report", "full cross-checked dossier for one (pair, P, Q)")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--qlist", default="2,3")
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--lmax", type=int, default=3)
-    p.add_argument("--budget", type=int, default=None)
-
-    return parser
-
-
 def _parse_qlist(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(t) for t in text.split(",") if t.strip())
@@ -428,26 +344,136 @@ def _cmd_report(args) -> _Output:
     return (0 if agreement else 3), doc, lines, [("agreement", agreement)]
 
 
+_REQUIRED = {"required": True}
+_PAIR = ("--pair", _REQUIRED)
+_P = ("--p", _REQUIRED)
+_Q = ("--q", _REQUIRED)
+_FAMILY = ("--family", {"choices": ("A", "C"), "required": True})
+_N = ("--n", {"type": int, "required": True})
+_QLIST = ("--qlist", {"default": "2,3"})
+_BUDGET = ("--budget", {"type": int, "default": None})
+
+# subcommand: (handler, help text, (flag, add_argument keywords) per argument)
 _COMMANDS = {
-    "mwz": _cmd_mwz,
-    "classify": _cmd_classify,
-    "aiii-borel": _cmd_aiii_borel,
-    "probe-orbits": _cmd_probe_orbits,
-    "triple-orbits": _cmd_triple_orbits,
-    "bruhat": _cmd_bruhat,
-    "clans": _cmd_clans,
-    "twisted-involutions": _cmd_twisted_involutions,
-    "branch": _cmd_branch,
-    "spherical-probe": _cmd_spherical_probe,
-    "report": _cmd_report,
+    "mwz": (
+        _cmd_mwz,
+        "classify a triple of parabolic shapes (GL or Sp tables)",
+        _FAMILY,
+        ("--n", {"type": int, "required": True, "help": "rank: GL_n or Sp_2n"}),
+        ("--triple", {"required": True, "help": "three shapes, ';'-separated"}),
+    ),
+    "classify": (
+        _cmd_classify,
+        "double-flag verdict: both criteria plus summary tables",
+        _PAIR,
+        ("--p", {"required": True, "help": "parabolic shape of G"}),
+        ("--q", {"required": True, "help": "K-parabolic factor shapes, ';'-separated"}),
+    ),
+    "aiii-borel": (
+        _cmd_aiii_borel,
+        "the five-case table for AIII with P = Borel",
+        ("--pair", {"required": True, "help": "AIII:p,q with q >= p"}),
+        ("--q", {"required": True, "help": "Q1;Q2"}),
+    ),
+    "probe-orbits": (
+        _cmd_probe_orbits,
+        "orbit counts of K(F_q) on the double flag variety",
+        _PAIR,
+        _P,
+        _Q,
+        _QLIST,
+        _BUDGET,
+    ),
+    "triple-orbits": (
+        _cmd_triple_orbits,
+        "orbit counts of diagonal G(F_q) on a flag product",
+        _FAMILY,
+        _N,
+        ("--triple", {"required": True, "help": "two or three shapes, ';'-separated"}),
+        _QLIST,
+        _BUDGET,
+    ),
+    "bruhat": (
+        _cmd_bruhat,
+        "double coset count and minimal-length representatives",
+        _FAMILY,
+        _N,
+        _P,
+        ("--q2", {"required": True, "help": "second parabolic shape"}),
+    ),
+    "clans": (
+        _cmd_clans,
+        "clans of signature (p, q)",
+        ("--pair", {"required": True, "help": "AIII:p,q"}),
+    ),
+    "twisted-involutions": (
+        _cmd_twisted_involutions,
+        "elements v of W with theta(v) = v^{-1}",
+        _FAMILY,
+        _N,
+        ("--twist", {"choices": ("identity", "flip"), "default": "identity"}),
+    ),
+    "branch": (
+        _cmd_branch,
+        "restriction to a Levi or tensor decomposition",
+        ("--mode", {"choices": ("restrict", "tensor"), "required": True}),
+        ("--weight", {"required": True, "help": "partition, e.g. 3,2,1"}),
+        ("--weight2", {"help": "second partition (tensor mode)"}),
+        ("--pair", {"help": "AIII:p,q (restrict mode)"}),
+        ("--n", {"type": int, "help": "rank bound (tensor mode)"}),
+    ),
+    "spherical-probe": (
+        _cmd_spherical_probe,
+        "multiplicity-freeness sweeps for a parabolic",
+        _PAIR,
+        _P,
+        ("--kmax", {"type": int, "default": 4}),
+        ("--lmax", {"type": int, "default": 4}),
+    ),
+    "report": (
+        _cmd_report,
+        "full cross-checked dossier for one (pair, P, Q)",
+        _PAIR,
+        _P,
+        _Q,
+        _QLIST,
+        ("--kmax", {"type": int, "default": 3}),
+        ("--lmax", {"type": int, "default": 3}),
+        _BUDGET,
+    ),
 }
 
 
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser, with only the subparser of the command that argv
+    names when it names one; --help, no command and an unknown command
+    get them all."""
+    # --help shows the docstring without its last paragraph, which is
+    # about the code
+    parser = _Parser(prog="dflag", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        _, help_text, *arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        p.add_argument(
+            "--format",
+            choices=("text", "json", "tsv"),
+            default="text",
+            help="tsv columns: probe-orbits q/points/orbits; triple-orbits "
+            "q/orbits; branch target/multiplicity; others key/value",
+        )
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        code, doc, lines, rows = _COMMANDS[args.command](args)
+        code, doc, lines, rows = _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1

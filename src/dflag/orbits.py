@@ -6,54 +6,56 @@ on X_P1.  The K-orbits on X_P x Z_Q match the Q-orbits on X_P one to
 one, since K is transitive on Z_Q = K/Q, so only X_P is walked; the
 points column is still |X_P x Z_Q|, from the closed forms.
 
-Matrices act on lines.  Each matrix is turned once into a permutation
-of the N = (q^dim - 1)/(q - 1) lines of F_q^dim: every normalized
-vector (first nonzero entry 1) goes through the matrix's move and its
-image is rescaled to lead with 1.  A flag variety X_P is built as the
-orbit of its base flag, span(e_1, ..., e_d) for each break (or
-isotropic dimension) d, under G's generators: a subspace is an
-interned id for the sorted tuple of its line ids (a frozenset would
-take about four times the memory), and a point is the tuple of its
-subspaces' ids.  The walk raises CrossCheckError as soon as it passes
-the closed-form count of X_P, and again if it falls short of it.  X_P
-maps onto the lines or onto a Grassmannian of F_q^dim unless it is a
-single point, so N <= |X_P| and the budget already checked on |X_P|
-bounds the line table too; a single point is never given one.  A
-matrix then permutes the points of X_P with one lookup per subspace
-and one per point, and nothing is row reduced per subspace.
+Each group has a fixed set of letters that generates it (_letters has
+the proofs).  Only a letter is turned into a permutation of the
+N = (q^dim - 1)/(q - 1) lines of F_q^dim: each normalized vector
+(first nonzero entry 1) goes through its move, and the image is
+rescaled to lead with 1.  X_P is walked as the orbit of its base flag,
+span(e_1, ..., e_d) for each break (or isotropic dimension) d, under
+the letters, and this walk is the only place where a matrix moves a
+subspace.  A subspace is an interned id for the sorted tuple of its
+line ids (a frozenset would take about four times the memory), a point
+is the tuple of its subspaces' ids, and the walk records each letter's
+permutation of the points.  It raises CrossCheckError as soon as it
+passes the closed-form count of X_P, and again if it falls short of
+it.  When X_P is the lines themselves there is no walk.  N <= |X_P|
+unless X_P is a single point, so the budget already checked on |X_P|
+bounds the line table too; a single point is never given one.
+
+Every acting generator is a word in G's letters (_Speller): its
+permutation of the points is composed from the letters', and its
+matrix, multiplied from theirs, is audited against the generator's
+own; a mismatch raises CrossCheckError.  A Standard parabolic of GL_r
+is generated by its torus, the simple root elements E_(i,i+1)(1), and
+E_(k+1,k)(1) for each simple root k of its Levi: commutators of these
+give the Levi's other negative roots, since [I + E_ij, I + E_jl] =
+I + E_il over every field, and over F_p x_a(1) generates X_a.  AIII's
+Q = Q1 x Q2 is the parabolic of shape Q1 ++ Q2 without the simple root
+at the block boundary, and CI's Q a parabolic of the Siegel Levi.  A
+parabolic of Sp (AII's and CII's Q, a type C triple's P1) takes its
+torus and x_b(1) for every root b of it: the simple ones would not
+suffice, since over F_2 the type C commutator relations lose their
+factor 2, and the unipotent radical of the Borel of Sp_4(F_2), of
+order 16, is not generated by two elements.  The whole of a GL_r, a
+type A P1 = G or CI's whole K, acts through its letters.
 
 Orbit fusion on a product of spaces is pure integer work: every factor
 after the first is folded into one permutation per generator, and each
 orbit is walked from a list that grows while it is read.  Every
 permutation is checked to be a bijection, and the sum of orbit sizes
 is audited against the total point count on every call.
-
-Both parabolics, Q in K and P1 in G, are Standard and act through the
-same generators.  In type A such a parabolic is generated by the Borel
-B = T U and the root subgroups X_-a of the simple roots a of its Levi
-(commutators of these give the Levi's other negative roots), and U by
-the simple root subgroups, because [I + E_ij, I + E_jk] = I + E_ik over
-every field, F_2 included; over F_p every X_a is generated by x_a(1).
-These generators are words in the group's own generators (see
-_gl_parabolic_words), so their permutations of the lines are composed
-from those of the group's generators, integer work only, and every
-word's matrix is audited against the matrix it stands for.  In type C
-each generator is a matrix acting directly: the Levi's blocks take
-their own generators and the unipotent radical the root element x_b(1)
-of every radical root b.  The simple radical roots would not suffice:
-over F_2 the type C commutator relations lose their factor 2, and the
-unipotent radical of the Borel of Sp_4(F_2), of order 16, is not
-generated by two elements.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import gfq
+from .compositions import Composition
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from .flags import (
     DEFAULT_BUDGET,
@@ -72,7 +74,7 @@ from .groups import (
     sp,
 )
 from .gfq import Mat
-from .pairs import KFactor, KParabolicSpec, SymmetricPairSpec, check_membership
+from .pairs import KFactor, KParabolicSpec, PairKind, SymmetricPairSpec, check_membership
 
 __all__ = [
     "OrbitCountReport",
@@ -116,23 +118,73 @@ def _line_perm(mat: Mat, q: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
+def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
+    """The letters of group(F_q), q prime, by name: a fixed set of
+    matrices that generates it.
+
+    GL_n: u = E_12(1) and the n-cycle c with c e_k = e_(k+1) for n >= 2,
+    and d = diag(z, 1, ..., 1) with z a primitive root for q > 2.  The
+    conjugates c^k u c^-k are E_(k+1,k+2)(1) for every k, indices taken
+    mod n: the root elements of the simple roots and of the lowest root
+    e_n - e_1.  Commutators of E_(n,1) with the simple ones give every
+    E_ij(1), whose powers are all elementary matrices over F_q, so the
+    letters generate SL_n.  The determinant z of d generates F_q^*,
+    which gives GL_n (over F_2, GL_n = SL_n).
+
+    Sp_2n: GL_n's letters on the Siegel Levi, each m acting as m on
+    e_1..e_n and as m^-T on their mirror images, as CI's K does; then
+    x+ = x_(2e_n)(1) and x- = x_(-2e_n)(1).  The Levi gives
+    x_(e_i - e_j)(1), the image of E_ij(1), for every i != j.  The image
+    of c permutes e_1..e_n cyclically and their mirrors with them, so
+    its powers conjugate x+- to x_(+-2e_i)(1) for every i.  One
+    commutator gives e_i + e_j:
+    [x_(e_i - e_j)(1), x_(2e_j)(1)] = x_(e_i + e_j)(1) x_(2e_i)(1), and
+    [x_(-2e_j)(1), x_(e_j - e_i)(1)] = x_(-e_i - e_j)(1) x_(-2e_i)(1)^-1.
+    So the letters give x_b(1) for every root b.  Over F_q, q prime,
+    x_b(1) generates the root subgroup X_b, and the root subgroups
+    generate Sp_2n(F_q) in every characteristic, F_2 included
+    (Steinberg, Lectures on Chevalley Groups, section 3).
+    """
+    n = group.n
+    if group.family is GroupFamily.SYMPLECTIC:
+        levi = _embedding(group, KFactor("gl", n, tuple(range(n))))
+        letters = {name: levi(m, q) for name, m in _letters(gl(n), q).items()}
+        for name, sign in (("x+", 1), ("x-", -1)):
+            letters[name] = _sp_root_element(n, (0,) * (n - 1) + (2 * sign,), q)
+        return letters
+    letters = {}
+    if n >= 2:
+        letters["u"] = _unit_matrix_with(n, {(0, 1): 1}, q)
+        letters["c"] = tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n))
+    if q > 2:
+        letters["d"] = _unit_matrix_with(n, {(0, 0): _primitive_root(q)}, q)
+    return letters
+
+
+class _Word(NamedTuple):
+    """An element of G: its matrix and its permutation of the points of
+    a walked X_P."""
+
+    mat: Mat
+    perm: Sequence[int]
+
+
 class _Orbit(NamedTuple):
     """A flag variety as the orbit of its base flag: its subspaces, as
-    sorted tuples of line ids, with their ids, and its points, as tuples
-    of subspace ids, with their indices."""
+    sorted tuples of line ids, its points, as tuples of subspace ids,
+    and G's letters by name, each with its permutation of the points."""
 
     name: str
     subspaces: tuple[tuple[int, ...], ...]
-    subspace_ids: dict[tuple[int, ...], int]
     points: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int]
+    letters: dict[str, _Word]
 
 
 @lru_cache(maxsize=8)
 def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
-    """X_P, walked from its base flag under _generators(group, q), each
-    subspace moved once per generator.  Only the walked factors are
-    built (X_P, or the last factors of a triple), so a few entries
+    """X_P, walked from its base flag under _letters(group, q), with
+    each letter's permutation of its points.  Only the walked factors
+    are built (X_P, or the last factors of a triple), so a few entries
     suffice."""
     name = f"{group}/{shape} over F_{q}"
     count = flag_count(group, shape, q)
@@ -140,16 +192,32 @@ def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
         dims = shape.isotropic_dims()
     else:
         dims = shape.breaks()
-    subspaces, gens = [], []
-    if dims:
-        vecs, _ = _lines(group.dim, q)
-        subspaces = [tuple(i for i, v in enumerate(vecs) if not any(v[d:])) for d in dims]
-        gens = [(_line_perm(m, q).__getitem__, {}) for m in _generators(group, q)]
+    if not dims:  # X_G is one point; its lines are not bounded by the budget
+        return _Orbit(name, (), ((),), {})
+    letters = _letters(group, q)
+    perms = [_line_perm(m, q) for m in letters.values()]
+    vecs, _ = _lines(group.dim, q)
+    if dims == (1,):  # X_P is the lines themselves
+        if count != len(vecs):
+            raise CrossCheckError(f"{name} has {count} points, not its {len(vecs)} lines")
+        subspaces = points = tuple((i,) for i in range(len(vecs)))
+    else:
+        base = [tuple(i for i, v in enumerate(vecs) if not any(v[d:])) for d in dims]
+        subspaces, points, perms = _walk(name, count, base, perms)
+    return _Orbit(name, subspaces, points, dict(zip(letters, map(_Word, letters.values(), perms))))
+
+
+def _walk(name: str, count: int, base: list, line_perms: list):
+    """(subspaces, points, point permutations) of the orbit of the flag
+    ``base``, a list of subspaces as sorted tuples of line ids, under
+    the line permutations; each subspace is moved once per permutation."""
+    subspaces = list(base)
     subspace_ids = {lines: sid for sid, lines in enumerate(subspaces)}
-    base = tuple(range(len(dims)))
-    points, index = [base], {base: 0}
+    moves = [(perm.__getitem__, {}, []) for perm in line_perms]
+    start = tuple(range(len(base)))
+    points, index = [start], {start: 0}
     for pt in points:
-        for image, memo in gens:
+        for image, memo, perm in moves:
             moved = []
             for sid in pt:
                 tid = memo.get(sid)
@@ -162,55 +230,156 @@ def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
                     memo[sid] = tid
                 moved.append(tid)
             moved = tuple(moved)
-            if moved not in index:
+            k = index.get(moved)
+            if k is None:
                 if len(points) == count:
                     raise CrossCheckError(
                         f"the orbit of the base flag of {name} passes its {count} points"
                     )
-                index[moved] = len(points)
+                k = index[moved] = len(points)
                 points.append(moved)
+            perm.append(k)
     if len(points) != count:
         raise CrossCheckError(
             f"the orbit of the base flag of {name} has {len(points)} of its {count} points"
         )
-    return _Orbit(name, tuple(subspaces), subspace_ids, tuple(points), index)
+    return tuple(subspaces), tuple(points), [perm for _, _, perm in moves]
 
 
-def _point_perm(orbit: _Orbit, lines: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation of the points of ``orbit`` induced by the line
-    permutation ``lines``: one lookup per subspace, one per point."""
-    image, ids, index = lines.__getitem__, orbit.subspace_ids, orbit.index
-    try:
-        subs = [ids[tuple(sorted(map(image, sub)))] for sub in orbit.subspaces]
-    except KeyError:
-        raise CrossCheckError(
-            f"the image of a subspace of {orbit.name} is not one of its subspaces"
-        ) from None
-    move = subs.__getitem__
-    try:
-        return tuple([index[tuple(map(move, pt))] for pt in orbit.points])
-    except KeyError:
-        raise CrossCheckError(
-            f"the image of a point of {orbit.name} is not one of its points"
-        ) from None
+def _memo(method):
+    """A word-building method of _Speller, memoized in its speller."""
+
+    def memoized(self, *args):
+        key = (method.__name__, *args)
+        word = self.memo.get(key)
+        if word is None:
+            word = self.memo[key] = method(self, *args)
+        return word
+
+    return memoized
 
 
-def _perm_for(group: GroupDatum, shape, q: int, mat: Mat) -> tuple[int, ...]:
-    """The permutation of the points of X_P induced by mat."""
-    return _point_perm(_flag_orbit(group, shape, q), _line_perm(mat, q))
+class _Speller:
+    """Words in G's letters on the points of one walked X_P, composed on
+    demand.  In GL_n, E_ij(1) = c^(i-1) E_(1,1+k) c^-(i-1) for
+    k = j - i mod n, with E_(1,2) = u and E_(1,1+k) = [E_(1,k), E_(k,k+1)],
+    and diag(z at i) = c^(i-1) d c^-(i-1).  In Sp_2n these give the Levi's
+    x_(e_i - e_j)(1) and diag(z at i, z^-1 at its mirror), and the other
+    roots are spelled as in the proof in _letters."""
+
+    def __init__(self, group: GroupDatum, q: int, orbit: _Orbit):
+        self.group, self.q, self.letters = group, q, orbit.letters
+        self.by_matrix = {w.mat: w for w in self.letters.values()}
+        z = _primitive_root(q) if q > 2 else 1
+        self.log = {pow(z, e, q): e for e in range(q - 1)}  # z^e -> e
+        self.memo: dict = {}
+
+    def times(self, *words: _Word) -> _Word:
+        """The product, which acts as its last word first."""
+        mat, perm = words[-1]
+        for w in reversed(words[:-1]):
+            mat = gfq.mat_mul(w.mat, mat, self.q)
+            perm = map(w.perm.__getitem__, perm)
+        return _Word(mat, list(perm))
+
+    def inverse(self, w: _Word) -> _Word:
+        perm = [0] * len(w.perm)
+        for i, j in enumerate(w.perm):
+            perm[j] = i
+        return _Word(gfq.mat_inv(w.mat, self.q), perm)
+
+    def commutator(self, a: _Word, b: _Word) -> _Word:
+        return self.times(a, b, self.inverse(a), self.inverse(b))
+
+    def power(self, w: _Word, e: int, order: int) -> _Word:
+        """w^e, 0 < e < order, for w of the given order."""
+        if e > 1 and e == order - 1:
+            return self.inverse(w)
+        return w if e == 1 else self.times(*[w] * e)
+
+    @_memo
+    def cycle(self, k: int) -> _Word:
+        """c^k, for 0 < |k| < n."""
+        if k < 0:
+            return self.inverse(self.cycle(-k))
+        return self.letters["c"] if k == 1 else self.times(self.letters["c"], self.cycle(k - 1))
+
+    def conj(self, k: int, w: _Word) -> _Word:
+        """c^k w c^-k."""
+        return w if k == 0 else self.times(self.cycle(k), w, self.cycle(-k))
+
+    @_memo
+    def elementary(self, i: int, j: int) -> _Word:
+        """E_ij(1) of GL_n, or x_(e_i - e_j)(1) of Sp_2n, 0-based."""
+        k = (j - i) % self.group.n
+        if i:
+            return self.conj(i, self.elementary(0, k))
+        if k == 1:
+            return self.letters["u"]
+        return self.commutator(self.elementary(0, k - 1), self.elementary(k - 1, k))
+
+    @_memo
+    def torus(self, i: int) -> _Word:
+        """diag(z at i) of GL_n, or its image in Sp_2n, 0-based."""
+        return self.conj(i, self.letters["d"])
+
+    @_memo
+    def root(self, b: tuple[int, ...]) -> _Word:
+        """x_b(1) for a root b of Sp_2n, in epsilon coordinates."""
+        n = self.group.n
+        (i, a), *rest = [(i, c) for i, c in enumerate(b) if c]
+        if not rest:
+            return self.conj((i + 1) % n, self.letters["x+" if a > 0 else "x-"])
+        ((j, c),) = rest
+        if a != c:
+            return self.elementary(i, j) if a > 0 else self.elementary(j, i)
+        short = self.root(tuple(a * (int(k == i) - int(k == j)) for k in range(n)))
+        long_i, long_j = (self.root(tuple(2 * a * int(k == x) for k in range(n))) for x in (i, j))
+        if a > 0:
+            return self.times(self.commutator(short, long_j), self.inverse(long_i))
+        return self.times(self.commutator(long_j, short), long_i)
+
+    def word_for(self, target: Mat) -> _Word:
+        """The word for ``target``, audited against it: a letter; a torus
+        element of G; a product of commuting E_ij(c) in GL_n; or one root
+        element x_b(c) of Sp_2n, b the root at its first entry off the
+        diagonal in row order."""
+        word = self.by_matrix.get(target)
+        if word is None:
+            n, q = self.group.n, self.q
+            off = [(i, j, x) for i, row in enumerate(target) for j, x in enumerate(row) if x and i != j]
+            if not off:
+                parts = [
+                    self.power(self.torus(i), self.log[target[i][i]], q - 1)
+                    for i in range(n)
+                    if target[i][i] != 1
+                ]
+            elif self.group.family is GroupFamily.GENERAL_LINEAR:
+                parts = [self.power(self.elementary(i, j), x, q) for i, j, x in off]
+            else:
+                i, j, x = off[0]
+                parts = [self.power(self.root(_sp_root_at(i, j, n)), x, q)]
+            word = parts[0] if len(parts) == 1 else self.times(*parts)
+        if word.mat != target:
+            raise CrossCheckError(
+                f"a word in the letters of {self.group} over F_{self.q} does not give its matrix"
+            )
+        return word
+
+
+def _word_perms(group: GroupDatum, q: int, orbit: _Orbit, targets: list[Mat]) -> list:
+    """The point permutations of the words in G's letters for the
+    matrices ``targets``, on the walked X_P ``orbit``."""
+    speller = _Speller(group, q, orbit)
+    return [speller.word_for(t).perm for t in targets]
 
 
 @dataclass
 class _Space:
     """A finite G-set with each generator realized as a permutation."""
 
-    points: list
+    points: Sequence
     perms: list
-
-    @classmethod
-    def flags(cls, group: GroupDatum, shape, q: int, mats: list[Mat]):
-        points = _flag_orbit(group, shape, q).points
-        return cls(points, [_perm_for(group, shape, q, m) for m in mats])
 
 
 def _check_budget(factors, q: int, budget: int) -> int:
@@ -227,6 +396,17 @@ def _check_budget(factors, q: int, budget: int) -> int:
     return total
 
 
+def _is_permutation(perm: Sequence[int], size: int) -> bool:
+    """Whether perm lists each of 0..size-1 once, checked with one byte
+    of marks per point."""
+    if len(perm) != size or min(perm) < 0 or max(perm) >= size:
+        return False
+    marks = bytearray(size)
+    for x in perm:
+        marks[x] = 1
+    return 0 not in marks
+
+
 def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
     """(total points, orbit count) for the diagonal action on the product.
 
@@ -238,12 +418,10 @@ def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
     is checked first.
     """
     for space in spaces:
-        everything = set(range(len(space.points)))
+        size = len(space.points)
         for perm in space.perms:
-            if len(perm) != len(everything) or set(perm) != everything:
-                raise CrossCheckError(
-                    f"a generator does not permute a space of {len(everything)} points"
-                )
+            if not _is_permutation(perm, size):
+                raise CrossCheckError(f"a generator does not permute a space of {size} points")
     first, rest = spaces[0], spaces[1:]
     s2 = 1
     folded = [(0,)] * len(first.perms)
@@ -317,43 +495,6 @@ def _primitive_root(q: int) -> int:
     raise ValueError(f"no primitive root mod {q}")
 
 
-def _generators(group: GroupDatum, q: int) -> list[Mat]:
-    """A small set of matrices that generates group(F_q), q prime.
-
-    GL_n: E_12(1), the n-cycle c with c e_k = e_(k+1), and for q > 2
-    diag(z, 1, ..., 1) with z a primitive root.  The conjugates
-    c^k E_12 c^-k are E_(k+1,k+2)(1) for every k, indices taken mod n:
-    the root elements of the simple roots and of the lowest root
-    e_n - e_1.  Commutators of E_(n,1) with the simple ones give every
-    E_ij(1), whose powers are all elementary matrices over F_q, so the
-    set generates SL_n.  The diagonal element's determinant z generates
-    F_q^*, which gives GL_n (over F_2, GL_n = SL_n).
-
-    Sp_2n: x_(+-a)(1) for the simple roots a = e_i - e_(i+1) and 2 e_n.
-    Over F_q, q prime, x_a(1) generates the root subgroup X_a, and
-    x_a(1) x_-a(-1) x_a(1) lifts the reflection s_a, so the group holds
-    X_b for every root b; these generate Sp_2n(F_q) in every
-    characteristic, F_2 included (Steinberg, Lectures on Chevalley
-    Groups, section 3).
-    """
-    n = group.n
-    if group.family is GroupFamily.SYMPLECTIC:
-        simple = [tuple(int(k == i) - int(k == i + 1) for k in range(n)) for i in range(n - 1)]
-        simple.append(tuple(2 * int(k == n - 1) for k in range(n)))
-        return [
-            _sp_root_element(n, tuple(sign * c for c in alpha), q)
-            for alpha in simple
-            for sign in (1, -1)
-        ]
-    gens: list[Mat] = []
-    if n >= 2:
-        gens.append(_unit_matrix_with(n, {(0, 1): 1}, q))
-        gens.append(tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n)))
-    if q > 2:
-        gens.append(_unit_matrix_with(n, {(0, 0): _primitive_root(q)}, q))
-    return gens
-
-
 def _k_blocks(pair: SymmetricPairSpec):
     """(group, embedding into G) for each factor of K, in the order of
     the factors of Q; embed(m, q) is the image of a factor matrix m."""
@@ -385,6 +526,64 @@ def _embedding(group: GroupDatum, factor: KFactor):
         return _checked_symplectic(big, n, q)
 
     return embed
+
+
+def _gl_parabolic(shape, q: int, boundary: int | None = None) -> list[Mat]:
+    """Generators of the Standard parabolic of ``shape`` in GL_r(F_q):
+    GL_r's letters for the whole group, and otherwise, indices 1-based,
+
+    * the torus diag(z at i) for q > 2;
+    * E_(k,k+1)(1) for every simple root k but ``boundary``;
+    * E_(k+1,k)(1) for every simple root k of the Levi (k not a break).
+
+    Leaving out the simple root at a break gives the product of the
+    parabolics on either side of it: AIII's Q1 x Q2.
+    """
+    r = shape.size
+    if not shape.is_proper:
+        return list(_letters(gl(r), q).values())
+    torus = []
+    if q > 2:
+        z = _primitive_root(q)
+        torus = [_unit_matrix_with(r, {(i, i): z}, q) for i in range(r)]
+    breaks = shape.breaks()
+    simple = [_unit_matrix_with(r, {(k - 1, k): 1}, q) for k in range(1, r) if k != boundary]
+    levi = [_unit_matrix_with(r, {(k, k - 1): 1}, q) for k in range(1, r) if k not in breaks]
+    return torus + simple + levi
+
+
+def _sp_parabolic(n: int, shape, q: int) -> list[Mat]:
+    """Generators of the Standard parabolic of ``shape`` in Sp_2n(F_q):
+    the torus diag(z at i, z^-1 at its mirror) for q > 2, and x_b(1) for
+    every root b of the parabolic."""
+    torus = []
+    if q > 2:
+        z, dim = _primitive_root(q), 2 * n
+        torus = [
+            _unit_matrix_with(dim, {(i, i): z, (dim - 1 - i, dim - 1 - i): pow(z, -1, q)}, q)
+            for i in range(n)
+        ]
+    roots = sorted(parabolic_root_set(ParabolicSpec(sp(n), shape)))
+    return torus + [_sp_root_element(n, b, q) for b in roots]
+
+
+def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
+    """Generators of Q, as matrices of G (see the module docstring)."""
+    if pair.kind is PairKind.AIII:
+        first, second = Q.factors
+        return _gl_parabolic(Composition(first.parts + second.parts), q, boundary=pair.p)
+    return [
+        embed(m, q)
+        for (group, embed), shape in zip(_k_blocks(pair), Q.factors)
+        for m in _parabolic_targets(group, shape, q)
+    ]
+
+
+def _parabolic_targets(group: GroupDatum, shape, q: int) -> list[Mat]:
+    """Generators of the Standard parabolic of ``shape`` in group(F_q)."""
+    if group.family is GroupFamily.GENERAL_LINEAR:
+        return _gl_parabolic(shape, q)
+    return _sp_parabolic(group.n, shape, q)
 
 
 def count_K_orbits(
@@ -419,120 +618,11 @@ def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
     factors = _orbit_factors(pair, P, Q, q)
     total = _check_budget(factors, q, budget)
     orbit = _flag_orbit(*factors[0], q)
-    if not orbit.subspaces:  # X_G is one point; its lines are not bounded by the budget
+    if not orbit.subspaces:  # X_G is one point
         return total, 1
-    perms = [
-        _point_perm(orbit, w.perm)
-        for (kgroup, embed), kshape in zip(_k_blocks(pair), Q.factors)
-        for w in _parabolic_words(kgroup, kshape, q, embed)
-    ]
+    perms = _word_perms(pair.group, q, orbit, _k_targets(pair, Q, q))
     _, orbits = _product_orbits([_Space(orbit.points, perms)])
     return total, orbits
-
-
-def _parabolic_words(group: GroupDatum, shape, q: int, embed) -> list[_Word]:
-    """Generators of the Standard parabolic of ``shape`` in group(F_q),
-    each with its permutation of the lines of G's natural module, on
-    which it acts through embed(m, q): words in _generators(group, q) in
-    type A, matrices in type C (see the module docstring)."""
-    gens = _generators(group, q)
-    if shape.is_proper and group.family is GroupFamily.SYMPLECTIC:
-        gens = _sp_parabolic_generators(group.n, shape, q)
-    words = [_Word(m, _line_perm(embed(m, q), q)) for m in gens]
-    if shape.is_proper and group.family is GroupFamily.GENERAL_LINEAR:
-        words = _gl_parabolic_words(shape, words, q)
-    return words
-
-
-class _Word(NamedTuple):
-    """An element of a parabolic: its matrix and its permutation of the
-    lines of G's natural module."""
-
-    mat: Mat
-    perm: tuple[int, ...]
-
-
-def _times(a: _Word, b: _Word, q: int) -> _Word:
-    """The word ab, which acts as a after b."""
-    return _Word(gfq.mat_mul(a.mat, b.mat, q), tuple(map(a.perm.__getitem__, b.perm)))
-
-
-def _inverse(a: _Word, q: int) -> _Word:
-    perm = [0] * len(a.perm)
-    for i, j in enumerate(a.perm):
-        perm[j] = i
-    return _Word(gfq.mat_inv(a.mat, q), tuple(perm))
-
-
-def _gl_parabolic_words(shape, gens: list[_Word], q: int) -> list[_Word]:
-    """Generators of the Standard parabolic of ``shape`` in GL_r(F_q), as
-    words in the words ``gens`` of _generators(gl(r), q): u = E_12(1),
-    the cycle c and, for q > 2, d = diag(z, 1, ..., 1).  Indices 1-based:
-
-    * the torus, c^i d c^-i = diag(z at i+1), for q > 2;
-    * every positive simple root, E_(i+1,i+2)(1) = c^i u c^-i;
-    * the negative of each simple root of the Levi (k not a break of
-      ``shape``), E_(k+1,k)(1) = c^(k-1) E_21 c^-(k-1).  E_21 comes from
-      E_(r,1) = c^(r-1) u c^-(r-1) and E_(j,1) = [E_(j,j+1), E_(j+1,1)]
-      for j = r-1, ..., 2, with [a, b] = a b a^-1 b^-1.
-
-    Each word's matrix is audited against the matrix it stands for.
-    """
-    r = shape.size
-    u, c, *torus = gens
-    powers = [None, c]  # powers[k] = c^k
-    while len(powers) < r:
-        powers.append(_times(c, powers[-1], q))
-    inverses = [None] + [_inverse(w, q) for w in powers[1:]]
-
-    def conj(k: int, w: _Word) -> _Word:
-        return w if k == 0 else _times(_times(powers[k], w, q), inverses[k], q)
-
-    words = []  # (word, the matrix it must be)
-    if torus:
-        z = _primitive_root(q)
-        words += [(conj(i, torus[0]), _unit_matrix_with(r, {(i, i): z}, q)) for i in range(r)]
-    simple = [conj(i, u) for i in range(r - 1)]
-    words += [(w, _unit_matrix_with(r, {(i, i + 1): 1}, q)) for i, w in enumerate(simple)]
-    breaks = shape.breaks()
-    levi = [k for k in range(1, r) if k not in breaks]
-    if levi:
-        e = conj(r - 1, u)
-        for j in range(r - 1, 1, -1):
-            a = simple[j - 1]
-            e = _times(_times(a, e, q), _times(_inverse(a, q), _inverse(e, q), q), q)
-        words += [(conj(k - 1, e), _unit_matrix_with(r, {(k, k - 1): 1}, q)) for k in levi]
-    for w, expected in words:
-        if w.mat != expected:
-            raise CrossCheckError(
-                f"a word for a generator of a parabolic of GL_{r}(F_{q}) "
-                "does not give its matrix"
-            )
-    return [w for w, _ in words]
-
-
-def _sp_parabolic_generators(n: int, shape, q: int) -> list[Mat]:
-    """Generators of the Standard parabolic of ``shape`` in Sp_2n(F_q).
-
-    The Levi's come from _generators: each GL block with its
-    contragredient on the mirrored coordinates, the middle Sp block in
-    place.  The unipotent radical takes x_b(1) for every radical root b,
-    which generates it over every F_q, F_2 included.
-    """
-    group = sp(n)
-    gens, start = [], 0
-    for size in shape.left:
-        block = KFactor("gl", size, tuple(range(start, start + size)))
-        embed = _embedding(group, block)
-        gens += [embed(m, q) for m in _generators(gl(size), q)]
-        start += size
-    if shape.middle:
-        rank = shape.middle // 2
-        embed = _embedding(group, KFactor("sp", rank, tuple(range(start, 2 * n - start))))
-        gens += [embed(m, q) for m in _generators(sp(rank), q)]
-    roots = parabolic_root_set(ParabolicSpec(group, shape))
-    radical = sorted(b for b in roots if tuple(-c for c in b) not in roots)
-    return gens + [_sp_root_element(n, b, q) for b in radical]
 
 
 def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:
@@ -540,6 +630,16 @@ def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:
     for (i, j), v in entries.items():
         m[i][j] = v % q
     return tuple(tuple(r) for r in m)
+
+
+def _sp_root_at(i: int, j: int, n: int) -> tuple[int, ...]:
+    """The root of Sp_2n at matrix entry (i, j), i != j: the torus weight
+    of coordinate i minus that of j, where coordinate k < n has weight
+    e_k and its mirror 2n-1-k has -e_k, in epsilon coordinates."""
+    mirror = 2 * n - 1
+    return tuple(
+        int(i == a) - int(mirror - i == a) - int(j == a) + int(mirror - j == a) for a in range(n)
+    )
 
 
 def _sp_root_element(n: int, alpha, q: int) -> Mat:
@@ -622,8 +722,8 @@ def count_triple_orbits(
     walked = [orbit for orbit in walked if orbit.subspaces]  # X_G factors are single points
     if not walked:
         return 1
-    lines = [w.perm for w in _parabolic_words(group, first.shape, q, lambda m, q: m)]
-    spaces = [_Space(orbit.points, [_point_perm(orbit, p) for p in lines]) for orbit in walked]
+    targets = _parabolic_targets(group, first.shape, q)
+    spaces = [_Space(orbit.points, _word_perms(group, q, orbit, targets)) for orbit in walked]
     _, orbits = _product_orbits(spaces)
     return orbits
 

@@ -1,0 +1,49 @@
+"""The reference action of any matrix on a walked flag variety.
+
+The library moves subspaces only while it walks X_P under G's letters,
+and composes every other element's permutation of the points from the
+letters'.  This module maps a matrix the direct way instead: its
+permutation of the lines of F_q^dim, then the sorted image of each
+subspace of X_P, then the image of each point.  Tests compare the
+composed permutations with it, and use it to let arbitrary matrices act.
+"""
+
+from dflag.errors import CrossCheckError
+from dflag.orbits import _flag_orbit, _line_perm, _Space
+
+
+class PointAction:
+    """X_P = _flag_orbit(group, shape, q), with lookups of its subspaces
+    and points."""
+
+    def __init__(self, group, shape, q):
+        self.orbit = _flag_orbit(group, shape, q)
+        self.q = q
+        self.subspace_ids = {sub: i for i, sub in enumerate(self.orbit.subspaces)}
+        self.index = {pt: i for i, pt in enumerate(self.orbit.points)}
+
+    def of_lines(self, lines):
+        """The permutation of the points induced by the line permutation
+        ``lines``: one lookup per subspace, one per point."""
+        image, name = lines.__getitem__, self.orbit.name
+        try:
+            subs = [self.subspace_ids[tuple(sorted(map(image, sub)))] for sub in self.orbit.subspaces]
+        except KeyError:
+            raise CrossCheckError(
+                f"the image of a subspace of {name} is not one of its subspaces"
+            ) from None
+        move = subs.__getitem__
+        try:
+            return tuple([self.index[tuple(map(move, pt))] for pt in self.orbit.points])
+        except KeyError:
+            raise CrossCheckError(
+                f"the image of a point of {name} is not one of its points"
+            ) from None
+
+    def perm(self, mat):
+        """The permutation of the points induced by mat."""
+        return self.of_lines(_line_perm(mat, self.q))
+
+    def space(self, mats):
+        """X_P with one permutation per matrix of ``mats``."""
+        return _Space(self.orbit.points, [self.perm(m) for m in mats])

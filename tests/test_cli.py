@@ -215,3 +215,13 @@ def test_env_budget(capsys, monkeypatch):
         capsys, "probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1", "--q", "1,1;1,1"
     )
     assert code == 2
+
+
+def test_only_the_named_subcommand_is_built():
+    from dflag.cli import _COMMANDS, _build_parser
+
+    assert "{report}" in _build_parser(["report", "--pair", "CI:2"]).format_usage()
+    everything = "{" + ",".join(_COMMANDS) + "}"
+    assert len(_COMMANDS) == 11
+    for argv in ([], ["--help"], ["nope"], ["-h", "report"]):
+        assert everything in _build_parser(argv).format_usage()

@@ -21,12 +21,11 @@ from dflag.flags import (
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp, whole_group
 from dflag.orbits import (
     _flag_orbit,
-    _generators,
+    _is_permutation,
     _k_blocks,
+    _letters,
     _line_perm,
     _lines,
-    _perm_for,
-    _point_perm,
     _product_orbits,
     _Space,
     count_K_orbits,
@@ -35,6 +34,7 @@ from dflag.orbits import (
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
 from dflag.weyl import bruhat_double_cosets
+from point_action import PointAction
 
 
 # ------------------------------------------------------------------ gfq
@@ -168,10 +168,11 @@ def _unit(dim, entries):
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_gl_generators_reach_every_cyclic_simple_root(n, q):
-    # <E_(k,k+1) for k mod n> is SL_n, and the diagonal generator's
-    # determinant generates F_q^*: the proof in the _generators docstring
-    gens = _generators(gl(n), q)
-    assert len(gens) == (2 if n >= 2 else 0) + (q > 2)
+    # <E_(k,k+1) for k mod n> is SL_n, and the diagonal letter's
+    # determinant generates F_q^*: the proof in the _letters docstring
+    letters = _letters(gl(n), q)
+    gens = list(letters.values())
+    assert list(letters) == ["u", "c"][: 2 * (n >= 2)] + ["d"][: q > 2]
     if n >= 2:
         e12, cycle = gens[:2]
         conj = e12
@@ -184,44 +185,33 @@ def test_gl_generators_reach_every_cyclic_simple_root(n, q):
         assert len({pow(z, k, q) for k in range(1, q)}) == q - 1
 
 
-def _sp_weight(k, n):
-    """The torus weight of coordinate k of F_q^2n, in epsilon coordinates."""
-    w = [0] * n
-    if k < n:
-        w[k] = 1
-    else:
-        w[2 * n - 1 - k] = -1
-    return w
-
-
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_sp_generators_are_the_simple_root_elements(n, q):
+def test_sp_letters_are_the_siegel_levi_and_the_long_roots(n, q):
+    # each letter is symplectic; the first are GL_n's letters m as
+    # diag(m, m^-T mirrored), the last two x_(+-2e_n)(1)
     dim = 2 * n
     j = symplectic_gram(n, q)
-    positions = {}  # root -> matrix positions (a, b) of weight wt(a) - wt(b)
-    for a in range(dim):
-        for b in range(dim):
-            root = tuple(x - y for x, y in zip(_sp_weight(a, n), _sp_weight(b, n)))
-            positions.setdefault(root, set()).add((a, b))
-    found = []
-    for g in _generators(sp(n), q):
+    letters = _letters(sp(n), q)
+    for g in letters.values():
         assert gfq.mat_mul(gfq.mat_mul(gfq.transpose(g), j, q), g, q) == j
-        support = {
-            (a, b) for a in range(dim) for b in range(dim) if g[a][b] != int(a == b)
-        }
-        (root,) = [r for r, where in positions.items() if where == support]
-        found.append(root)
-    simple = [tuple(int(k == i) - int(k == i + 1) for k in range(n)) for i in range(n - 1)]
-    simple.append(tuple(2 * int(k == n - 1) for k in range(n)))
-    expected = simple + [tuple(-c for c in r) for r in simple]
-    assert sorted(found) == sorted(expected)
+    gl_letters = _letters(gl(n), q)
+    assert list(letters) == list(gl_letters) + ["x+", "x-"]
+    flip = [[int(a + b == n - 1) for b in range(n)] for a in range(n)]
+    for name, m in gl_letters.items():
+        dual = gfq.mat_mul(gfq.mat_mul(flip, gfq.transpose(gfq.mat_inv(m, q)), q), flip, q)
+        g = letters[name]
+        assert tuple(row[:n] for row in g[:n]) == m
+        assert tuple(row[n:] for row in g[n:]) == dual
+        assert not any(g[a][b] for a in range(dim) for b in range(dim) if (a < n) != (b < n))
+    for name, (a, b) in (("x+", (n - 1, n)), ("x-", (n, n - 1))):
+        assert letters[name] == _unit(dim, {(a, b): 1})
 
 
 def test_generators_close_to_small_groups():
     # |GL_2(F_3)| = 48, |GL_3(F_2)| = 168, |Sp_2(F_5)| = 120, |Sp_4(F_2)| = 720
     for group, q, order in [(gl(2), 3, 48), (gl(3), 2, 168), (sp(1), 5, 120), (sp(2), 2, 720)]:
-        assert len(_closure(_generators(group, q), group.dim, q)) == order
+        assert len(_closure(list(_letters(group, q).values()), group.dim, q)) == order
 
 
 def test_symplectic_gram_antidiagonal():
@@ -268,6 +258,26 @@ def test_non_bijective_generator_raises():
     out_of_range = _Space(list(range(2)), [(1, 2)])
     with pytest.raises(CrossCheckError):
         _product_orbits([out_of_range])
+    # -1 would mark the last point: (-1, 0) marks both points of 2
+    negative = _Space(list(range(2)), [(-1, 0)])
+    with pytest.raises(CrossCheckError, match="does not permute a space of 2 points"):
+        _product_orbits([negative])
+
+
+def test_the_bijection_check_takes_a_byte_per_point():
+    # a set of the points would take about 32 bytes each
+    import tracemalloc
+
+    size = 200_000
+    space = _Space(range(size), [list(range(size))[::-1]])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _is_permutation(space.perms[0], size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size
 
 
 def test_product_orbits_match_reference_union_find():
@@ -328,22 +338,27 @@ def test_orbit_of_the_base_flag_is_the_flag_variety(group, q):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_memoized_permutation_matches_per_flag_action(q):
+def test_walked_letter_permutations_match_per_flag_action(q):
+    # the walk's record of each letter, and the lines' permutations
+    # where X_P is the lines, against apply_to_flag on every point
     cases = [
-        (gl(4), C((1, 1, 1, 1)), _generators(gl(4), q)),
-        (sp(2), SC((1, 1), 0), _generators(sp(2), q)),
+        (gl(4), C((1, 1, 1, 1))),
+        (gl(4), C((1, 3))),
+        (sp(2), SC((1, 1), 0)),
+        (sp(2), SC((1,), 2)),
     ]
-    for group, shape, gens in cases:
+    for group, shape in cases:
         flags = enumerate_flags(group, shape, q)
         index = {pt: i for i, pt in enumerate(_rref_points(group, shape, q))}
         assert sorted(index) == flags
-        assert len(flags[0]) >= 2
-        for m in gens:
-            move = matrix_move(m, q)
+        letters = _flag_orbit(group, shape, q).letters
+        assert list(letters) == list(_letters(group, q))
+        for word in letters.values():
+            move = matrix_move(word.mat, q)
             plain = [None] * len(flags)
             for pt in flags:
                 plain[index[pt]] = index[apply_to_flag(move, pt, q)]
-            assert _perm_for(group, shape, q, m) == tuple(plain)
+            assert list(word.perm) == plain
 
 
 def test_kgb_counts_match_clans():
@@ -448,22 +463,27 @@ def test_symplectic_audits_raise(monkeypatch):
     with pytest.raises(CrossCheckError):
         count_K_orbits(aii, borel(gl(4)), whole_K(aii), 3)
     P = ParabolicSpec(sp(2), SC((1,), 2))
-    for q in (2, 3):  # root elements at q = 2, the torus first at q = 3
+    for q in (2, 3):  # Sp_4's letters, or P1's root elements
         with pytest.raises(CrossCheckError):
             count_triple_orbits(sp(2), [P, P], q)
 
 
 def test_a_matrix_that_leaves_X_P_is_a_cross_check_error(monkeypatch):
-    # E_12(1) is not symplectic for the anti-diagonal form: it moves a
-    # Lagrangian plane of F_3^4 off the Lagrangian planes
+    # E_12(1) is not symplectic for the anti-diagonal form: as a letter
+    # of Sp_4 it moves a Lagrangian plane of F_3^4 off the Lagrangian
+    # planes, and the walk passes their count
     e12 = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(4)) for i in range(4))
     lagrangian = SC.from_full((2, 2))
-    with pytest.raises(CrossCheckError, match="image of a subspace of Sp4/2,2 over F_3"):
-        _perm_for(sp(2), lagrangian, 3, e12)
-    orbit = _flag_orbit(sp(2), lagrangian, 3)
-    identity = tuple(range(len(_lines(4, 3)[0])))
-    with pytest.raises(CrossCheckError, match="image of a point of Sp4/2,2 over F_3"):
-        _point_perm(orbit._replace(index={}), identity)
+    real_letters = dflag.orbits._letters
+    monkeypatch.setattr(
+        dflag.orbits, "_letters", lambda group, q: {**real_letters(group, q), "e12": e12}
+    )
+    _flag_orbit.cache_clear()
+    try:
+        with pytest.raises(CrossCheckError, match="base flag of Sp4/2,2 over F_3 passes its 40"):
+            _flag_orbit(sp(2), lagrangian, 3)
+    finally:
+        _flag_orbit.cache_clear()
     real = dflag.orbits.matrix_move
 
     def degenerate(m, q):  # the move of m, with e_1 sent to 0
@@ -496,13 +516,11 @@ def test_aii_oracle_supported():
 def test_orbit_count_is_generator_set_invariant():
     # diagonal GL_2(F_2) on P^1 x P^1: 2 orbits (Bruhat), whether counted
     # with the small generating set or with every group element
-    small = _generators(gl(2), 2)
+    small = list(_letters(gl(2), 2).values())
     full = _closure(small, 2, 2)
     counts = []
     for gens in (small, full):
-        spaces = [
-            _Space.flags(gl(2), C((1, 1)), 2, list(gens)) for _ in range(2)
-        ]
+        spaces = [PointAction(gl(2), C((1, 1)), 2).space(gens) for _ in range(2)]
         _, orbits = _product_orbits(spaces)
         counts.append(orbits)
     assert counts == [2, 2]
@@ -534,7 +552,7 @@ def test_k_orbits_match_the_whole_group(token, P, Q, q):
     blocks = _k_blocks(pair)
     elements = [[]]  # per element of K: (factor matrix, embedding) per factor
     for group, embed in blocks:
-        factor = _closure(_generators(group, q), group.dim, q)
+        factor = _closure(list(_letters(group, q).values()), group.dim, q)
         assert len(factor) == ORDERS[str(group), q]
         elements = [e + [(m, embed(m, q))] for e in elements for m in factor]
     ambient = []
@@ -543,9 +561,9 @@ def test_k_orbits_match_the_whole_group(token, P, Q, q):
         for _, big in e:
             g = gfq.mat_mul(g, big, q)
         ambient.append(g)
-    spaces = [_Space.flags(pair.group, P, q, ambient)]
+    spaces = [PointAction(pair.group, P, q).space(ambient)]
     for i, ((group, _), shape) in enumerate(zip(blocks, Q.factors)):
-        spaces.append(_Space.flags(group, shape, q, [e[i][0] for e in elements]))
+        spaces.append(PointAction(group, shape, q).space([e[i][0] for e in elements]))
     _, orbits = _product_orbits(spaces)
     assert orbits == count_K_orbits(pair, ParabolicSpec(pair.group, P), Q, q)
 

@@ -16,7 +16,7 @@ from dflag.classify import _triple_candidates
 from dflag.compositions import Composition, SymplecticComposition
 from dflag.errors import UnsupportedPairError
 from dflag.groups import ParabolicSpec, gl, sp
-from dflag.orbits import _generators, _k_blocks
+from dflag.orbits import _k_blocks, _letters
 from dflag.pairs import (
     KParabolicSpec,
     PairKind,
@@ -244,7 +244,7 @@ def test_embeddings_match_the_reference(token, q):
     reference = _reference_blocks(pair)
     assert [group for group, _ in blocks] == [group for group, _ in reference]
     for (group, embed), (_, expected) in zip(blocks, reference):
-        for m in _generators(group, q):
+        for m in _letters(group, q).values():
             assert embed(m, q) == expected(m, q)
 
 

@@ -16,15 +16,7 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.flags import apply_to_flag, enumerate_flags, matrix_move
 from dflag.groups import GroupFamily, ParabolicSpec, gl, sp
-from dflag.orbits import (
-    _flag_orbit,
-    _generators,
-    _k_blocks,
-    _line_perm,
-    _lines,
-    _parabolic_words,
-    _perm_for,
-)
+from dflag.orbits import _flag_orbit, _k_blocks, _letters, _line_perm, _lines, _parabolic_targets
 from dflag.pairs import SymmetricPairSpec
 
 
@@ -44,19 +36,19 @@ def _standard_parabolics(group):
 
 
 def _embedded(token, q):
-    """Every _generators matrix of every factor of K, embedded in G."""
+    """Every letter of every factor of K, embedded in G."""
     blocks = _k_blocks(SymmetricPairSpec.parse(token))
-    return [embed(m, q) for factor, embed in blocks for m in _generators(factor, q)]
+    return [embed(m, q) for factor, embed in blocks for m in _letters(factor, q).values()]
 
 
 def _matrices(group, pairs, q):
-    """Every matrix of _generators and of the Standard parabolics'
-    generators for group, and of the _k_blocks embeddings of ``pairs``."""
-    mats = list(_generators(group, q))
+    """Every letter of group, every generator of its Standard
+    parabolics, and the _k_blocks embeddings of ``pairs``."""
+    mats = list(_letters(group, q).values())
     for token in pairs:
         mats += _embedded(token, q)
     for P in _standard_parabolics(group):
-        mats += [w.mat for w in _parabolic_words(group, P.shape, q, lambda m, q: m)]
+        mats += _parabolic_targets(group, P.shape, q)
     return sorted(set(mats))
 
 
@@ -99,7 +91,7 @@ def test_generators_are_monomial_up_to_two_entries(q):
 
 def test_a_zero_diagonal_takes_a_matching():
     # the 4-cycle and an anti-diagonal matrix have no nonzero diagonal entry
-    cycle = _generators(gl(4), 3)[1]
+    cycle = _letters(gl(4), 3)["c"]
     flip = tuple(tuple(int(i + j == 3) * (i + 1) for j in range(4)) for i in range(4))
     for g in (cycle, flip):
         move = matrix_move(g, 5)
@@ -115,7 +107,7 @@ def test_a_move_that_drops_an_entry_is_refused(monkeypatch):
         return move._replace(extras=move.extras[:-1])
 
     monkeypatch.setattr(dflag.flags, "_sparse_parts", dropped)
-    x = _generators(sp(2), 3)[0]
+    x = _letters(sp(2), 3)["u"]
     assert len(real(x).extras) == 2
     with pytest.raises(CrossCheckError, match="misses column"):
         matrix_move(x, 3)
@@ -133,7 +125,7 @@ def test_a_singular_matrix_is_refused(g):
         matrix_move(g, 3)
 
 
-def test_each_matrix_moves_each_line_once(monkeypatch):
+def test_each_letter_moves_each_line_once(monkeypatch):
     group, shape, q = sp(2), SC((1, 1), 0), 3
     vecs, _ = _lines(group.dim, q)
     assert len(vecs) == 40  # the lines of F_3^4
@@ -148,12 +140,11 @@ def test_each_matrix_moves_each_line_once(monkeypatch):
     _flag_orbit.cache_clear()
     _line_perm.cache_clear()
     try:
-        gens = _generators(group, q)
-        for g in gens:
-            _perm_for(group, shape, q, g)
         # the walk's 40 lines and 40 Lagrangian planes, none of them moved
         assert len(_flag_orbit(group, shape, q).subspaces) == 80
-        assert sorted(moved) == sorted((matrix_move(g, q), v) for g in set(gens) for v in vecs)
+        letters = _letters(group, q).values()
+        assert len(letters) == 5
+        assert sorted(moved) == sorted((matrix_move(g, q), v) for g in letters for v in vecs)
     finally:
         _flag_orbit.cache_clear()
         _line_perm.cache_clear()

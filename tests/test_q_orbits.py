@@ -3,8 +3,8 @@
 The reference below is the walk over the whole product X_P x Z_Q, with
 each of K's generators acting on X_P through its embedding, on its own
 factor of Z_Q, and trivially on the other factors.  The library walks
-X_P alone under generators of Q, most of them words in K's generators,
-so the two must agree on every (P, Q) at every field.
+X_P alone under generators of Q, words in G's letters, so the two must
+agree on every (P, Q) at every field.
 """
 
 import itertools
@@ -18,21 +18,21 @@ import dflag.orbits
 from dflag import gfq
 from dflag.compositions import Composition, SymplecticComposition
 from dflag.errors import CrossCheckError
-from dflag.flags import flag_count
+from dflag.flags import flag_count, matrix_move
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl
 from dflag.orbits import (
     _count_K_orbits_full,
     _flag_orbit,
-    _generators,
     _k_blocks,
+    _letters,
     _line_perm,
     _lines,
-    _perm_for,
     _product_orbits,
     _Space,
     count_K_orbits,
 )
-from dflag.pairs import KParabolicSpec, SymmetricPairSpec
+from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
+from point_action import PointAction
 
 
 def _compositions(n):
@@ -71,16 +71,16 @@ def _full_product_walk(pair, P, Q, q):
     blocks = _k_blocks(pair)
     ambient, per_factor = [], [[] for _ in blocks]
     for i, (group, embed) in enumerate(blocks):
-        for m in _generators(group, q):
+        for m in _letters(group, q).values():
             ambient.append(embed(m, q))
             for j, mats in enumerate(per_factor):
                 mats.append(m if j == i else None)
-    spaces = [_Space.flags(pair.group, P.standard_form().shape, q, ambient)]
+    spaces = [PointAction(pair.group, P.standard_form().shape, q).space(ambient)]
     for (group, _), shape, mats in zip(blocks, Q.factors, per_factor):
-        pts = _flag_orbit(group, shape, q).points
-        identity = tuple(range(len(pts)))
-        perms = [identity if m is None else _perm_for(group, shape, q, m) for m in mats]
-        spaces.append(_Space(pts, perms))
+        action = PointAction(group, shape, q)
+        identity = tuple(range(len(action.orbit.points)))
+        perms = [identity if m is None else action.perm(m) for m in mats]
+        spaces.append(_Space(action.orbit.points, perms))
     return _product_orbits(spaces)
 
 
@@ -101,31 +101,36 @@ def test_q_orbits_on_X_P_match_the_full_product(token, q):
 
 
 def _with_inverse_cycle(real):
-    """_generators with the cycle c replaced by c^-1, which still
+    """_letters with the cycle c replaced by c^-1, which still
     generates GL_n but breaks every word built from c."""
 
     def patched(group, q):
-        gens = real(group, q)
+        letters = real(group, q)
         if group.family is GroupFamily.GENERAL_LINEAR and group.n >= 2:
-            gens[1] = gfq.mat_inv(gens[1], q)
-        return gens
+            letters["c"] = gfq.mat_inv(letters["c"], q)
+        return letters
 
     return patched
 
 
 def test_a_wrong_word_is_a_cross_check_error(monkeypatch, capsys):
-    pair = SymmetricPairSpec.parse("AIII:1,3")
-    P = borel(pair.group)
-    whole = KParabolicSpec.parse(pair, "1;3")
-    Q = KParabolicSpec.parse(pair, "1;1,1,1")
-    expected = count_K_orbits(pair, P, whole, 2)
-    monkeypatch.setattr(dflag.orbits, "_generators", _with_inverse_cycle(_generators))
-    # K's own generators need no word and still generate
-    assert count_K_orbits(pair, P, whole, 2) == expected
-    with pytest.raises(CrossCheckError, match="does not give its matrix"):
-        count_K_orbits(pair, P, Q, 2)
-    argv = ["probe-orbits", "--pair", "AIII:1,3", "--p", "1,1,1,1", "--q", "1;1,1,1", "--qlist", "2"]
-    assert dflag.cli.main(argv) == 3
+    aiii = SymmetricPairSpec.parse("AIII:1,3")
+    P = borel(aiii.group)
+    ci = SymmetricPairSpec.parse("CI:2")
+    expected = count_K_orbits(ci, borel(ci.group), whole_K(ci), 2)
+    monkeypatch.setattr(dflag.orbits, "_letters", _with_inverse_cycle(_letters))
+    _clear_caches()
+    try:
+        # CI's whole K acts through G's letters, which need no word
+        assert count_K_orbits(ci, borel(ci.group), whole_K(ci), 2) == expected
+        # AIII's whole K is Q1 x Q2 of shape (1, 3): words built from c
+        for Q in ("1;3", "1;1,1,1"):
+            with pytest.raises(CrossCheckError, match="does not give its matrix"):
+                count_K_orbits(aiii, P, KParabolicSpec.parse(aiii, Q), 2)
+        argv = ["probe-orbits", "--pair", "AIII:1,3", "--p", "1,1,1,1", "--q", "1;1,1,1", "--qlist", "2"]
+        assert dflag.cli.main(argv) == 3
+    finally:
+        _clear_caches()
     err = capsys.readouterr().err
     assert err.startswith("CROSS-CHECK DISAGREEMENT") and "parse error" not in err
 
@@ -147,10 +152,9 @@ def _clear_caches():
     _line_perm.cache_clear()
 
 
-def test_only_K_generators_act_and_only_on_lines(monkeypatch):
-    # each matrix moves each line of F_3^4 once, and nothing moves a
-    # subspace: G's 3 generators build X_P, and K's 6 add 4 more, since
-    # GL_2 x 1 shares E_12(1) and diag(z, 1, 1, 1) with G
+def test_only_G_letters_move_lines(monkeypatch):
+    # each of G's 3 letters moves each line of F_3^4 once, and nothing
+    # else moves a line: Q's generators are words in the letters
     pair = SymmetricPairSpec.parse("AIII:2,2")
     P = borel(pair.group)
     Q = KParabolicSpec.parse(pair, "1,1;1,1")
@@ -171,7 +175,8 @@ def test_only_K_generators_act_and_only_on_lines(monkeypatch):
         _clear_caches()
     vecs, _ = _lines(4, q)
     moves = {move for move, _ in moved}
-    assert (len(moved), len(moves), len(vecs)) == (280, 7, 40)
+    assert (len(moved), len(moves), len(vecs)) == (120, 3, 40)
+    assert moves == {matrix_move(m, q) for m in _letters(pair.group, q).values()}
     assert sorted(moved) == sorted((move, v) for move in moves for v in vecs)
     assert {len(v) for _, v in moved} == {4}  # vectors of F_3^4, none of Z_Q's F_3^2
 
@@ -202,29 +207,54 @@ def test_row_reduction_only_audits_matrices(monkeypatch):
     assert calls[0] == calls[1]
 
 
+class _Counted(tuple):
+    """A line permutation that records each lookup."""
+
+    lookups: list = []
+
+    def __getitem__(self, i):
+        self.lookups.append(i)
+        return tuple.__getitem__(self, i)
+
+
 def test_a_walk_past_its_count_stops(monkeypatch):
-    # X = P^3(F_3): one subspace of one line per point, so each point
-    # walked looks up one line per generator
-    group, shape, q = gl(4), Composition((1, 3)), 3
+    # X = the planes of F_3^3: one subspace of 4 lines per point, so each
+    # point walked looks up at most 4 lines per letter
+    group, shape, q = gl(3), Composition((2, 1)), 3
     count = flag_count(group, shape, q)
-    assert count == 40
-    lookups = []
-
-    class Counted(tuple):
-        def __getitem__(self, i):
-            lookups.append(i)
-            return tuple.__getitem__(self, i)
-
+    assert count == 13
     real = _line_perm
-    monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: Counted(real(m, q)))
-    n_gens = len(_generators(group, q))
+    monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: _Counted(real(m, q)))
+    n_letters = len(_letters(group, q))
     for low in (count - 1, 1):
         monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: low)
         _flag_orbit.cache_clear()
-        lookups.clear()
+        _Counted.lookups.clear()
         try:
             with pytest.raises(CrossCheckError, match=f"passes its {low} points"):
                 _flag_orbit(group, shape, q)
         finally:
             _flag_orbit.cache_clear()
-        assert 0 < len(lookups) <= (low + 1) * n_gens
+        assert 0 < len(_Counted.lookups) <= (low + 1) * n_letters * 4
+
+
+def test_the_lines_are_not_walked(monkeypatch):
+    # X = P^3(F_3) is the lines of F_3^4: each letter's line permutation
+    # is its point permutation, and no line is looked up
+    group, shape, q = gl(4), Composition((1, 3)), 3
+    real = _line_perm
+    monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: _Counted(real(m, q)))
+    _flag_orbit.cache_clear()
+    _Counted.lookups.clear()
+    try:
+        orbit = _flag_orbit(group, shape, q)
+        assert orbit.points == orbit.subspaces == tuple((i,) for i in range(40))
+        for name, m in _letters(group, q).items():
+            assert orbit.letters[name] == (m, real(m, q))
+        assert _Counted.lookups == []
+        monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: 39)
+        _flag_orbit.cache_clear()
+        with pytest.raises(CrossCheckError, match="has 39 points, not its 40 lines"):
+            _flag_orbit(group, shape, q)
+    finally:
+        _flag_orbit.cache_clear()

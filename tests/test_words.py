@@ -1,0 +1,110 @@
+"""Every acting generator is a word in G's letters, composed on points.
+
+The library moves subspaces only while it walks X_P under the letters;
+each generator of Q, or of a triple's P1, gets its permutation of the
+points by composing the letters'.  The reference maps each word's
+matrix directly, through its lines, subspaces and points
+(point_action.py), and every word built along the way, the memoized
+ones included, must agree with it.
+"""
+
+import pytest
+
+from dflag.compositions import Composition as C
+from dflag.compositions import SymplecticComposition as SC
+from dflag.errors import CrossCheckError
+from dflag.groups import GroupFamily, gl, sp
+from dflag.orbits import _k_targets, _letters, _parabolic_targets, _Speller
+from dflag.pairs import KParabolicSpec, SymmetricPairSpec
+from point_action import PointAction
+from test_fforacle import _every_shape
+
+
+def _check_words(group, shape, q, targets):
+    """Spell ``targets`` on X_P; compare every word with the reference."""
+    ref = PointAction(group, shape, q)
+    speller = _Speller(group, q, ref.orbit)
+    words = [speller.word_for(t) for t in targets]
+    assert [w.mat for w in words] == targets
+    checked = [*ref.orbit.letters.values(), *speller.memo.values(), *words]
+    for w in checked:
+        assert tuple(w.perm) == ref.perm(w.mat)
+    return len(checked)
+
+
+def _k_shapes(pair):
+    """Every Q of the pair: each factor's shapes, the whole factor included."""
+    shapes = [[()]]
+    for factor in pair.k_factors:
+        group = (gl if factor.family == "gl" else sp)(factor.rank)
+        shapes = [s + [shape] for s in shapes for shape in _every_shape(group)]
+    return [KParabolicSpec(pair, tuple(s[1:])) for s in shapes]
+
+
+K_CASES = [
+    ("AIII:1,2", C((1, 1, 1)), (2, 3, 5)),
+    ("AIII:2,2", C((1, 1, 1, 1)), (2, 3)),
+    ("AIII:2,2", C((1, 3)), (5,)),  # X_P is the lines
+    ("AII:4", C((1, 1, 1, 1)), (2, 3)),
+    ("AII:4", C((2, 2)), (5,)),
+    ("CI:2", SC((1, 1), 0), (2, 3, 5)),
+    ("CI:3", SC((1,), 4), (3,)),
+    ("CII:1,1", SC((1, 1), 0), (2, 3, 5)),
+    ("CII:1,2", SC((1,), 4), (2, 3)),
+    ("CII:1,2", SC((3,), 0), (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "token, P, q",
+    [pytest.param(t, P, q, id=f"{t}-{P}-F{q}") for t, P, qs in K_CASES for q in qs],
+)
+def test_every_word_for_Q_moves_points_as_its_matrix(token, P, q):
+    pair = SymmetricPairSpec.parse(token)
+    checked = 0
+    for Q in _k_shapes(pair):
+        checked += _check_words(pair.group, P, q, _k_targets(pair, Q, q))
+    assert checked > len(_k_shapes(pair)) * len(_letters(pair.group, q))
+
+
+TRIPLE_CASES = [
+    (gl(3), C((1, 1, 1)), (2, 3, 5)),
+    (gl(4), C((2, 2)), (2, 3)),
+    (sp(2), SC((1, 1), 0), (2, 3, 5)),
+    (sp(3), SC((1,), 4), (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "group, walked, q",
+    [pytest.param(g, w, q, id=f"{g}-{w}-F{q}") for g, w, qs in TRIPLE_CASES for q in qs],
+)
+def test_every_word_for_P1_moves_points_as_its_matrix(group, walked, q):
+    shapes = _every_shape(group)
+    for shape in shapes:
+        targets = _parabolic_targets(group, shape, q)
+        if not shape.is_proper and group.family is GroupFamily.GENERAL_LINEAR:
+            assert targets == list(_letters(group, q).values())
+        _check_words(group, walked, q, targets)
+
+
+def test_sp_parabolics_take_the_torus_and_every_root():
+    # the Borel of Sp_4 over F_3: 2 torus elements and the 4 positive roots
+    targets = _parabolic_targets(sp(2), SC((1, 1), 0), 3)
+    assert len(targets) == 2 + 4
+    pair = SymmetricPairSpec.parse("CII:1,1")
+    assert len(_k_targets(pair, KParabolicSpec.parse(pair, "2;2"), 3)) == 2 + 2 + 2
+
+
+def test_a_word_that_misses_its_matrix_is_a_cross_check_error():
+    # give the cycle letter the matrix of its inverse: every conjugate
+    # by it lands on the wrong root, and the audit of the word's matrix
+    # catches it, though the letter still permutes the points
+    orbit = PointAction(gl(3), C((1, 1, 1)), 2).orbit
+    c = orbit.letters["c"]
+    wrong = {**orbit.letters, "c": c._replace(mat=tuple(zip(*c.mat)))}
+    speller = _Speller(gl(3), 2, orbit._replace(letters=wrong))
+    e23 = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
+    assert _Speller(gl(3), 2, orbit).word_for(e23).mat == e23
+    with pytest.raises(CrossCheckError, match="letters of GL3 over F_2 does not give its matrix"):
+        speller.word_for(e23)
