@@ -1,10 +1,13 @@
 """Orbit counting over F_q by walks over generator permutations.
 
 Every count is one parabolic acting on the remaining flag varieties.
-The triple count lets P1 act on X_P2 (x X_P3), since G is transitive
-on X_P1.  The K-orbits on X_P x Z_Q match the Q-orbits on X_P one to
-one, since K is transitive on Z_Q = K/Q, so only X_P is walked; the
-points column is still |X_P x Z_Q|, from the closed forms.
+G is transitive on each factor of a triple (or pair), so any factor's
+parabolic may act on the product of the others; the one with the
+largest flag variety acts (the first of them on a tie), chosen from
+the closed forms, so the smallest product is walked.  The K-orbits on
+X_P x Z_Q match the Q-orbits on X_P one to one, since K is transitive
+on Z_Q = K/Q, so only X_P is walked; the points column is still
+|X_P x Z_Q|, from the closed forms.
 
 Each group has a fixed set of letters that generates it (_letters has
 the proofs).  Only a letter is turned into a permutation of the
@@ -32,12 +35,12 @@ give the Levi's other negative roots, since [I + E_ij, I + E_jl] =
 I + E_il over every field, and over F_p x_a(1) generates X_a.  AIII's
 Q = Q1 x Q2 is the parabolic of shape Q1 ++ Q2 without the simple root
 at the block boundary, and CI's Q a parabolic of the Siegel Levi.  A
-parabolic of Sp (AII's and CII's Q, a type C triple's P1) takes its
-torus and x_b(1) for every root b of it: the simple ones would not
-suffice, since over F_2 the type C commutator relations lose their
-factor 2, and the unipotent radical of the Borel of Sp_4(F_2), of
-order 16, is not generated by two elements.  The whole of a GL_r, a
-type A P1 = G or CI's whole K, acts through its letters.
+parabolic of Sp (AII's and CII's Q, a type C triple's acting one)
+takes its torus and x_b(1) for every root b of it: the simple ones
+would not suffice, since over F_2 the type C commutator relations lose
+their factor 2, and the unipotent radical of the Borel of Sp_4(F_2),
+of order 16, is not generated by two elements.  The whole of a GL_r,
+CI's whole K, acts through its letters.
 
 Orbit fusion on a product of spaces is pure integer work: every factor
 after the first is folded into one permutation per generator, and each
@@ -433,7 +436,7 @@ def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
         ]
         s2 *= size
     gens = [
-        ([a * s2 for a in pa], pb)
+        (pa if s2 == 1 else [a * s2 for a in pa], pb)  # one factor: no scaled copy
         for pa, pb in zip(first.perms, folded, strict=True)
     ]
     total = len(first.points) * s2
@@ -684,10 +687,7 @@ def _triple_specs(group: GroupDatum, parabolics: list[ParabolicSpec], q: int):
         raise ValueError("need two or three parabolic specs")
     if any(P.group != group for P in parabolics):
         raise ValueError("all parabolics must share the group")
-    specs = [P.standard_form() for P in parabolics]
-    if not specs[0].is_standard:
-        raise ValueError("first parabolic must normalize to Standard")
-    return specs
+    return [P.standard_form() for P in parabolics]
 
 
 def check_triple_budget(
@@ -698,7 +698,11 @@ def check_triple_budget(
 ) -> None:
     """Raise BudgetExceededError, from closed-form sizes alone, where
     count_triple_orbits with the same arguments would; lets a caller
-    refuse a list of fields before counting any of them."""
+    refuse a list of fields before counting any of them.
+
+    The budget is charged with the product of the factors after the
+    first.  The walked product, all factors but the largest, is never
+    bigger, so the budget bounds it from above."""
     _, *rest = _triple_specs(group, parabolics, q)
     _check_budget([(group, P.shape) for P in rest], q, budget)
 
@@ -711,18 +715,23 @@ def count_triple_orbits(
 ) -> int:
     """Orbits of diagonal G(F_q) on X_{P1} x ... x X_{Pk} (k = 2 or 3).
 
-    G is transitive on the first factor, so this equals the number of
-    P1(F_q)-orbits on the product of the remaining factors, which is
-    what gets walked.  For a pair this is the Bruhat double coset
-    count, independent of q.
+    G is transitive on every factor, so this equals the number of
+    P(F_q)-orbits on the product of the other factors, for any one
+    factor's P.  The factor with the largest flag_count acts (the first
+    of them on a tie): the smallest parabolic, with the fewest
+    generators, leaves the smallest product to walk.  The budget is
+    checked as in check_triple_budget.  For a pair this is the Bruhat
+    double coset count, independent of q.
     """
-    first, *rest = _triple_specs(group, parabolics, q)
-    _check_budget([(group, P.shape) for P in rest], q, budget)
-    walked = [_flag_orbit(group, P.shape, q) for P in rest]
+    specs = _triple_specs(group, parabolics, q)
+    _check_budget([(group, P.shape) for P in specs[1:]], q, budget)
+    sizes = [flag_count(group, P.shape, q) for P in specs]
+    acting = specs.pop(sizes.index(max(sizes)))
+    walked = [_flag_orbit(group, P.shape, q) for P in specs]
     walked = [orbit for orbit in walked if orbit.subspaces]  # X_G factors are single points
     if not walked:
         return 1
-    targets = _parabolic_targets(group, first.shape, q)
+    targets = _parabolic_targets(group, acting.shape, q)
     spaces = [_Space(orbit.points, _word_perms(group, q, orbit, targets)) for orbit in walked]
     _, orbits = _product_orbits(spaces)
     return orbits

@@ -170,6 +170,23 @@ def test_product_refused_before_enumeration(capsys, monkeypatch):
     assert "4326400" in err
 
 
+def test_triple_budget_charges_the_factors_after_the_first(capsys, monkeypatch):
+    # The Borel acts and would walk only Gr(2,4) x the full flags, 130 x 2080 =
+    # 270,400 points over F_3, but the budget is charged with factors 2 and 3.
+    import dflag.orbits
+
+    def fail(*args, **kwargs):
+        raise AssertionError("walked a triple over the budget")
+
+    monkeypatch.setattr(dflag.orbits, "_flag_orbit", fail)
+    code, _, err = run(
+        capsys, "triple-orbits", "--family", "A", "--n", "4",
+        "--triple", "2,2;1,1,1,1;1,1,1,1", "--qlist", "3", "--budget", "1000000",
+    )
+    assert code == 2
+    assert "product has 4326400 points, budget 1000000" in err
+
+
 def test_every_field_refused_before_any_is_counted(capsys, monkeypatch):
     # q = 3 fits the budget and q = 5 does not: nothing may be counted
     import dflag.orbits

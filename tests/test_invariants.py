@@ -5,8 +5,8 @@ In type A the stabilizer of any tuple of flags is the unit group of the
 endomorphism algebra of the configuration, hence connected, so orbit
 counts of finite-type triples are literally equal across fields; for
 infinite types they grow.  The sweeps below check both directions.
-The first slot of each triple plays the role of the transitive factor
-in the orbit reduction, so the largest variety is listed first.
+Their size cap charges the factors after the first, as the orbit
+budget does, so each triple lists its largest variety first.
 """
 
 import itertools
