@@ -1,12 +1,17 @@
 """Exact linear algebra over the prime fields F_2, F_3, F_5.
 
 Field elements are plain ints in range(q); vectors and matrices are
-tuples (of tuples) so they can be dict keys.  Subspaces are canonically
-represented by the reduced row echelon form of a spanning matrix with
-zero rows dropped, which is unique per subspace.
+tuples (of tuples) so they can be dict keys.  rref is the reduced row
+echelon form with zero rows dropped, unique per row space: it names the
+subspaces of flags.enumerate_flags, the public enumeration that the
+tests take as their reference, and mat_inv reads inverses off it.  The
+orbit counts (dflag.orbits) never reduce a subspace; they name one by
+the ids of its lines.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 __all__ = [
     "check_prime",
@@ -40,7 +45,7 @@ def transpose(a: Mat) -> Mat:
 def mat_mul(a: Mat, b: Mat, q: int) -> Mat:
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % q for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) % q for col in bt) for row in a
     )
 
 

@@ -10,16 +10,23 @@ on Z_Q = K/Q, so only X_P is walked; the points column is still
 |X_P x Z_Q|, from the closed forms.
 
 Each group has a fixed set of letters that generates it (_letters has
-the proofs).  Only a letter is turned into a permutation of the
-N = (q^dim - 1)/(q - 1) lines of F_q^dim: each normalized vector
-(first nonzero entry 1) goes through its move, and the image is
-rescaled to lead with 1.  X_P is walked as the orbit of its base flag,
-span(e_1, ..., e_d) for each break (or isotropic dimension) d, under
-the letters, and this walk is the only place where a matrix moves a
-subspace.  A subspace is an interned id for the sorted tuple of its
-line ids (a frozenset would take about four times the memory), a point
-is the tuple of its subspaces' ids, and the walk records each letter's
-permutation of the points.  It raises CrossCheckError as soon as it
+the proofs): u, c and the torus letter d for GL_n; u and c on the
+Siegel Levi and the long root elements x+- for Sp_2n, whose torus is
+spelled from its root subgroups.  Only a letter is turned into a
+permutation of the N = (q^dim - 1)/(q - 1) lines of F_q^dim: each
+normalized vector (first nonzero entry 1) goes through its move, and
+the image is rescaled to lead with 1.  X_P is walked as the orbit of
+its base flag, span(e_1, ..., e_d) for each break (or isotropic
+dimension) d, under the letters, and this walk is the only place where
+a matrix moves a subspace.  A subspace is the sorted tuple of its line
+ids (a frozenset would take about four times the memory).  With two or
+more subspaces per flag, a subspace is interned as an id, a point is
+the tuple of its subspaces' ids, and each subspace is moved once per
+letter through a per-letter memo.  A Grassmannian (one break, or one
+isotropic dimension, other than the lines) is walked as its own
+subspaces: point k is (k,), and each subspace is moved once per letter
+straight into the point index.  Either walk records each letter's
+permutation of the points, raises CrossCheckError as soon as it
 passes the closed-form count of X_P, and again if it falls short of
 it.  When X_P is the lines themselves there is no walk.  N <= |X_P|
 unless X_P is a single point, so the budget already checked on |X_P|
@@ -134,8 +141,8 @@ def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
     letters generate SL_n.  The determinant z of d generates F_q^*,
     which gives GL_n (over F_2, GL_n = SL_n).
 
-    Sp_2n: GL_n's letters on the Siegel Levi, each m acting as m on
-    e_1..e_n and as m^-T on their mirror images, as CI's K does; then
+    Sp_2n: u and c on the Siegel Levi, each m acting as m on e_1..e_n
+    and as m^-T on their mirror images, as CI's K does; then
     x+ = x_(2e_n)(1) and x- = x_(-2e_n)(1).  The Levi gives
     x_(e_i - e_j)(1), the image of E_ij(1), for every i != j.  The image
     of c permutes e_1..e_n cyclically and their mirrors with them, so
@@ -146,12 +153,15 @@ def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
     So the letters give x_b(1) for every root b.  Over F_q, q prime,
     x_b(1) generates the root subgroup X_b, and the root subgroups
     generate Sp_2n(F_q) in every characteristic, F_2 included
-    (Steinberg, Lectures on Chevalley Groups, section 3).
+    (Steinberg, Lectures on Chevalley Groups, section 3).  So GL_n's d,
+    its only letter outside SL_n, is not needed: the torus lies in the
+    SL_2s of the long roots (_Speller.torus), and Sp_2's letters are
+    x+- alone.
     """
     n = group.n
     if group.family is GroupFamily.SYMPLECTIC:
         levi = _embedding(group, KFactor("gl", n, tuple(range(n))))
-        letters = {name: levi(m, q) for name, m in _letters(gl(n), q).items()}
+        letters = {name: levi(m, q) for name, m in _letters(gl(n), q).items() if name != "d"}
         for name, sign in (("x+", 1), ("x-", -1)):
             letters[name] = _sp_root_element(n, (0,) * (n - 1) + (2 * sign,), q)
         return letters
@@ -206,14 +216,43 @@ def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
         subspaces = points = tuple((i,) for i in range(len(vecs)))
     else:
         base = [tuple(i for i, v in enumerate(vecs) if not any(v[d:])) for d in dims]
-        subspaces, points, perms = _walk(name, count, base, perms)
+        walk = _walk_grassmannian if len(base) == 1 else _walk
+        subspaces, points, perms = walk(name, count, base, perms)
     return _Orbit(name, subspaces, points, dict(zip(letters, map(_Word, letters.values(), perms))))
+
+
+def _walk_grassmannian(name: str, count: int, base: list, line_perms: list):
+    """_walk for a flag of one subspace: the points are the subspaces,
+    point k = (k,), and each subspace is moved once per permutation
+    straight into the point index."""
+    subspaces = [base[0]]
+    index = {base[0]: 0}
+    perms = [[] for _ in line_perms]
+    moves = [(perm.__getitem__, out) for perm, out in zip(line_perms, perms)]
+    for sub in subspaces:
+        for image, perm in moves:
+            lines = tuple(sorted(map(image, sub)))
+            k = index.get(lines)
+            if k is None:
+                if len(subspaces) == count:
+                    raise CrossCheckError(
+                        f"the orbit of the base flag of {name} passes its {count} points"
+                    )
+                k = index[lines] = len(subspaces)
+                subspaces.append(lines)
+            perm.append(k)
+    if len(subspaces) != count:
+        raise CrossCheckError(
+            f"the orbit of the base flag of {name} has {len(subspaces)} of its {count} points"
+        )
+    return tuple(subspaces), tuple((k,) for k in range(count)), perms
 
 
 def _walk(name: str, count: int, base: list, line_perms: list):
     """(subspaces, points, point permutations) of the orbit of the flag
-    ``base``, a list of subspaces as sorted tuples of line ids, under
-    the line permutations; each subspace is moved once per permutation."""
+    ``base``, a list of two or more subspaces as sorted tuples of line
+    ids, under the line permutations; each subspace is moved once per
+    permutation, through a per-permutation memo of subspace ids."""
     subspaces = list(base)
     subspace_ids = {lines: sid for sid, lines in enumerate(subspaces)}
     moves = [(perm.__getitem__, {}, []) for perm in line_perms]
@@ -266,9 +305,9 @@ class _Speller:
     """Words in G's letters on the points of one walked X_P, composed on
     demand.  In GL_n, E_ij(1) = c^(i-1) E_(1,1+k) c^-(i-1) for
     k = j - i mod n, with E_(1,2) = u and E_(1,1+k) = [E_(1,k), E_(k,k+1)],
-    and diag(z at i) = c^(i-1) d c^-(i-1).  In Sp_2n these give the Levi's
-    x_(e_i - e_j)(1) and diag(z at i, z^-1 at its mirror), and the other
-    roots are spelled as in the proof in _letters."""
+    and diag(z at i) = c^(i-1) d c^-(i-1).  In Sp_2n the first give the
+    Levi's x_(e_i - e_j)(1), the other roots are spelled as in the proof
+    in _letters, and the torus from the long roots (torus)."""
 
     def __init__(self, group: GroupDatum, q: int, orbit: _Orbit):
         self.group, self.q, self.letters = group, q, orbit.letters
@@ -323,8 +362,24 @@ class _Speller:
 
     @_memo
     def torus(self, i: int) -> _Word:
-        """diag(z at i) of GL_n, or its image in Sp_2n, 0-based."""
-        return self.conj(i, self.letters["d"])
+        """diag(z at i) of GL_n, or diag(z at i, z^-1 at its mirror) of
+        Sp_2n, 0-based.  The latter is h(z) = w(z) w(1)^-1 in the SL_2
+        of the long root 2e_i, where w(t) = x(t) y(-1/t) x(t) with
+        x(t) = x_(2e_i)(t) and y(t) = x_(-2e_i)(t).  It is spelled once,
+        for i = n-1 with the letters x+-, and conjugated by c^(i+1) for
+        every other i, as the long roots are."""
+        if self.group.family is GroupFamily.GENERAL_LINEAR:
+            return self.conj(i, self.letters["d"])
+        n, q = self.group.n, self.q
+        if i != n - 1:
+            return self.conj(i + 1, self.torus(n - 1))
+        x, y = self.letters["x+"], self.letters["x-"]
+
+        def w(t: int) -> _Word:
+            xt = self.power(x, t, q)
+            return self.times(xt, self.power(y, -pow(t, -1, q) % q, q), xt)
+
+        return self.times(w(_primitive_root(q)), self.inverse(w(1)))
 
     @_memo
     def root(self, b: tuple[int, ...]) -> _Word:

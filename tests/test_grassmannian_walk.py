@@ -1,0 +1,87 @@
+"""A flag variety of one subspace is walked as its own subspaces.
+
+X_P with one break (type A) or one isotropic dimension (type C), other
+than the lines, is a Grassmannian: its point k is the subspace k, so
+the walk moves each subspace once per letter straight into the point
+index.  The shape alone selects that walk; each letter's permutation
+is compared with the reference action of its matrix (point_action.py).
+This walk and the walk of flags of several subspaces both stop with
+CrossCheckError when they pass the closed-form count, or fall short of
+it.
+"""
+
+import pytest
+
+import dflag.orbits
+from dflag.compositions import Composition as C
+from dflag.compositions import SymplecticComposition as SC
+from dflag.errors import CrossCheckError
+from dflag.flags import flag_count
+from dflag.groups import gl, sp
+from dflag.orbits import _flag_orbit, _letters
+from point_action import PointAction
+
+GRASSMANNIANS = [
+    (gl(4), C((2, 2)), 3, 130),  # Gr(2,4)/F_3
+    (gl(5), C((3, 2)), 2, 155),  # Gr(3,5)/F_2
+    (sp(2), SC((2,), 0), 3, 40),  # LGr(2,4)/F_3
+    (sp(3), SC((3,), 0), 2, 135),  # LGr(3,6)/F_2
+]
+
+
+@pytest.fixture
+def fresh_walks():
+    _flag_orbit.cache_clear()
+    yield
+    _flag_orbit.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "group, shape, q, count",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}-F{case[2]}") for case in GRASSMANNIANS],
+)
+def test_a_grassmannian_is_walked_as_its_subspaces(
+    monkeypatch, fresh_walks, group, shape, q, count
+):
+    def refused(*args):
+        raise AssertionError("a flag of one subspace took the flag walk")
+
+    monkeypatch.setattr(dflag.orbits, "_walk", refused)
+    assert flag_count(group, shape, q) == count
+    orbit = _flag_orbit(group, shape, q)
+    assert orbit.points == tuple((k,) for k in range(count))
+    assert len(orbit.subspaces) == len(set(orbit.subspaces)) == count
+    assert list(orbit.letters) == list(_letters(group, q))
+    ref = PointAction(group, shape, q)
+    for word in orbit.letters.values():
+        assert tuple(word.perm) == ref.perm(word.mat)
+
+
+# E_12(1) is not symplectic for the anti-diagonal form, so as a letter
+# of Sp_4 it moves the walk off X_P
+E12 = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(4)) for i in range(4))
+
+
+@pytest.mark.parametrize(
+    "shape, reached",
+    [
+        # without x+-, Sp_4's letters lie in the Siegel Levi, which fixes
+        # span(e_1, e_2): the walk of LGr(2,4) stops at its first point,
+        pytest.param(SC((2,), 0), "Sp4/2,2 over F_3 has 1 of its 40", id="lagrangians"),
+        # and the Borel's walk at the 4 flags inside span(e_1, e_2)
+        pytest.param(SC((1, 1), 0), "Sp4/1,1,1,1 over F_3 has 4 of its 160", id="borel"),
+    ],
+)
+def test_both_walks_audit_their_count(monkeypatch, fresh_walks, shape, reached):
+    real = _letters
+    count = flag_count(sp(2), shape, 3)
+
+    def levi_only(group, q):
+        return {name: m for name, m in real(group, q).items() if name not in ("x+", "x-")}
+
+    monkeypatch.setattr(dflag.orbits, "_letters", levi_only)
+    with pytest.raises(CrossCheckError, match=f"base flag of {reached} points"):
+        _flag_orbit(sp(2), shape, 3)
+    monkeypatch.setattr(dflag.orbits, "_letters", lambda group, q: {**real(group, q), "e12": E12})
+    with pytest.raises(CrossCheckError, match=f"over F_3 passes its {count} points"):
+        _flag_orbit(sp(2), shape, 3)

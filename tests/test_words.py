@@ -14,7 +14,14 @@ from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.groups import GroupFamily, gl, sp
-from dflag.orbits import _k_targets, _letters, _parabolic_targets, _Speller
+from dflag.orbits import (
+    _k_targets,
+    _letters,
+    _parabolic_targets,
+    _primitive_root,
+    _Speller,
+    _unit_matrix_with,
+)
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec
 from point_action import PointAction
 from test_fforacle import _every_shape
@@ -86,6 +93,30 @@ def test_every_word_for_P1_moves_points_as_its_matrix(group, walked, q):
         if not shape.is_proper and group.family is GroupFamily.GENERAL_LINEAR:
             assert targets == list(_letters(group, q).values())
         _check_words(group, walked, q, targets)
+
+
+SP_TORUS_CASES = [
+    (sp(1), SC((1,), 0), (3, 5)),  # the lines of F_q^2
+    (sp(2), SC((1, 1), 0), (3, 5)),
+    (sp(3), SC((3,), 0), (3,)),  # the Lagrangian Grassmannian
+]
+
+
+@pytest.mark.parametrize(
+    "group, walked, q",
+    [pytest.param(g, w, q, id=f"{g}-{w}-F{q}") for g, w, qs in SP_TORUS_CASES for q in qs],
+)
+def test_sp_torus_words_move_points_as_their_matrices(group, walked, q):
+    # Sp_2n has no torus letter: diag(z at i, z^-1 at its mirror) is
+    # spelled in the SL_2 of the long root 2e_i; the memoized words on
+    # the way (each torus(i), the cycles) are checked with it
+    n, dim, z = group.n, group.dim, _primitive_root(q)
+    assert "d" not in _letters(group, q)
+    targets = [
+        _unit_matrix_with(dim, {(i, i): z, (dim - 1 - i, dim - 1 - i): pow(z, -1, q)}, q)
+        for i in range(n)
+    ]
+    assert _check_words(group, walked, q, targets) >= len(_letters(group, q)) + 2 * n
 
 
 def test_sp_parabolics_take_the_torus_and_every_root():
