@@ -1,17 +1,15 @@
-"""Enumeration of flag varieties over small prime fields.
+"""Flag varieties over small prime fields: point counts and points.
 
 A flag point is a tuple of nested subspaces, each in canonical reduced
 row echelon form.  For Sp_2n the symplectic form is the anti-diagonal
 one (coordinate i pairs with 2n+1-i, signs +1 on the first half) and
-flags consist of isotropic subspaces.  Isotropic flags are built
-constructively: each new echelon row is drawn from the solutions of its
-orthogonality conditions, so no non-isotropic subspace is ever formed
-and the work grows with the number of points, not with the number of
-all subspaces.
+flags consist of isotropic subspaces.
 
 Closed-form point counts are Gaussian binomial products; they are used
 to enforce the enumeration budget up front (which thereby bounds the
-work as well as the output) and to audit the enumerations.
+work as well as the output) and to audit the enumerations.  The points
+themselves come from the orbit walk of dflag.orbits, which every orbit
+count uses; enumerate_flags only writes them in rref.
 
 A matrix acts on flags through its move, built once per matrix: a
 monomial part (one nonzero entry per row, a transversal) plus the few
@@ -22,7 +20,6 @@ costs O(dim) instead of the O(dim^2) of a dense product.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -110,108 +107,6 @@ def symplectic_gram(n: int, q: int) -> Mat:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _subspaces(dim: int, k: int, q: int) -> tuple[Mat, ...]:
-    """All k-dimensional subspaces of F_q^dim as canonical rref matrices."""
-    if k == 0:
-        return ((),)
-    out = []
-    for pivots in itertools.combinations(range(dim), k):
-        free_positions = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, dim)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(q), repeat=len(free_positions)):
-            rows = [[0] * dim for _ in range(k)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            for (r, c), v in zip(free_positions, values):
-                rows[r][c] = v
-            out.append(tuple(tuple(r) for r in rows))
-    return tuple(sorted(out))
-
-
-def _extensions(space_dim: int, sub: Mat, k: int, q: int):
-    """Subspaces of dimension k containing ``sub``, canonical rref."""
-    cur = len(sub)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in sub]
-    complement = [c for c in range(space_dim) if c not in pivots]
-    for quo in _subspaces(len(complement), k - cur, q):
-        lifted = []
-        for row in quo:
-            vec = [0] * space_dim
-            for c, x in zip(complement, row):
-                vec[c] = x
-            lifted.append(tuple(vec))
-        yield gfq.rref(list(sub) + lifted, q)
-
-
-def _orthogonal_rows(pivot: int, free: list[int], others: list[Vec], n: int, q: int):
-    """Vectors with a 1 at ``pivot``, any entries at ``free`` and zeros
-    elsewhere that are orthogonal to every vector of ``others``.
-
-    The orthogonality conditions are linear in the free entries, so they
-    are solved once and only the solutions are generated.
-    """
-    dim = 2 * n
-
-    def coefficient(x: Vec, c: int) -> int:
-        """<e_c, x> for <u, v> = sum_{i<n} (u_i v_{2n-1-i} - u_{2n-1-i} v_i)."""
-        return x[dim - 1 - c] if c < n else -x[dim - 1 - c]
-
-    equations = [
-        [coefficient(x, c) % q for c in free] + [-coefficient(x, pivot) % q]
-        for x in others
-    ]
-    system = gfq.rref(equations, q)
-    width = len(free)
-    bound = []
-    for row in system:
-        lead = next(i for i, a in enumerate(row) if a)
-        if lead == width:
-            return
-        bound.append(lead)
-    unbound = [i for i in range(width) if i not in bound]
-    for values in itertools.product(range(q), repeat=len(unbound)):
-        entries = [0] * width
-        for i, v in zip(unbound, values):
-            entries[i] = v
-        for lead, row in zip(bound, system):
-            entries[lead] = (row[width] - sum(row[i] * entries[i] for i in unbound)) % q
-        vec = [0] * dim
-        vec[pivot] = 1
-        for c, v in zip(free, entries):
-            vec[c] = v
-        yield tuple(vec)
-
-
-def _isotropic_extensions(space_dim: int, sub: Mat, k: int, q: int):
-    """Isotropic subspaces of dimension k containing the isotropic ``sub``,
-    canonical rref, for the anti-diagonal form on F_q^space_dim.
-
-    The new rows are the quotient rows of ``_extensions`` lifted to the
-    coordinates off the pivots of ``sub``, but each is drawn only from
-    the solutions of its orthogonality conditions against ``sub`` and
-    the rows chosen before it, so no non-isotropic candidate is built.
-    """
-    n = space_dim // 2
-    taken = {next(i for i, x in enumerate(row) if x) for row in sub}
-    complement = [c for c in range(space_dim) if c not in taken]
-    for pivots in itertools.combinations(complement, k - len(sub)):
-        frees = [[c for c in complement if c > p and c not in pivots] for p in pivots]
-        partial = [[]]
-        for p, free in zip(pivots, frees):
-            partial = [
-                rows + [row]
-                for rows in partial
-                for row in _orthogonal_rows(p, free, list(sub) + rows, n, q)
-            ]
-        for rows in partial:
-            yield gfq.rref(list(sub) + rows, q)
-
-
 def budgeted_flag_count(group: GroupDatum, shape, q: int, budget: int) -> int:
     """flag_count, or BudgetExceededError (carrying it) when it exceeds
     the budget."""
@@ -228,28 +123,21 @@ def budgeted_flag_count(group: GroupDatum, shape, q: int, budget: int) -> int:
 def enumerate_flags(
     group: GroupDatum, shape, q: int, budget: int = DEFAULT_BUDGET
 ) -> list[FlagPoint]:
-    """All F_q-points of G/P in canonical form, sorted.
+    """All F_q-points of G/P in canonical form, sorted: the points of the
+    orbit walk ``orbits._flag_orbit``, each subspace row reduced from
+    its lines.
 
-    Raises BudgetExceededError (carrying the closed-form count) instead
-    of enumerating past the budget, and CrossCheckError if the number
-    enumerated differs from the closed form.
+    Raises BudgetExceededError (carrying the closed-form count) before
+    anything is walked; the walk raises CrossCheckError if it does not
+    reach the closed-form count exactly.
     """
-    count = budgeted_flag_count(group, shape, q, budget)
-    if group.family is GroupFamily.SYMPLECTIC:
-        dims, extend = shape.isotropic_dims(), _isotropic_extensions
-    else:
-        dims, extend = shape.breaks(), _extensions
-    flags: list[FlagPoint] = [()]
-    for d in dims:
-        flags = [
-            flag + (ext,)
-            for flag in flags
-            for ext in extend(group.dim, flag[-1] if flag else (), d, q)
-        ]
-    flags.sort()
-    if len(flags) != count:
-        raise CrossCheckError(f"enumerated {len(flags)} flags, closed form {count}")
-    return flags
+    from . import orbits  # orbits imports this module
+
+    budgeted_flag_count(group, shape, q, budget)
+    orbit = orbits._flag_orbit(group, shape, q)
+    vecs, _ = orbits._lines(group.dim, q)
+    subs = [gfq.rref([vecs[i] for i in sub], q) for sub in orbit.subspaces]
+    return sorted(tuple(subs[s] for s in pt) for pt in orbit.points)
 
 
 class Move(NamedTuple):

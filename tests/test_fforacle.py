@@ -108,10 +108,10 @@ def test_counts_match_closed_forms():
 
 
 def test_enumeration_audit_raises(monkeypatch):
-    import dflag.flags
-
-    real = dflag.flags.flag_count
-    monkeypatch.setattr(dflag.flags, "flag_count", lambda *args: real(*args) + 1)
+    # the walk audits itself against flag_count as orbits reads it
+    real = dflag.orbits.flag_count
+    _flag_orbit.cache_clear()
+    monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: real(*args) + 1)
     with pytest.raises(CrossCheckError):
         enumerate_flags(gl(3), C((1, 2)), 2)
     with pytest.raises(CrossCheckError):
@@ -125,6 +125,17 @@ def test_gaussian_binomial_values():
 
 
 def test_budget_exceeded_carries_count():
+    with pytest.raises(BudgetExceededError) as info:
+        enumerate_flags(gl(4), C((1, 1, 1, 1)), 3, budget=100)
+    assert info.value.size == 2080
+
+
+def test_refusal_comes_before_any_walk(monkeypatch):
+    def never(*args):
+        raise AssertionError("walked a space over budget")
+
+    monkeypatch.setattr(dflag.orbits, "_flag_orbit", never)
+    monkeypatch.setattr(dflag.orbits, "_lines", never)
     with pytest.raises(BudgetExceededError) as info:
         enumerate_flags(gl(4), C((1, 1, 1, 1)), 3, budget=100)
     assert info.value.size == 2080
@@ -323,23 +334,6 @@ def _every_shape(group):
     ]
 
 
-@pytest.mark.parametrize(
-    "group, q",
-    [
-        pytest.param(g, q, id=f"{g}-F{q}")
-        for g, q in [(g, q) for g in (gl(2), gl(3), gl(4), sp(1), sp(2), sp(3)) for q in (2, 3)]
-        + [(sp(2), 5)]
-    ],
-)
-def test_orbit_of_the_base_flag_is_the_flag_variety(group, q):
-    shapes = _every_shape(group) if q < 5 else [SC((1, 1), 0)]
-    if q < 5:
-        symplectic = group.family is GroupFamily.SYMPLECTIC
-        assert len(set(shapes)) == 2 ** (group.n - 1 + symplectic)
-    for shape in shapes:
-        assert sorted(_rref_points(group, shape, q)) == enumerate_flags(group, shape, q), shape
-
-
 @pytest.mark.parametrize("q", [2, 3])
 def test_walked_letter_permutations_match_per_flag_action(q):
     # the walk's record of each letter, and the lines' permutations
@@ -353,7 +347,6 @@ def test_walked_letter_permutations_match_per_flag_action(q):
     for group, shape in cases:
         flags = enumerate_flags(group, shape, q)
         index = {pt: i for i, pt in enumerate(_rref_points(group, shape, q))}
-        assert sorted(index) == flags
         letters = _flag_orbit(group, shape, q).letters
         assert list(letters) == list(_letters(group, q))
         for word in letters.values():

@@ -1,11 +1,12 @@
-"""The constructive enumeration of isotropic flags against a brute-force
+"""The walked flag varieties of GL_n and Sp_2n against a brute-force
 reference.
 
-The reference lists every k-subspace of F_q^{2n} as an echelon matrix,
-keeps those on which the anti-diagonal form vanishes, and chains them
-level by level: a flag ending in V extends by W exactly when V is one of
-the subspaces of W.  It shares no code with ``dflag.flags`` beyond the
-canonical form ``gfq.rref``.
+``dflag.enumerate_flags`` lists the points of the orbit walk of
+``dflag.orbits``.  The reference lists every k-subspace of F_q^dim as an
+echelon matrix, keeps for Sp_2n those on which the anti-diagonal form
+vanishes, and chains them level by level: a flag ending in V extends by
+W exactly when V is one of the subspaces of W.  It shares no code with
+dflag beyond the canonical form ``gfq.rref``.
 """
 
 import itertools
@@ -16,24 +17,9 @@ from operator import mul
 import pytest
 
 from dflag import gfq
-from dflag.compositions import SymplecticComposition as SC
-from dflag.flags import _subspaces, enumerate_flags
-from dflag.groups import sp
-
-
-def _symplectic_shapes(n):
-    shapes = [SC((), 2 * n)]
-    for d in range(1, n + 1):
-        for cuts in itertools.product((False, True), repeat=d - 1):
-            left, run = [], 1
-            for cut in cuts:
-                if cut:
-                    left.append(run)
-                    run = 0
-                run += 1
-            left.append(run)
-            shapes.append(SC(tuple(left), 2 * (n - d)))
-    return shapes
+from dflag.flags import enumerate_flags
+from dflag.groups import GroupFamily, gl, sp
+from test_fforacle import _every_shape
 
 
 @lru_cache(maxsize=None)
@@ -77,40 +63,44 @@ def _faces(w, k, q):
     ]
 
 
-def _reference_flags(n, dims, q):
+def _reference_flags(group, dims, q):
+    symplectic = group.family is GroupFamily.SYMPLECTIC
     flags, prev = [()], 0
     for d in dims:
         ends = defaultdict(list)
         for flag in flags:
             ends[flag[-1] if flag else ()].append(flag)
         new = []
-        for w in _isotropic_subspaces(n, d, q):
+        if symplectic:
+            levels = _isotropic_subspaces(group.n, d, q)
+        else:
+            levels = _all_subspaces(group.dim, d, q)
+        for w in levels:
             for v in _faces(w, prev, q):
                 new.extend(flag + (w,) for flag in ends.get(v, ()))
         flags, prev = new, d
     return sorted(flags)
 
 
-CASES = [(n, q) for q in (2, 3) for n in (1, 2, 3)] + [(n, 5) for n in (1, 2)]
+CASES = [(g, q) for g in (gl(2), gl(3), gl(4), sp(1), sp(2), sp(3)) for q in (2, 3)]
+CASES += [(sp(1), 5), (sp(2), 5)]
 
 
-@pytest.mark.parametrize("n,q", CASES)
-def test_enumeration_matches_brute_force(n, q):
+@pytest.mark.parametrize("group, q", [pytest.param(g, q, id=f"{g}-F{q}") for g, q in CASES])
+def test_enumeration_matches_brute_force(group, q):
+    symplectic = group.family is GroupFamily.SYMPLECTIC
+    shapes = _every_shape(group)
+    assert len(set(shapes)) == 2 ** (group.n - 1 + symplectic)
     subs, steps = set(), set()  # over every shape, each checked once below
-    for shape in _symplectic_shapes(n):
-        flags = enumerate_flags(sp(n), shape, q)
-        assert flags == _reference_flags(n, shape.isotropic_dims(), q), shape
+    for shape in shapes:
+        dims = shape.isotropic_dims() if symplectic else shape.breaks()
+        flags = enumerate_flags(group, shape, q)
+        assert flags == _reference_flags(group, dims, q), shape
         for flag in flags:
             subs.update(flag)
             steps.update(zip(flag, flag[1:]))
     for sub in subs:
         assert gfq.rref(sub, q) == sub
-        assert _isotropic(sub, n, q)
+        assert not symplectic or _isotropic(sub, group.n, q)
     for small, big in steps:
         assert gfq.rref(big + small, q) == big
-
-
-def test_symplectic_enumeration_lists_no_plain_subspaces():
-    _subspaces.cache_clear()
-    enumerate_flags(sp(3), SC((1, 2), 0), 3)
-    assert _subspaces.cache_info().misses == 0
