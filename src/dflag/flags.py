@@ -12,7 +12,7 @@ themselves come from the orbit walk of dflag.orbits, which every orbit
 count uses; enumerate_flags only writes them in rref.
 
 A matrix acts on flags through its move, built once per matrix: a
-monomial part (one nonzero entry per row, a transversal) plus the few
+monomial part (the first nonzero entry of each row) plus the few
 other nonzero entries as (target, source, coefficient) updates.  Group
 generators are monomial up to at most two entries, so moving a vector
 costs O(dim) instead of the O(dim^2) of a dense product.
@@ -142,48 +142,24 @@ def enumerate_flags(
 
 class Move(NamedTuple):
     """A matrix g as sparse updates of a column vector v:
-    (g v)[i] = a * v[j] for (j, a) = monomial[i], plus c * v[source] at
-    target for each (target, source, c) of extras."""
+    (g v)[i] = a * v[j] for (j, a) = monomial[i], one nonzero entry of
+    row i, plus c * v[source] at target for each (target, source, c) of
+    extras."""
 
     monomial: tuple[tuple[int, int], ...]
     extras: tuple[tuple[int, int, int], ...]
 
 
-def _transversal(g: Mat) -> list[int] | None:
-    """A permutation s with every g[i][s[i]] nonzero (the diagonal when
-    it has no zero), by augmenting paths; None if there is none."""
-    dim = len(g)
-    if all(g[i][i] for i in range(dim)):
-        return list(range(dim))
-    row_of = [None] * dim  # row_of[j]: the row matched to column j
-
-    def augment(i: int, seen: set) -> bool:
-        for j in range(dim):
-            if g[i][j] and j not in seen:
-                seen.add(j)
-                if row_of[j] is None or augment(row_of[j], seen):
-                    row_of[j] = i
-                    return True
-        return False
-
-    if not all(augment(i, set()) for i in range(dim)):
-        return None
-    sigma = [0] * dim
-    for j, i in enumerate(row_of):
-        sigma[i] = j
-    return sigma
-
-
 def _sparse_parts(g: Mat) -> Move | None:
-    """g split into a transversal and its other nonzero entries, or None
-    when g has no transversal."""
-    sigma = _transversal(g)
-    if sigma is None:
+    """g split into the first nonzero entry of each row and its other
+    nonzero entries, or None when g has a zero row."""
+    firsts = [next((j for j, x in enumerate(row) if x), None) for row in g]
+    if None in firsts:
         return None
     return Move(
-        tuple((j, g[i][j]) for i, j in enumerate(sigma)),
+        tuple((j, g[i][j]) for i, j in enumerate(firsts)),
         tuple(
-            (i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x and j != sigma[i]
+            (i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x and j != firsts[i]
         ),
     )
 

@@ -1,10 +1,13 @@
 """Littlewood-Richardson combinatorics for GL branching.
 
-The coefficient c^lam_{mu,nu} is computed by enumerating semistandard
-fillings of the skew shape lam/mu whose reverse reading word is a
-lattice word; the content of such a filling is nu.  Cells are visited
-in reverse reading order (rows top to bottom, each row right to left),
-which lets the lattice condition prune the search as it goes.
+One enumerator, _lattice_fillings, lists the semistandard fillings of
+a skew shape whose reverse reading word is a lattice word; c^lam_{mu,nu}
+counts the fillings of lam/mu with content nu.  Cells are visited in
+reverse reading order (rows top to bottom, each row right to left),
+which lets the lattice condition prune the search as it goes.  Tensor
+products go through the disconnected skew shape lam * mu (lam to the
+right of mu's first row, mu below it) and the identity
+s_{lam * mu} = s_lam s_mu.
 
 Everything is exact integer arithmetic on plain tuples; the coefficient
 is memoized.
@@ -12,6 +15,7 @@ is memoized.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -237,71 +241,38 @@ def restrict_to_levi(lam: Partition, p: int, q: int) -> LRDecomposition:
     return LRDecomposition.from_dict(out)
 
 
-def _tensor_multiplicities(lam: Parts, mu: Parts, n: int, stop_at: int | None):
-    """Multiplicities of V_lam (x) V_mu over GL_n.
+def _product_shape(lam: Parts, mu: Parts) -> tuple[Parts, Parts]:
+    """(outer, inner) of the skew shape lam * mu: lam to the right of
+    mu's first row, mu below it, the two sharing no column.  Its LR
+    fillings with entries <= n have as contents the nu of V_lam (x) V_mu
+    over GL_n, each c^nu_{lam mu} times, since s_{lam * mu} = s_lam s_mu."""
+    width = mu[0] if mu else 0
+    outer = tuple(width + p for p in lam) + mu
+    return outer, (width,) * len(lam)
 
-    Grows lam by one letter of mu at a time; each letter contributes a
-    horizontal strip, subject to the shape staying a partition with at
-    most n rows and to the row-wise lattice condition (the count of
-    letter v within the first r rows never exceeds the count of v-1
-    within the first r-1).
 
-    Returns (counts, witness): counts maps shapes to multiplicities; if
-    ``stop_at`` is given the walk aborts once some shape reaches that
-    multiplicity and the shape is returned as witness.
-    """
-    counts: dict[Parts, int] = {}
-    base = lam + (0,) * (n - len(lam))
-
-    def strips(shape, letter, letter_rows):
-        need = mu[letter - 1]
-
-        def rec(r: int, left: int, placed: tuple[int, ...]):
-            if left == 0:
-                yield placed + (0,) * (n - len(placed))
-                return
-            if r >= n:
-                return
-            max_here = left
-            if r > 0:
-                max_here = min(max_here, shape[r - 1] - shape[r])
-            if letter > 1:
-                room = sum(letter_rows[letter - 2][:r]) - sum(placed)
-                max_here = min(max_here, room)
-            for a in range(max(0, max_here), -1, -1):
-                yield from rec(r + 1, left - a, placed + (a,))
-
-        yield from rec(0, need, ())
-
-    def walk(letter: int, shape: tuple[int, ...], letter_rows):
-        if letter > len(mu):
-            counts[shape] = counts.get(shape, 0) + 1
-            if stop_at is not None and counts[shape] >= stop_at:
-                return shape
-            return None
-        for placed in strips(shape, letter, letter_rows):
-            new_shape = tuple(s + a for s, a in zip(shape, placed))
-            if all(new_shape[r] >= new_shape[r + 1] for r in range(n - 1)):
-                hit = walk(letter + 1, new_shape, letter_rows + (placed,))
-                if hit is not None:
-                    return hit
-        return None
-
-    witness = walk(1, base, ())
-    return counts, witness
+def _first_repeat(contents):
+    """The first content met twice, or None."""
+    seen = set()
+    for content in contents:
+        if content in seen:
+            return content
+        seen.add(content)
+    return None
 
 
 def tensor_decompose(lam: Partition, mu: Partition, n: int) -> LRDecomposition:
     """V_lam (x) V_mu for GL_n: all nu with at most n rows and
-    c^nu_{lam mu} > 0.
+    c^nu_{lam mu} > 0, counted as the contents of the LR fillings of
+    lam * mu (a probe's witness is the first nu met twice among them).
 
     >>> tensor_decompose(Partition((1,)), Partition((1,)), 2).as_dict()
     {Partition(parts=(1, 1)): 1, Partition(parts=(2,)): 1}
     """
     if lam.rows > n or mu.rows > n:
         raise ValueError("weights need more rows than the rank allows")
-    counts, _ = _tensor_multiplicities(lam.parts, mu.parts, n, None)
-    return LRDecomposition.from_dict({Partition(k): v for k, v in counts.items()})
+    fillings = _lattice_fillings(*_product_shape(lam.parts, mu.parts), n)
+    return LRDecomposition.from_dict(Counter(map(Partition, fillings)))
 
 
 def weyl_dim_gl(lam: Partition, n: int) -> int:
@@ -342,11 +313,9 @@ def highest_weight_of_parabolic(P: ParabolicSpec) -> Partition:
 def _restriction_is_mf(lam: Partition, p: int, q: int):
     """Multiplicity-freeness with early exit; returns (ok, witness pair)."""
     for mu_parts in _subpartitions(lam.parts, p):
-        seen: dict[Parts, int] = {}
-        for content in _lattice_fillings(lam.parts, mu_parts, q):
-            seen[content] = seen.get(content, 0) + 1
-            if seen[content] >= 2:
-                return False, (Partition(mu_parts), Partition(content))
+        repeat = _first_repeat(_lattice_fillings(lam.parts, mu_parts, q))
+        if repeat is not None:
+            return False, (Partition(mu_parts), Partition(repeat))
     return True, None
 
 
@@ -405,8 +374,14 @@ def spherical_probe_tensor(
     """Check that V_{k lam} (x) V_{l lam^theta} is multiplicity free for
     all k <= k_max, l <= l_max, where lam^theta comes from theta(P).
 
-    Sweeps in increasing k + l so small failures surface first.
+    Sweeps in increasing k + l so small failures surface first; the
+    witness is the first nu met twice among the LR fillings of
+    (k lam) * (l lam^theta).
     """
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
     lam = highest_weight_of_parabolic(P)
     lam_theta = highest_weight_of_parabolic(theta_on_parabolic(pair, P))
     n = P.group.n
@@ -415,9 +390,8 @@ def spherical_probe_tensor(
             l = total - k
             if l > l_max:
                 continue
-            _, witness = _tensor_multiplicities(
-                lam.scale(k).parts, lam_theta.scale(l).parts, n, 2
-            )
+            shape = _product_shape(lam.scale(k).parts, lam_theta.scale(l).parts)
+            witness = _first_repeat(_lattice_fillings(*shape, n))
             if witness is not None:
                 return TensorProbeResult(False, k_max, l_max, (k, l), Partition(witness))
     return TensorProbeResult(True, k_max, l_max)

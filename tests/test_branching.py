@@ -7,6 +7,7 @@ under test.
 
 import pytest
 
+from dflag.classify import _compositions
 from dflag.compositions import Composition as C
 from dflag.groups import Orientation, ParabolicSpec, borel, gl, sp
 from dflag.lr import (
@@ -19,7 +20,7 @@ from dflag.lr import (
     tensor_decompose,
     weyl_dim_gl,
 )
-from dflag.pairs import SymmetricPairSpec
+from dflag.pairs import SymmetricPairSpec, theta_on_parabolic
 
 P = Partition
 
@@ -144,18 +145,20 @@ def test_lr_symmetry_exhaustive():
 
 
 def test_tensor_matches_schur_oracle():
+    parts = _partitions_up_to(4)
     cases = [
-        ((2, 1), (2, 1), 3),
-        ((2, 2), (2, 1), 3),
-        ((3,), (2, 1), 3),
-        ((2, 1), (2, 1), 4),
-        ((1, 1), (2, 2), 4),
-        ((2,), (2,), 2),
+        (lam, mu, n)
+        for n in range(1, 5)
+        for lam in parts
+        for mu in parts
+        if len(lam) <= n and len(mu) <= n
     ]
+    assert len(cases) == 371
     for lam, mu, n in cases:
-        mine = {k.parts: v for k, v in tensor_decompose(P(lam), P(mu), n)}
-        oracle = _oracle_tensor(lam, mu, n)
-        assert mine == oracle, (lam, mu, n)
+        mine = tensor_decompose(P(lam), P(mu), n)
+        assert {k.parts: v for k, v in mine} == _oracle_tensor(lam, mu, n), (lam, mu, n)
+        # lam * mu and mu * lam are different skew shapes
+        assert mine == tensor_decompose(P(mu), P(lam), n), (lam, mu, n)
 
 
 def test_restriction_matches_schur_oracle():
@@ -316,6 +319,41 @@ def test_probe_tensor_borel_ai_fails(
     assert not t.multiplicity_free
     assert t.first_failure == (1, 1)
     assert t.witness == P((3, 2, 1))
+
+
+def test_probe_tensor_stops_at_the_first_repeat():
+    # the probe's early exit against full decompositions in its (k, l) order
+    sweep = sorted(((k, l) for k in range(3) for l in range(3)), key=sum)
+    probes = 0
+    for n in range(2, 6):
+        for pair in map(SymmetricPairSpec.parse, (f"AIII:1,{n - 1}", f"AI:{n}")):
+            for shape in _compositions(n):
+                Pn = ParabolicSpec(gl(n), C(shape))
+                lam = highest_weight_of_parabolic(Pn)
+                lam_theta = highest_weight_of_parabolic(theta_on_parabolic(pair, Pn))
+                failure = dec = None
+                for k, l in sweep:
+                    dec = tensor_decompose(lam.scale(k), lam_theta.scale(l), n)
+                    if not dec.is_multiplicity_free:
+                        failure = (k, l)
+                        break
+                probe = spherical_probe_tensor(Pn, pair, 2, 2)
+                probes += 1
+                assert probe.multiplicity_free == (failure is None), (pair, shape)
+                assert probe.first_failure == failure, (pair, shape)
+                if failure is not None:
+                    assert dec.multiplicity(probe.witness) >= 2, (pair, shape)
+    assert probes == 60
+
+
+def test_probe_tensor_refuses_a_bound_below_one():
+    Pn, pair = borel(gl(3)), SymmetricPairSpec.parse("AI:3")
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            spherical_probe_tensor(Pn, pair, k_max, 2)
+    for l_max in (0, -1):
+        with pytest.raises(ValueError, match="l_max must be >= 1"):
+            spherical_probe_tensor(Pn, pair, 2, l_max)
 
 
 def test_probe_tensor_mirabolic():

@@ -145,6 +145,21 @@ def test_parse_error_exit_1(capsys):
     assert code == 1
 
 
+def test_tensor_bound_below_one_exits_1(capsys):
+    for bound in ("0", "-1"):
+        code, out, err = run(
+            capsys, "spherical-probe", "--pair", "AI:3", "--p", "1,1,1",
+            "--kmax", bound, "--lmax", bound,
+        )
+        assert (code, out) == (1, "")
+        assert "k_max must be >= 1" in err
+    code, _, err = run(
+        capsys, "spherical-probe", "--pair", "AI:3", "--p", "1,1,1", "--kmax", "2", "--lmax", "0"
+    )
+    assert code == 1
+    assert "l_max must be >= 1" in err
+
+
 def test_budget_exceeded_exit_2(capsys):
     code, _, err = run(
         capsys, "probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1",

@@ -118,6 +118,7 @@ def test_a_move_that_drops_an_entry_is_refused(monkeypatch):
     [
         ((1, 1), (1, 1)),  # singular, with a transversal
         ((1, 0), (1, 0)),  # singular, without one
+        ((0, 0), (1, 1)),  # a zero row
     ],
 )
 def test_a_singular_matrix_is_refused(g):
