@@ -9,25 +9,20 @@ Closed-form point counts are Gaussian binomial products; they are used
 to enforce the enumeration budget up front (which thereby bounds the
 work as well as the output) and to audit the enumerations.  The points
 themselves come from the orbit walk of dflag.orbits, which every orbit
-count uses; enumerate_flags only writes them in rref.
-
-A matrix acts on flags through its move, built once per matrix: a
-monomial part (the first nonzero entry of each row) plus the few
-other nonzero entries as (target, source, coefficient) updates.  Group
-generators are monomial up to at most two entries, so moving a vector
-costs O(dim) instead of the O(dim^2) of a dense product.
+count uses; enumerate_flags only writes them in rref.  apply_to_flag
+is the dense action of a matrix on a flag.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from operator import mul
 
 from . import gfq
 from .compositions import Composition, SymplecticComposition
 from .errors import BudgetExceededError, CrossCheckError
 from .groups import GroupDatum, GroupFamily
-from .gfq import Mat, Vec
+from .gfq import Mat
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -36,9 +31,6 @@ __all__ = [
     "budgeted_flag_count",
     "enumerate_flags",
     "symplectic_gram",
-    "Move",
-    "matrix_move",
-    "move_vector",
     "apply_to_flag",
 ]
 
@@ -47,7 +39,7 @@ DEFAULT_BUDGET = 10**7
 FlagPoint = tuple[Mat, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     if k < 0 or k > n:
         return 0
@@ -95,7 +87,7 @@ def flag_count(group: GroupDatum, shape, q: int) -> int:
     return _sp_flag_count(group.n, shape.isotropic_dims(), q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def symplectic_gram(n: int, q: int) -> Mat:
     """Gram matrix of the anti-diagonal form on F_q^{2n}."""
     dim = 2 * n
@@ -140,53 +132,9 @@ def enumerate_flags(
     return sorted(tuple(subs[s] for s in pt) for pt in orbit.points)
 
 
-class Move(NamedTuple):
-    """A matrix g as sparse updates of a column vector v:
-    (g v)[i] = a * v[j] for (j, a) = monomial[i], one nonzero entry of
-    row i, plus c * v[source] at target for each (target, source, c) of
-    extras."""
-
-    monomial: tuple[tuple[int, int], ...]
-    extras: tuple[tuple[int, int, int], ...]
-
-
-def _sparse_parts(g: Mat) -> Move | None:
-    """g split into the first nonzero entry of each row and its other
-    nonzero entries, or None when g has a zero row."""
-    firsts = [next((j for j, x in enumerate(row) if x), None) for row in g]
-    if None in firsts:
-        return None
-    return Move(
-        tuple((j, g[i][j]) for i, j in enumerate(firsts)),
-        tuple(
-            (i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x and j != firsts[i]
-        ),
+def apply_to_flag(g: Mat, flag: FlagPoint, q: int) -> FlagPoint:
+    """Image of a flag under g (acting on column vectors), one dense
+    product per echelon row."""
+    return tuple(
+        gfq.rref([tuple(sum(map(mul, row, v)) for row in g) for v in sub], q) for sub in flag
     )
-
-
-def move_vector(move: Move, v: Vec) -> list[int]:
-    """The image of v, entries not yet reduced mod q."""
-    w = [a * v[j] for j, a in move.monomial]
-    for i, j, c in move.extras:
-        w[i] += c * v[j]
-    return w
-
-
-def matrix_move(g: Mat, q: int) -> Move:
-    """The move of an invertible matrix over F_q, audited: its image of
-    each basis vector e_j must be column j of g.  A singular g, or a move
-    that does not reproduce g, raises CrossCheckError."""
-    dim = len(g)
-    move = _sparse_parts(g)
-    if move is None or len(gfq.rref(g, q)) != dim:
-        raise CrossCheckError(f"a {dim}x{dim} matrix to act by is singular over F_{q}")
-    for j, e in enumerate(gfq.identity(dim)):
-        if [x % q for x in move_vector(move, e)] != [row[j] % q for row in g]:
-            raise CrossCheckError(f"the move of a {dim}x{dim} matrix misses column {j}")
-    return move
-
-
-def apply_to_flag(move: Move, flag: FlagPoint, q: int) -> FlagPoint:
-    """Image of a flag under the linear map of ``move`` (acting on column
-    vectors)."""
-    return tuple(gfq.rref([move_vector(move, row) for row in sub], q) for sub in flag)

@@ -3,10 +3,10 @@
 Field elements are plain ints in range(q); vectors and matrices are
 tuples (of tuples) so they can be dict keys.  rref is the reduced row
 echelon form with zero rows dropped, unique per row space: it names the
-subspaces that flags.enumerate_flags lists and flags.apply_to_flag
-moves, and mat_inv reads inverses off it.  The orbit counts
-(dflag.orbits) never reduce a subspace; they name one by the ids of
-its lines.
+subspaces that flags.enumerate_flags lists and the images that the
+dense reference flags.apply_to_flag returns, and mat_inv reads
+inverses off it.  The orbit counts (dflag.orbits) never reduce a
+subspace; they name one by the ids of its lines.
 """
 
 from __future__ import annotations

@@ -13,10 +13,12 @@ Each group has a fixed set of letters that generates it (_letters has
 the proofs): u, c and the torus letter d for GL_n; u and c on the
 Siegel Levi and the long root elements x+- for Sp_2n, whose torus is
 spelled from its root subgroups.  Only a letter is turned into a
-permutation of the N = (q^dim - 1)/(q - 1) lines of F_q^dim: each
-normalized vector (first nonzero entry 1) goes through its move, and
-the image is rescaled to lead with 1.  X_P is walked as the orbit of
-its base flag, span(e_1, ..., e_d) for each break (or isotropic
+permutation of the N = (q^dim - 1)/(q - 1) lines of F_q^dim, the one
+place where an orbit count applies a matrix to a vector: by
+linearity, the line of (0, ..., 0, 1, r), with its 1 at l, goes to the
+line of col_l + g (0, ..., 0, r), and the images of all tails r of one
+length are built from those one shorter.  X_P is walked as the orbit
+of its base flag, span(e_1, ..., e_d) for each break (or isotropic
 dimension) d, under the letters, and this walk is the only place where
 a matrix moves a subspace.  A subspace is the sorted tuple of its line
 ids (a frozenset would take about four times the memory).  With two or
@@ -71,8 +73,6 @@ from .flags import (
     DEFAULT_BUDGET,
     budgeted_flag_count,
     flag_count,
-    matrix_move,
-    move_vector,
     symplectic_gram,
 )
 from .groups import (
@@ -109,22 +109,30 @@ def _lines(dim: int, q: int):
 
 @lru_cache(maxsize=64)
 def _line_perm(mat: Mat, q: int) -> tuple[int, ...]:
-    """The permutation of the line ids of F_q^dim induced by mat: each
-    normalized vector is moved once and its image rescaled."""
+    """The permutation of the line ids of F_q^dim induced by mat, built
+    by linearity: the line with lead l and tail r goes to the line of
+    col_l + mat (0, ..., 0, r).  ``tails`` holds mat applied to every
+    tail of one length, in the order of _lines; the table one longer is
+    q parts, the a-th of them tails + a col_l.  A singular mat sends
+    some line to 0, which has no line id."""
     dim = len(mat)
-    vecs, index = _lines(dim, q)
-    move = matrix_move(mat, q)
-    inverse = [0] + [pow(a, -1, q) for a in range(1, q)]  # a zero image finds no line
+    _, index = _lines(dim, q)
+    inverse = [0] + [pow(a, -1, q) for a in range(1, q)]
+    tails = [(0,) * dim]
     perm = []
-    try:
-        for v in vecs:
-            w = [x % q for x in move_vector(move, v)]
-            lead = next(filter(None, w), 0)
-            if lead != 1:
-                w = [x * inverse[lead] % q for x in w]
-            perm.append(index[tuple(w)])
-    except KeyError:
-        raise CrossCheckError(f"the image of a line of F_{q}^{dim} is not a line") from None
+    for lead, col in reversed(list(enumerate(zip(*mat)))):
+        table = [tails]
+        for _ in range(1, q if lead else 2):  # lead 0 needs no longer table
+            table.append([tuple([(x + y) % q for x, y in zip(col, t)]) for t in table[-1]])
+        block = []
+        for w in table[1]:  # the images of the lines with this lead
+            a = next(filter(None, w), 0)
+            i = index.get(w if a == 1 else tuple([x * inverse[a] % q for x in w]))
+            if i is None:
+                raise CrossCheckError(f"a {dim}x{dim} matrix to act by is singular over F_{q}")
+            block.append(i)
+        perm[:0] = block
+        tails = [t for part in table for t in part]
     return tuple(perm)
 
 

@@ -15,7 +15,6 @@ from dflag.flags import (
     enumerate_flags,
     flag_count,
     gaussian_binomial,
-    matrix_move,
     symplectic_gram,
 )
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp, whole_group
@@ -122,6 +121,12 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(4, 1, 3) == 40
     assert gaussian_binomial(3, 3, 5) == 1
+
+
+def test_flag_count_caches_are_bounded():
+    for cached in (gaussian_binomial, symplectic_gram):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize > 0
 
 
 def test_budget_exceeded_carries_count():
@@ -350,10 +355,9 @@ def test_walked_letter_permutations_match_per_flag_action(q):
         letters = _flag_orbit(group, shape, q).letters
         assert list(letters) == list(_letters(group, q))
         for word in letters.values():
-            move = matrix_move(word.mat, q)
             plain = [None] * len(flags)
             for pt in flags:
-                plain[index[pt]] = index[apply_to_flag(move, pt, q)]
+                plain[index[pt]] = index[apply_to_flag(word.mat, pt, q)]
             assert list(word.perm) == plain
 
 
@@ -480,18 +484,23 @@ def test_a_matrix_that_leaves_X_P_is_a_cross_check_error(monkeypatch):
             _flag_orbit(sp(2), lagrangian, 3)
     finally:
         _flag_orbit.cache_clear()
-    real = dflag.orbits.matrix_move
+    # E_12(1) with e_1 sent to 0 is singular: as a letter it sends a line
+    # of F_3^4 to 0, and its line permutation is refused
+    # (only Sp_4 gets it: Sp_4's letters embed GL_2's, which must invert)
+    degenerate = tuple((0,) + row[1:] for row in e12)
 
-    def degenerate(m, q):  # the move of m, with e_1 sent to 0
-        move = real(m, q)
-        return move._replace(monomial=((0, 0),) + move.monomial[1:])
+    def letters(group, q):
+        extra = {"e12": degenerate} if group == sp(2) else {}
+        return {**real_letters(group, q), **extra}
 
-    monkeypatch.setattr(dflag.orbits, "matrix_move", degenerate)
+    monkeypatch.setattr(dflag.orbits, "_letters", letters)
+    _flag_orbit.cache_clear()
     _line_perm.cache_clear()
     try:
-        with pytest.raises(CrossCheckError, match="image of a line of F_3\\^4"):
-            _line_perm(e12, 3)
+        with pytest.raises(CrossCheckError, match="4x4 matrix to act by is singular over F_3"):
+            _flag_orbit(sp(2), lagrangian, 3)
     finally:
+        _flag_orbit.cache_clear()
         _line_perm.cache_clear()
 
 

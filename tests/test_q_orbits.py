@@ -9,6 +9,7 @@ agree on every (P, Q) at every field.
 
 import itertools
 import sys
+from functools import lru_cache
 
 import pytest
 
@@ -18,7 +19,7 @@ import dflag.orbits
 from dflag import gfq
 from dflag.compositions import Composition, SymplecticComposition
 from dflag.errors import CrossCheckError
-from dflag.flags import flag_count, matrix_move
+from dflag.flags import flag_count
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl
 from dflag.orbits import (
     _count_K_orbits_full,
@@ -26,7 +27,6 @@ from dflag.orbits import (
     _k_blocks,
     _letters,
     _line_perm,
-    _lines,
     _product_orbits,
     _Space,
     count_K_orbits,
@@ -153,32 +153,30 @@ def _clear_caches():
 
 
 def test_only_G_letters_move_lines(monkeypatch):
-    # each of G's 3 letters moves each line of F_3^4 once, and nothing
-    # else moves a line: Q's generators are words in the letters
+    # each of G's 3 letters is turned once into a permutation of the
+    # lines of F_3^4, and nothing else is: Q's generators are words in
+    # the letters
     pair = SymmetricPairSpec.parse("AIII:2,2")
     P = borel(pair.group)
     Q = KParabolicSpec.parse(pair, "1,1;1,1")
     q = 3
     _clear_caches()
-    moved = []  # (move, vector) per vector moved
-    real = dflag.orbits.move_vector
+    built = []  # each matrix given an uncached line permutation
+    real = _line_perm.__wrapped__
 
-    def counted(move, v):
-        moved.append((move, v))
-        return real(move, v)
+    def counted(mat, q):
+        built.append(mat)
+        return real(mat, q)
 
-    monkeypatch.setattr(dflag.orbits, "move_vector", counted)
+    monkeypatch.setattr(dflag.orbits, "_line_perm", lru_cache(maxsize=64)(counted))
     _refuse_everywhere(monkeypatch, "apply_to_flag")
     try:
         count_K_orbits(pair, P, Q, q)
     finally:
         _clear_caches()
-    vecs, _ = _lines(4, q)
-    moves = {move for move, _ in moved}
-    assert (len(moved), len(moves), len(vecs)) == (120, 3, 40)
-    assert moves == {matrix_move(m, q) for m in _letters(pair.group, q).values()}
-    assert sorted(moved) == sorted((move, v) for move in moves for v in vecs)
-    assert {len(v) for _, v in moved} == {4}  # vectors of F_3^4, none of Z_Q's F_3^2
+    assert len(built) == 3
+    assert sorted(built) == sorted(_letters(pair.group, q).values())
+    assert {len(m) for m in built} == {4}  # matrices on F_3^4, none on Z_Q's F_3^2
 
 
 def test_row_reduction_only_audits_matrices(monkeypatch):
@@ -202,7 +200,7 @@ def test_row_reduction_only_audits_matrices(monkeypatch):
             count_K_orbits(pair, ParabolicSpec(pair.group, Composition(shape)), Q, 3)
         finally:
             _clear_caches()
-        assert set(callers) == {"matrix_move", "mat_inv"}
+        assert set(callers) == {"mat_inv"}
         calls.append(len(callers))
     assert calls[0] == calls[1]
 
