@@ -152,7 +152,7 @@ def whole_group(group: GroupDatum) -> ParabolicSpec:
     return ParabolicSpec(group, SymplecticComposition((), 2 * group.n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def all_roots(group: GroupDatum) -> RootSet:
     n = group.n
     if group.family is GroupFamily.GENERAL_LINEAR:
@@ -181,7 +181,7 @@ def is_positive_root(group: GroupDatum, root: Root) -> bool:
     raise ValueError("zero vector is not a root")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def positive_roots(group: GroupDatum) -> RootSet:
     return frozenset(r for r in all_roots(group) if is_positive_root(group, r))
 

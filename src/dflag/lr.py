@@ -144,7 +144,7 @@ def _lattice_fillings(outer: Parts, inner: Parts, max_entry: int, content_bound=
     yield from fill(0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _lr_cached(outer: Parts, inner1: Parts, inner2: Parts) -> int:
     target = inner2
     return sum(

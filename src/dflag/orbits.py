@@ -17,22 +17,22 @@ permutation of the N = (q^dim - 1)/(q - 1) lines of F_q^dim, the one
 place where an orbit count applies a matrix to a vector: by
 linearity, the line of (0, ..., 0, 1, r), with its 1 at l, goes to the
 line of col_l + g (0, ..., 0, r), and the images of all tails r of one
-length are built from those one shorter.  X_P is walked as the orbit
-of its base flag, span(e_1, ..., e_d) for each break (or isotropic
-dimension) d, under the letters, and this walk is the only place where
-a matrix moves a subspace.  A subspace is the sorted tuple of its line
-ids (a frozenset would take about four times the memory).  With two or
-more subspaces per flag, a subspace is interned as an id, a point is
-the tuple of its subspaces' ids, and each subspace is moved once per
-letter through a per-letter memo.  A Grassmannian (one break, or one
-isotropic dimension, other than the lines) is walked as its own
-subspaces: point k is (k,), and each subspace is moved once per letter
-straight into the point index.  Either walk records each letter's
-permutation of the points, raises CrossCheckError as soon as it
-passes the closed-form count of X_P, and again if it falls short of
-it.  When X_P is the lines themselves there is no walk.  N <= |X_P|
-unless X_P is a single point, so the budget already checked on |X_P|
-bounds the line table too; a single point is never given one.
+length are built from those one shorter.  X_P is walked level by
+level, a level being a break (or isotropic dimension) d of its flags:
+the orbit of span(e_1, ..., e_d) under the letters (_walk_subspaces),
+the only place where a matrix moves a subspace.  A subspace is the
+sorted tuple of its line ids (a frozenset would take about four times
+the memory), moved once per letter.  The lines (d = 1) are not walked,
+as the letters' line permutations move them.  X_P maps onto each
+level, so a level past |X_P| stops the walk.  A one-level X_P is its
+level, point k being (k,).  Otherwise each level gets a range of
+subspace ids, each letter one permutation of them, and a point is the
+tuple of its subspaces' ids, walked (_walk) by integer lookups alone.
+Either way each letter's permutation of the points is recorded, and
+CrossCheckError is raised as soon as the walk passes the closed-form
+count of X_P, and again if it falls short of it.  N <= |X_P| unless
+X_P is a single point, so the budget already checked on |X_P| bounds
+the line table too; a single point is never given one.
 
 Every acting generator is a word in G's letters (_Speller): its
 permutation of the points is composed from the letters', and its
@@ -64,6 +64,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import gfq
@@ -204,37 +205,44 @@ class _Orbit(NamedTuple):
 @lru_cache(maxsize=8)
 def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
     """X_P, walked from its base flag under _letters(group, q), with
-    each letter's permutation of its points.  Only the walked factors
-    are built (X_P, or the last factors of a triple), so a few entries
+    each letter's permutation of its points: each level once, then the
+    flags if there are two or more levels.  Only the walked factors are
+    built (X_P, or the last factors of a triple), so a few entries
     suffice."""
     name = f"{group}/{shape} over F_{q}"
     count = flag_count(group, shape, q)
-    if group.family is GroupFamily.SYMPLECTIC:
-        dims = shape.isotropic_dims()
-    else:
-        dims = shape.breaks()
-    if not dims:  # X_G is one point; its lines are not bounded by the budget
-        return _Orbit(name, (), ((),), {})
+    dims = shape.isotropic_dims() if group.family is GroupFamily.SYMPLECTIC else shape.breaks()
     letters = _letters(group, q)
-    perms = [_line_perm(m, q) for m in letters.values()]
+    if not dims:  # X_G is one point; its lines are not bounded by the budget
+        return _Orbit(name, (), ((),), {k: _Word(m, (0,)) for k, m in letters.items()})
+    line_perms = [_line_perm(m, q) for m in letters.values()]
     vecs, _ = _lines(group.dim, q)
-    if dims == (1,):  # X_P is the lines themselves
-        if count != len(vecs):
-            raise CrossCheckError(f"{name} has {count} points, not its {len(vecs)} lines")
-        subspaces = points = tuple((i,) for i in range(len(vecs)))
+    levels = [_walk_subspaces(name, count, d, vecs, line_perms) for d in dims]
+    if len(levels) == 1:  # X_P is its level
+        (subspaces, perms), = levels
+        points = subspaces if dims == (1,) else tuple(zip(range(len(subspaces))))  # line k is (k,)
     else:
-        base = [tuple(i for i, v in enumerate(vecs) if not any(v[d:])) for d in dims]
-        walk = _walk_grassmannian if len(base) == 1 else _walk
-        subspaces, points, perms = walk(name, count, base, perms)
+        subspaces, points, perms = _walk(name, count, levels)
+    if len(points) != count:
+        raise CrossCheckError(
+            f"the orbit of the base flag of {name} has {len(points)} of its {count} points"
+        )
     return _Orbit(name, subspaces, points, dict(zip(letters, map(_Word, letters.values(), perms))))
 
 
-def _walk_grassmannian(name: str, count: int, base: list, line_perms: list):
-    """_walk for a flag of one subspace: the points are the subspaces,
-    point k = (k,), and each subspace is moved once per permutation
-    straight into the point index."""
-    subspaces = [base[0]]
-    index = {base[0]: 0}
+def _walk_subspaces(name: str, count: int, d: int, vecs, line_perms: list):
+    """(subspaces, permutations) of the level d of a flag: the orbit of
+    span(e_1, ..., e_d) under the line permutations, each subspace a
+    sorted tuple of line ids, subspace k the k-th found, each moved once
+    per permutation.  The lines (d = 1) are not walked: the line
+    permutations already move them.  X_P maps onto every level, so a
+    level past ``count`` stops the walk."""
+    if d == 1:
+        if len(vecs) > count:
+            raise _passed(name, count)
+        return tuple(zip(range(len(vecs)))), line_perms
+    base = tuple(i for i, v in enumerate(vecs) if not any(v[d:]))
+    subspaces, index = [base], {base: 0}
     perms = [[] for _ in line_perms]
     moves = [(perm.__getitem__, out) for perm, out in zip(line_perms, perms)]
     for sub in subspaces:
@@ -243,57 +251,45 @@ def _walk_grassmannian(name: str, count: int, base: list, line_perms: list):
             k = index.get(lines)
             if k is None:
                 if len(subspaces) == count:
-                    raise CrossCheckError(
-                        f"the orbit of the base flag of {name} passes its {count} points"
-                    )
+                    raise _passed(name, count)
                 k = index[lines] = len(subspaces)
                 subspaces.append(lines)
             perm.append(k)
-    if len(subspaces) != count:
-        raise CrossCheckError(
-            f"the orbit of the base flag of {name} has {len(subspaces)} of its {count} points"
-        )
-    return tuple(subspaces), tuple((k,) for k in range(count)), perms
+    return tuple(subspaces), perms
 
 
-def _walk(name: str, count: int, base: list, line_perms: list):
-    """(subspaces, points, point permutations) of the orbit of the flag
-    ``base``, a list of two or more subspaces as sorted tuples of line
-    ids, under the line permutations; each subspace is moved once per
-    permutation, through a per-permutation memo of subspace ids."""
-    subspaces = list(base)
-    subspace_ids = {lines: sid for sid, lines in enumerate(subspaces)}
-    moves = [(perm.__getitem__, {}, []) for perm in line_perms]
-    start = tuple(range(len(base)))
+def _walk(name: str, count: int, levels: list):
+    """(subspaces, points, point permutations) of the orbit of the base
+    flag, from the walked ``levels``: each level's subspace ids get a
+    range of their own, its permutations are concatenated into one per
+    letter, and a point is the tuple of its subspaces' ids, one per
+    level, moved by integer lookups alone."""
+    subspaces, start, moves = [], [], [[] for _ in levels[0][1]]
+    for subs, perms in levels:
+        offset = len(subspaces)
+        start.append(offset)
+        subspaces += subs
+        for move, perm in zip(moves, perms):
+            move += [offset + k for k in perm]
+    start = tuple(start)
     points, index = [start], {start: 0}
+    steps = [(move, []) for move in moves]
     for pt in points:
-        for image, memo, perm in moves:
-            moved = []
-            for sid in pt:
-                tid = memo.get(sid)
-                if tid is None:
-                    lines = tuple(sorted(map(image, subspaces[sid])))
-                    tid = subspace_ids.get(lines)
-                    if tid is None:  # a new subspace makes a new point
-                        tid = subspace_ids[lines] = len(subspaces)
-                        subspaces.append(lines)
-                    memo[sid] = tid
-                moved.append(tid)
-            moved = tuple(moved)
+        image = itemgetter(*pt)  # a tuple, as a point has two or more levels
+        for move, perm in steps:
+            moved = image(move)
             k = index.get(moved)
             if k is None:
                 if len(points) == count:
-                    raise CrossCheckError(
-                        f"the orbit of the base flag of {name} passes its {count} points"
-                    )
+                    raise _passed(name, count)
                 k = index[moved] = len(points)
                 points.append(moved)
             perm.append(k)
-    if len(points) != count:
-        raise CrossCheckError(
-            f"the orbit of the base flag of {name} has {len(points)} of its {count} points"
-        )
-    return tuple(subspaces), tuple(points), [perm for _, _, perm in moves]
+    return tuple(subspaces), tuple(points), [perm for _, perm in steps]
+
+
+def _passed(name: str, count: int) -> CrossCheckError:
+    return CrossCheckError(f"the orbit of the base flag of {name} passes its {count} points")
 
 
 def _memo(method):
@@ -446,6 +442,20 @@ class _Space:
 
     points: Sequence
     perms: list
+
+
+def _count_orbits(walked: list, q: int, targets: list[Mat]) -> int:
+    """Orbits, on the product of the flag varieties ``walked`` ((group,
+    shape) each), of the subgroup of G(F_q) generated by the matrices
+    ``targets``: each factor is walked, each target acts on it as the
+    word in G's letters that gives its matrix, and the product is
+    searched (X_G is one point, which every word fixes)."""
+    spaces = []
+    for group, shape in walked:
+        orbit = _flag_orbit(group, shape, q)
+        spaces.append(_Space(orbit.points, _word_perms(group, q, orbit, targets)))
+    _, orbits = _product_orbits(spaces)
+    return orbits
 
 
 def _check_budget(factors, q: int, budget: int) -> int:
@@ -683,12 +693,7 @@ def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
     """(|X_P x Z_Q|, orbits), walking X_P alone under Q's generators."""
     factors = _orbit_factors(pair, P, Q, q)
     total = _check_budget(factors, q, budget)
-    orbit = _flag_orbit(*factors[0], q)
-    if not orbit.subspaces:  # X_G is one point
-        return total, 1
-    perms = _word_perms(pair.group, q, orbit, _k_targets(pair, Q, q))
-    _, orbits = _product_orbits([_Space(orbit.points, perms)])
-    return total, orbits
+    return total, _count_orbits(factors[:1], q, _k_targets(pair, Q, q))
 
 
 def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:
@@ -790,14 +795,8 @@ def count_triple_orbits(
     _check_budget([(group, P.shape) for P in specs[1:]], q, budget)
     sizes = [flag_count(group, P.shape, q) for P in specs]
     acting = specs.pop(sizes.index(max(sizes)))
-    walked = [_flag_orbit(group, P.shape, q) for P in specs]
-    walked = [orbit for orbit in walked if orbit.subspaces]  # X_G factors are single points
-    if not walked:
-        return 1
     targets = _parabolic_targets(group, acting.shape, q)
-    spaces = [_Space(orbit.points, _word_perms(group, q, orbit, targets)) for orbit in walked]
-    _, orbits = _product_orbits(spaces)
-    return orbits
+    return _count_orbits([(group, P.shape) for P in specs], q, targets)
 
 
 @dataclass(frozen=True)
@@ -828,12 +827,12 @@ def growth_probe(
     Every field is checked against the budget before any is counted.
     Entries keep the order of ``q_list``; the trend is judged in order
     of field size."""
-    for q in q_list:
-        _check_budget(_orbit_factors(pair, P, Q, q), q, budget)
-    entries = []
-    for q in q_list:
-        points, orbits = _count_K_orbits_full(pair, P, Q, q, budget)
-        entries.append((q, points, orbits))
+    fields = [(q, _orbit_factors(pair, P, Q, q)) for q in q_list]
+    totals = [_check_budget(factors, q, budget) for q, factors in fields]
+    entries = [
+        (q, total, _count_orbits(factors[:1], q, _k_targets(pair, Q, q)))
+        for (q, factors), total in zip(fields, totals)
+    ]
     by_size = sorted(entries)
     counts = [orb for _, _, orb in by_size]
     if all(c == counts[0] for c in counts):

@@ -154,7 +154,7 @@ class KFactor:
 _SHAPE_TYPES = {"gl": Composition, "so": Composition, "sp": SymplecticComposition}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _k_factor_table(kind: PairKind, n: int, p: int, q: int) -> tuple[KFactor, ...]:
     """K's simple factors, the one on theta's +1 eigenspace first."""
     if kind is PairKind.AIII:

@@ -94,7 +94,7 @@ def _root_image(w: OneLine, root, family: GroupFamily):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _length(group: GroupDatum, w: OneLine) -> int:
     return sum(
         1
@@ -103,7 +103,7 @@ def _length(group: GroupDatum, w: OneLine) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def enumerate_weyl(group: GroupDatum) -> tuple[OneLine, ...]:
     """All elements in a fixed deterministic order."""
     n = group.n

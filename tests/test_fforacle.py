@@ -583,3 +583,40 @@ def test_no_assert_in_the_oracle():
         tree = ast.parse(path.read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"assert in {path.name} at lines {lines}"
+
+
+def _unbounded_caches(tree: ast.AST) -> list[int]:
+    """Lines of functools.cache, and of lru_cache with maxsize None."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and "lru_cache" in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_cache_is_bounded():
+    import dflag
+
+    modules = sorted(Path(dflag.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        lines = _unbounded_caches(ast.parse(path.read_text()))
+        assert lines == [], f"unbounded cache in {path.name} at lines {lines}"
+    # the check itself sees each spelling of an unbounded cache
+    for source in (
+        "from functools import cache",
+        "import functools\n@functools.cache\ndef f(): pass",
+        "@lru_cache(maxsize=None)\ndef f(): pass",
+        "@functools.lru_cache(None)\ndef f(): pass",
+    ):
+        assert _unbounded_caches(ast.parse(source)), source
+    assert _unbounded_caches(ast.parse("@lru_cache(maxsize=8)\ndef f(): pass")) == []

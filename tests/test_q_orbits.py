@@ -236,6 +236,46 @@ def test_a_walk_past_its_count_stops(monkeypatch):
         assert 0 < len(_Counted.lookups) <= (low + 1) * n_letters * 4
 
 
+def test_a_level_past_the_count_stops_the_flag_walk(monkeypatch):
+    # X = the flags plane < hyperplane of F_3^4 (520 points) has the
+    # levels 2 and 3; X maps onto each, so the walk of the 130 planes
+    # stops as soon as it passes the count, 4 lines per plane and letter
+    group, shape, q = gl(4), Composition((2, 1, 1)), 3
+    assert flag_count(group, shape, q) == 520
+    real = _line_perm
+    monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: _Counted(real(m, q)))
+    n_letters = len(_letters(group, q))
+    for low in (10, 1):
+        monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: low)
+        _flag_orbit.cache_clear()
+        _Counted.lookups.clear()
+        try:
+            with pytest.raises(CrossCheckError, match=f"passes its {low} points"):
+                _flag_orbit(group, shape, q)
+        finally:
+            _flag_orbit.cache_clear()
+        assert 0 < len(_Counted.lookups) <= (low + 1) * n_letters * 4
+
+
+def test_each_level_of_a_full_flag_is_walked_once(monkeypatch):
+    # the full flags of F_3^4: each of the 130 planes (4 lines) and the
+    # 40 hyperplanes (13 lines) is moved once per letter, and the lines
+    # level is the letters' line permutations, with no line looked up
+    group, shape, q = gl(4), Composition((1, 1, 1, 1)), 3
+    real = _line_perm
+    monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: _Counted(real(m, q)))
+    _flag_orbit.cache_clear()
+    _Counted.lookups.clear()
+    try:
+        orbit = _flag_orbit(group, shape, q)
+    finally:
+        _flag_orbit.cache_clear()
+    assert len(orbit.points) == 2080
+    assert len(orbit.subspaces) == 40 + 130 + 40
+    assert len(_letters(group, q)) == 3
+    assert len(_Counted.lookups) == (130 * 4 + 40 * 13) * 3 == 3120
+
+
 def test_the_lines_are_not_walked(monkeypatch):
     # X = P^3(F_3) is the lines of F_3^4: each letter's line permutation
     # is its point permutation, and no line is looked up
@@ -252,7 +292,7 @@ def test_the_lines_are_not_walked(monkeypatch):
         assert _Counted.lookups == []
         monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: 39)
         _flag_orbit.cache_clear()
-        with pytest.raises(CrossCheckError, match="has 39 points, not its 40 lines"):
+        with pytest.raises(CrossCheckError, match="GL4/1,3 over F_3 passes its 39 points"):
             _flag_orbit(group, shape, q)
     finally:
         _flag_orbit.cache_clear()
