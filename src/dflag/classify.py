@@ -2,11 +2,17 @@
 
 ``mwz_classify_A`` and ``mwz_classify_C`` decide finiteness of a triple
 product of partial flag varieties for GL_n and Sp_2n by matching the
-Magyar-Weymann-Zelevinsky tables.  The double-flag classifiers reduce
-the symmetric-pair problem to those tables in two ways:
+Magyar-Weymann-Zelevinsky tables.  Each table is a row generator: for
+the shapes (a, b, c) in one slot assignment it yields the (family,
+label) of every row they match, and one matcher (_mwz_match) tries the
+six assignments of the triple and keeps the first of each label.  The
+double-flag classifiers reduce the symmetric-pair problem to those
+tables in two ways:
 
 * via a theta-stable parabolic P' with K meet P' conjugate to Q, using
-  the triple (P, theta(P), P');
+  the triple (P, theta(P), P'); for AIII, CI and CII one bounded
+  recursion (_splits) enumerates how the blocks of P' split between
+  K's first and last factor, and for AI and AII P' is palindromic;
 * via a pair (P2, P3) whose intersection realizes Q inside K, using the
   triple (P1, P2, P3); when P1 is a Borel and P2 P3 is open in G this
   criterion is exact in both directions.
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .compositions import Composition, SymplecticComposition
 from .errors import BudgetExceededError, CrossCheckError
@@ -36,6 +42,7 @@ from .pairs import (
     SymmetricPairSpec,
     check_membership,
     k_parabolic_of_split,
+    theta_on_parabolic,
 )
 
 __all__ = [
@@ -87,53 +94,69 @@ class TripleFlagVerdict:
         return tuple(sorted({r.family for r in self.matched_rows}))
 
 
-def mwz_classify_A(
-    lam: Composition, mu: Composition, nu: Composition
-) -> TripleFlagVerdict:
-    """Finiteness of the GL_n triple product for compositions lam, mu, nu.
+def _mwz_match(triple, n: int, key, table) -> TripleFlagVerdict:
+    """Match a triple of proper shapes of one size against ``table``,
+    a generator of the (family, label) rows that (a, b, c, n) matches.
 
-    All slot assignments are tried; part order inside a composition
-    never matters in type A.
-    """
-    triple = (lam, mu, nu)
-    sizes = {c.size for c in triple}
-    if len(sizes) != 1:
-        raise ValueError(f"sizes differ: {[c.size for c in triple]}")
-    n = sizes.pop()
+    Every slot assignment is tried, and each label keeps the first
+    assignment that matches it; ``key`` gives the normalized shape."""
+    sizes = [c.size for c in triple]
+    if len(set(sizes)) != 1:
+        raise ValueError(f"sizes differ: {sizes}")
     for c in triple:
         if not c.is_proper:
             raise ValueError(f"improper parabolic (P = G) rejected: {c}")
     rows: dict[str, MatchedRow] = {}
     for perm in itertools.permutations(range(3)):
-        a, b, c = (triple[i] for i in perm)
-        la, lb, lc = a.length, b.length, c.length
-        if la != 2:
-            continue
-        if a.sorted_key() == (n - 1, 1):
-            q, r = sorted((lb, lc))
-            _add(rows, "S_{q,r}", f"S_{{{q},{r}}}", perm)
-        if lb == 2:
-            _add(rows, "D_{r+2}", f"D_{lc + 2}", perm)
-        if lb == 3:
-            if lc == 3:
-                _add(rows, "E_6", "E_6", perm)
-            if lc == 4:
-                _add(rows, "E_7", "E_7", perm)
-            if lc == 5:
-                _add(rows, "E_8", "E_8", perm)
-            if a.sorted_key() == (n - 2, 2) and n >= 4:
-                _add(rows, "E^{(a)}_{r+3}", f"E^{{(a)}}_{lc + 3}", perm)
-            if 1 in b.parts:
-                _add(rows, "E^{(b)}_{r+3}", f"E^{{(b)}}_{lc + 3}", perm)
-    matched = tuple(sorted(rows.values(), key=lambda r: r.label))
-    normalized = tuple(
-        sorted((c.sorted_key() for c in triple), key=lambda p: (len(p), p))
-    )
+        for family, label in table(*(triple[i] for i in perm), n):
+            rows.setdefault(label, MatchedRow(family, label, perm))
+    matched = tuple(sorted(rows.values(), key=attrgetter("label")))
+    normalized = tuple(sorted(map(key, triple), key=lambda p: (len(p), p)))
     return TripleFlagVerdict(bool(matched), matched, normalized)
 
 
-def _add(rows: dict, family: str, label: str, perm) -> None:
-    rows.setdefault(label, MatchedRow(family, label, perm))
+def _gl_rows(a, b, c, n: int):
+    """The GL_n table; part order inside a composition never matters."""
+    la, lb, lc = a.length, b.length, c.length
+    if la != 2:
+        return
+    if a.sorted_key() == (n - 1, 1):
+        q, r = sorted((lb, lc))
+        yield "S_{q,r}", f"S_{{{q},{r}}}"
+    if lb == 2:
+        yield "D_{r+2}", f"D_{lc + 2}"
+    if lb == 3:
+        if 3 <= lc <= 5:
+            yield f"E_{lc + 3}", f"E_{lc + 3}"
+        if a.sorted_key() == (n - 2, 2) and n >= 4:
+            yield "E^{(a)}_{r+3}", f"E^{{(a)}}_{lc + 3}"
+        if 1 in b.parts:
+            yield "E^{(b)}_{r+3}", f"E^{{(b)}}_{lc + 3}"
+
+
+def _sp_rows(a, b, c, n: int):
+    """The Sp_2n table.  Its extra conditions bind specific slots (a
+    Siegel slot, a (1, 2n-2, 1) slot), and palindromes admit no inner
+    reordering."""
+    fa, fb, fc = a.full_parts, b.full_parts, c.full_parts
+    la, lb, lc = len(fa), len(fb), len(fc)
+    pencil = (1, 2 * n - 2, 1)  # for n = 1 no shape has a zero part
+    if la == 2 and lb == 2:
+        yield "SpD_{r+2}", f"SpD_{lc + 2}"
+    if la == 2 and lb == 3:
+        if 3 <= lc <= 5:
+            yield f"SpE_{lc + 3}", f"SpE_{lc + 3}"
+        if fb == pencil and lc >= 3:
+            yield "SpE^{(b)}_{r+3}", f"SpE^{{(b)}}_{lc + 3}"
+    if la == 3 and lb == 3 and fa == pencil and fb == pencil and lc >= 3:
+        yield "SpY_{4,r}", f"SpY_{{4,{lc}}}"
+
+
+def mwz_classify_A(
+    lam: Composition, mu: Composition, nu: Composition
+) -> TripleFlagVerdict:
+    """Finiteness of the GL_n triple product for compositions lam, mu, nu."""
+    return _mwz_match((lam, mu, nu), lam.size, Composition.sorted_key, _gl_rows)
 
 
 def mwz_classify_C(
@@ -141,44 +164,8 @@ def mwz_classify_C(
     mu: SymplecticComposition,
     nu: SymplecticComposition,
 ) -> TripleFlagVerdict:
-    """Finiteness of the Sp_2n triple product.
-
-    The extra conditions bind specific slots (a Siegel slot, a
-    (1, 2n-2, 1) slot), so all slot assignments are tried; palindromes
-    admit no inner reordering.
-    """
-    triple = (lam, mu, nu)
-    sizes = {c.size for c in triple}
-    if len(sizes) != 1:
-        raise ValueError(f"sizes differ: {[c.size for c in triple]}")
-    n = sizes.pop() // 2
-    for c in triple:
-        if not c.is_proper:
-            raise ValueError(f"improper parabolic (P = G) rejected: {c}")
-    pencil = (1, 2 * n - 2, 1) if n >= 2 else None
-    rows: dict[str, MatchedRow] = {}
-    for perm in itertools.permutations(range(3)):
-        a, b, c = (triple[i] for i in perm)
-        fa, fb, fc = a.full_parts, b.full_parts, c.full_parts
-        la, lb, lc = len(fa), len(fb), len(fc)
-        if la == 2 and lb == 2:
-            _add(rows, "SpD_{r+2}", f"SpD_{lc + 2}", perm)
-        if la == 2 and lb == 3:
-            if lc == 3:
-                _add(rows, "SpE_6", "SpE_6", perm)
-            if lc == 4:
-                _add(rows, "SpE_7", "SpE_7", perm)
-            if lc == 5:
-                _add(rows, "SpE_8", "SpE_8", perm)
-            if fb == pencil and lc >= 3:
-                _add(rows, "SpE^{(b)}_{r+3}", f"SpE^{{(b)}}_{lc + 3}", perm)
-        if la == 3 and lb == 3 and fa == pencil and fb == pencil and lc >= 3:
-            _add(rows, "SpY_{4,r}", f"SpY_{{4,{lc}}}", perm)
-    matched = tuple(sorted(rows.values(), key=lambda r: r.label))
-    normalized = tuple(
-        sorted((c.full_parts for c in triple), key=lambda p: (len(p), p))
-    )
-    return TripleFlagVerdict(bool(matched), matched, normalized)
+    """Finiteness of the Sp_2n triple product."""
+    return _mwz_match((lam, mu, nu), lam.n, attrgetter("full_parts"), _sp_rows)
 
 
 class Status(Enum):
@@ -238,21 +225,17 @@ def _symplectic_shapes(n: int):
     return shapes
 
 
-def _splittings(parts: tuple[int, ...], total_b: int):
-    """All ways to write each part as b_i + c_i with sum(b) = total_b."""
-
-    def rec(i: int, remaining: int, acc: tuple[int, ...]):
-        if i == len(parts):
-            if remaining == 0:
-                yield acc
-            return
-        tail = sum(parts[i:])
-        lo = max(0, remaining - (tail - parts[i]))
-        hi = min(parts[i], remaining)
-        for b in range(lo, hi + 1):
-            yield from rec(i + 1, remaining - b, acc + (b,))
-
-    yield from rec(0, total_b, ())
+def _splits(blocks: tuple[int, ...], cap_plus: int, cap_minus: int):
+    """Every (plus, minus) with plus[i] + minus[i] = blocks[i], sum(plus)
+    at most cap_plus and sum(minus) at most cap_minus.  The caps never
+    sum to less than the blocks, so every branch is kept."""
+    if not blocks:
+        yield (), ()
+        return
+    head, rest = blocks[0], blocks[1:]
+    for b in range(max(0, head - cap_minus), min(head, cap_plus) + 1):
+        for plus, minus in _splits(rest, cap_plus - b, cap_minus - head + b):
+            yield (b, *plus), (head - b, *minus)
 
 
 def _fmt_split(b, c) -> str:
@@ -260,29 +243,26 @@ def _fmt_split(b, c) -> str:
 
 
 def _theta_stable_splits(pair: SymmetricPairSpec):
-    """(descriptor, mwz shape, plus, minus) for each theta-stable P': in
-    type A a shape with each block split between theta's eigenspaces
-    (AIII) or a palindromic shape met whole (AI, AII); in type C a shape
-    with each isotropic step split."""
+    """(descriptor, mwz shape, plus, minus) for each theta-stable P': for
+    AIII, CI and CII a shape with each block (isotropic step in type C)
+    split between theta's eigenspaces, for AI and AII a palindromic
+    shape met whole."""
     n = pair.group.n
     if pair.group.family is GroupFamily.SYMPLECTIC:
-        # a step's part in either eigenspace is isotropic there, so at
-        # most the rank of K's factor on it (CI's GL_n acts on both)
-        cap_plus, cap_minus = pair.k_factors[0].rank, pair.k_factors[-1].rank
-        for shape in _symplectic_shapes(n):
-            for b in itertools.product(*(range(x + 1) for x in shape.left)):
-                c = tuple(x - y for x, y in zip(shape.left, b))
-                if sum(b) <= cap_plus and sum(c) <= cap_minus:
-                    yield shape.full_parts, shape, b, c
+        shapes = [(s.full_parts, s, s.left) for s in _symplectic_shapes(n)]
+    else:
+        shapes = [(s, s, s) for s in _compositions(n) if len(s) >= 2]
+    if not pair.is_inner:
+        for descriptor, shape, blocks in shapes:
+            if blocks == blocks[::-1]:
+                yield descriptor, shape, blocks, (0,) * len(blocks)
         return
-    for shape in _compositions(n):
-        if len(shape) < 2:
-            continue
-        if pair.is_inner:
-            for b in _splittings(shape, pair.p):
-                yield shape, shape, b, tuple(x - y for x, y in zip(shape, b))
-        elif shape == tuple(reversed(shape)):
-            yield shape, shape, shape, (0,) * len(shape)
+    # a block's part in either eigenspace is at most the rank of K's
+    # factor there (CI's GL_n acts on both); in AIII the caps sum to n
+    caps = pair.k_factors[0].rank, pair.k_factors[-1].rank
+    for descriptor, shape, blocks in shapes:
+        for plus, minus in _splits(blocks, *caps):
+            yield descriptor, shape, plus, minus
 
 
 def _triple_candidates(pair: SymmetricPairSpec):
@@ -337,22 +317,17 @@ def finiteness_via_triple(
         # flag variety X_P, which always has finitely many K-orbits.
         return _trivial_finite("P' = G, so the double flag variety is X_P")
     target = Q.conjugacy_key()
-    type_a = pair.group.family is GroupFamily.GENERAL_LINEAR
-    if type_a:
-        p_shape = P.standard_form().shape
-        theta_shape = (
-            p_shape if pair.is_inner else p_shape.reversed_()
-        )
+    theta = theta_on_parabolic(pair, P).shape
+    family = pair.group.family
+    table = mwz_classify_A if family is GroupFamily.GENERAL_LINEAR else mwz_classify_C
     for descriptor, split, qkey, shape in _triple_candidates(pair):
         if qkey != target:
             continue
-        if type_a:
-            verdict = mwz_classify_A(p_shape, theta_shape, Composition(shape))
-        else:
-            verdict = mwz_classify_C(P.shape, P.shape, shape)
+        # a type A candidate carries its shape as a bare tuple
+        verdict = table(P.shape, theta, Composition(shape) if isinstance(shape, tuple) else shape)
         if verdict.finite:
             row = verdict.matched_rows[0]
-            details = [("p_prime", ",".join(str(x) for x in descriptor))]
+            details = [("p_prime", ",".join(map(str, descriptor)))]
             if split:
                 details.append(("splitting", split))
             return DoubleFlagVerdict(
@@ -361,15 +336,10 @@ def finiteness_via_triple(
                     "triple",
                     tuple(details),
                     table_row=row.label,
-                    citation=_triple_citation(pair, row.family),
+                    citation=f"{family.value} triple-flag table, row {row.family}",
                 ),
             )
     return DoubleFlagVerdict(Status.UNKNOWN, None)
-
-
-def _triple_citation(pair: SymmetricPairSpec, family: str) -> str:
-    table = "GL" if pair.group.family is GroupFamily.GENERAL_LINEAR else "Sp"
-    return f"{table} triple-flag table, row {family}"
 
 
 def finiteness_via_intersection(
@@ -379,58 +349,37 @@ def finiteness_via_intersection(
 
     The implemented families are the ones with a computable
     intersection: for AIII, P2 standard of shape (Q1, Q2) and P3 the
-    opposite (p, q) parabolic (their product is open in GL_n); for CI
-    and Q = K, the Siegel parabolic and its opposite.  When P1 is a
-    Borel and the product is open the verdict is exact in both
-    directions; otherwise a non-finite triple yields Unknown.
+    opposite (p, q) parabolic; for CI and Q = K, the Siegel parabolic
+    and its opposite.  In both P2 contains the Borel and P3 the opposite
+    one, so their product is open in G.  When P1 is a Borel the verdict
+    is exact in both directions; otherwise a non-finite triple yields
+    Unknown.
     """
     check_membership(pair, P1, Q)
-    kind = pair.kind
     if not P1.is_proper:
         return _trivial_finite("P = G, so the double flag variety is Z_Q")
-    if kind is PairKind.AIII:
+    if pair.kind is PairKind.AIII:
         lam, mu = Q.factors
-        p2 = ParabolicSpec(pair.group, Composition(lam.parts + mu.parts))
-        p3 = ParabolicSpec(
-            pair.group, Composition((pair.p, pair.q)), Orientation.OPPOSITE
-        )
-        if not is_product_open(p2, p3):
-            raise CrossCheckError(
-                f"the product of {p2.shape} and opposite {p3.shape} is not open"
-            )
-        verdict = mwz_classify_A(
-            P1.standard_form().shape, Composition(p2.shape.parts), Composition((pair.p, pair.q))
-        )
-        return _intersection_outcome(P1, p2, p3, verdict, True)
-    if kind is PairKind.CI and Q.is_whole_K:
-        n = pair.group.n
-        siegel = SymplecticComposition((n,), 0)
-        p2 = ParabolicSpec(pair.group, siegel)
-        p3 = ParabolicSpec(pair.group, siegel, Orientation.OPPOSITE)
-        verdict = mwz_classify_C(P1.shape, siegel, siegel)
-        return _intersection_outcome(P1, p2, p3, verdict, is_product_open(p2, p3))
-    return DoubleFlagVerdict(Status.UNKNOWN, None)
-
-
-def _intersection_outcome(
-    P1: ParabolicSpec,
-    p2: ParabolicSpec,
-    p3: ParabolicSpec,
-    verdict: TripleFlagVerdict,
-    open_pair: bool,
-) -> DoubleFlagVerdict:
-    details = (
-        ("p2", str(p2.shape)),
-        ("p3", f"opposite {p3.shape}"),
-        ("product_open", "true" if open_pair else "false"),
-    )
+        shape2, shape3 = Composition(lam.parts + mu.parts), Composition((pair.p, pair.q))
+        table = mwz_classify_A
+    elif pair.kind is PairKind.CI and Q.is_whole_K:
+        shape2 = shape3 = SymplecticComposition((pair.group.n,), 0)
+        table = mwz_classify_C
+    else:
+        return DoubleFlagVerdict(Status.UNKNOWN, None)
+    p2 = ParabolicSpec(pair.group, shape2)
+    p3 = ParabolicSpec(pair.group, shape3, Orientation.OPPOSITE)
+    if not is_product_open(p2, p3):
+        raise CrossCheckError(f"the product of {shape2} and opposite {shape3} is not open")
+    verdict = table(P1.shape, shape2, shape3)
+    details = (("p2", str(shape2)), ("p3", f"opposite {shape3}"), ("product_open", "true"))
     if verdict.finite:
         row = verdict.matched_rows[0]
         return DoubleFlagVerdict(
             Status.FINITE_PROVEN,
             Witness("intersection", details, row.label, "triple-flag reduction"),
         )
-    if P1.is_borel and open_pair:
+    if P1.is_borel:
         return DoubleFlagVerdict(
             Status.INFINITE_PROVEN,
             Witness(
@@ -496,22 +445,20 @@ def summary_lookup(
     check_membership(pair, P, Q)
     kind = pair.kind
     n = pair.group.n
+    shape = P.standard_form().shape
     rows: list[SummaryRow] = []
     if kind is PairKind.AI and n >= 3:
-        shape = P.standard_form().shape
         if shape.is_maximal:
             rows.append(SummaryRow(kind, 1, "P maximal, Q arbitrary"))
         if shape.length == 3 and _is_siegel_so(Q.factors[0], n):
             rows.append(SummaryRow(kind, 2, "P of length 3, Q Siegel (n even)"))
     elif kind is PairKind.AII and n >= 4:
-        shape = P.standard_form().shape
         (qf,) = Q.factors
         if shape.is_maximal:
             rows.append(SummaryRow(kind, 1, "P maximal, Q arbitrary"))
         if shape.length == 3 and qf.is_siegel:
             rows.append(SummaryRow(kind, 2, "P of length 3, Q Siegel"))
     elif kind is PairKind.AIII:
-        shape = P.standard_form().shape
         q1, q2 = Q.factors
         if q1.is_mirabolic and not q2.is_proper:
             rows.append(SummaryRow(kind, 1, "P arbitrary, Q = (mirabolic, GL_q)"))
@@ -528,17 +475,17 @@ def summary_lookup(
         if pair.p == 2 and not q1.is_proper and q2.is_maximal:
             rows.append(SummaryRow(kind, 7, "p = 2, Q = (GL_2, maximal)"))
     elif kind is PairKind.CI and n >= 2:
-        if P.shape.is_siegel:
+        if shape.is_siegel:
             rows.append(SummaryRow(kind, 1, "P Siegel, Q arbitrary"))
-        if P.shape.full_parts == (1, 2 * n - 2, 1):
+        if shape.full_parts == (1, 2 * n - 2, 1):
             rows.append(SummaryRow(kind, 2, "P the isotropic-line stabilizer, Q arbitrary"))
     elif kind is PairKind.CII:
         q1, q2 = Q.factors
-        if P.shape.is_siegel:
+        if shape.is_siegel:
             rows.append(SummaryRow(kind, 1, "P Siegel, Q arbitrary"))
         if (
-            len(P.shape.left) == 1
-            and P.shape.middle > 0
+            len(shape.left) == 1
+            and shape.middle > 0
             and q1.is_siegel
             and q2.is_siegel
         ):

@@ -675,7 +675,7 @@ def count_K_orbits(
     flag, so these are counted as the Q(F_q)-orbits on X_P, under the
     generators of Q described in the module docstring.  The budget is
     still checked against the whole product."""
-    _, orbits = _count_K_orbits_full(pair, P, Q, q, budget)
+    ((_, _, orbits),) = growth_probe(pair, P, Q, (q,), budget).entries
     return orbits
 
 
@@ -687,13 +687,6 @@ def _orbit_factors(pair, P, Q, q) -> list:
     P = P.standard_form()
     z_factors = [(group, shape) for (group, _), shape in zip(_k_blocks(pair), Q.factors)]
     return [(P.group, P.shape)] + z_factors
-
-
-def _count_K_orbits_full(pair, P, Q, q, budget) -> tuple[int, int]:
-    """(|X_P x Z_Q|, orbits), walking X_P alone under Q's generators."""
-    factors = _orbit_factors(pair, P, Q, q)
-    total = _check_budget(factors, q, budget)
-    return total, _count_orbits(factors[:1], q, _k_targets(pair, Q, q))
 
 
 def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:
@@ -826,7 +819,10 @@ def growth_probe(
 
     Every field is checked against the budget before any is counted.
     Entries keep the order of ``q_list``; the trend is judged in order
-    of field size."""
+    of field size.  An empty ``q_list`` raises ValueError: no count
+    supports a hint."""
+    if not q_list:
+        raise ValueError("growth_probe needs at least one field size")
     fields = [(q, _orbit_factors(pair, P, Q, q)) for q in q_list]
     totals = [_check_budget(factors, q, budget) for q, factors in fields]
     entries = [

@@ -47,10 +47,13 @@ def test_ci_rank3_line_stabilizer_any_Q():
 
 
 def test_ci_rank3_siegel_any_Q():
+    # the counts the benchmark's ci-3-siegel cases store for q = 3
     pair = SymmetricPairSpec.parse("CI:3")
     P = ParabolicSpec(sp(3), SC((3,), 0))
-    Q = KParabolicSpec.parse(pair, "2,1")
-    _assert_finite_and_bounded(pair, P, Q, (3, 5), expect_row=1)
+    for q_text, orbits in (("3", 16), ("2,1", 40), ("1,2", 40), ("1,1,1", 76)):
+        Q = KParabolicSpec.parse(pair, q_text)
+        _, report = _assert_finite_and_bounded(pair, P, Q, (3, 5), expect_row=1)
+        assert [orb for _, _, orb in report.entries] == [orbits, orbits], q_text
 
 
 def test_aii_maximal_P_any_Q():

@@ -418,6 +418,19 @@ def test_growth_probe_examples():
     assert [orb for _, _, orb in report.entries] == [3, 3]
 
 
+def test_growth_probe_needs_a_field(monkeypatch):
+    # with no field counted, "Bounded" would be a hint with no data; the
+    # input is refused before any budget check or walk
+    def fail(*args):
+        raise AssertionError("counted or charged with no field")
+
+    monkeypatch.setattr(dflag.orbits, "_check_budget", fail)
+    monkeypatch.setattr(dflag.orbits, "_count_orbits", fail)
+    pair = SymmetricPairSpec.parse("AIII:1,1")
+    with pytest.raises(ValueError, match="at least one field"):
+        growth_probe(pair, borel(gl(2)), whole_K(pair), (), budget=0)
+
+
 def test_cii_counts_are_field_stable():
     cii = SymmetricPairSpec.parse("CII:1,1")
     Q = KParabolicSpec.parse(cii, "1,1;1,1")

@@ -22,7 +22,6 @@ from dflag.errors import CrossCheckError
 from dflag.flags import flag_count
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl
 from dflag.orbits import (
-    _count_K_orbits_full,
     _flag_orbit,
     _k_blocks,
     _letters,
@@ -30,6 +29,7 @@ from dflag.orbits import (
     _product_orbits,
     _Space,
     count_K_orbits,
+    growth_probe,
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
 from point_action import PointAction
@@ -97,7 +97,8 @@ def test_q_orbits_on_X_P_match_the_full_product(token, q):
     assert len(inputs) >= 2
     for pair, P, Q in inputs:
         expected = _full_product_walk(pair, P, Q, q)
-        assert _count_K_orbits_full(pair, P, Q, q, 10**7) == expected, (str(P), str(Q))
+        got = growth_probe(pair, P, Q, (q,), 10**7).entries
+        assert got == ((q, *expected),), (str(P), str(Q))
 
 
 def _with_inverse_cycle(real):
