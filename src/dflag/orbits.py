@@ -14,25 +14,29 @@ the proofs): u, c and the torus letter d for GL_n; u and c on the
 Siegel Levi and the long root elements x+- for Sp_2n, whose torus is
 spelled from its root subgroups.  Only a letter is turned into a
 permutation of the N = (q^dim - 1)/(q - 1) lines of F_q^dim, the one
-place where an orbit count applies a matrix to a vector: by
-linearity, the line of (0, ..., 0, 1, r), with its 1 at l, goes to the
-line of col_l + g (0, ..., 0, r), and the images of all tails r of one
-length are built from those one shorter.  X_P is walked level by
-level, a level being a break (or isotropic dimension) d of its flags:
-the orbit of span(e_1, ..., e_d) under the letters (_walk_subspaces),
-the only place where a matrix moves a subspace.  A subspace is the
-sorted tuple of its line ids (a frozenset would take about four times
-the memory), moved once per letter.  The lines (d = 1) are not walked,
-as the letters' line permutations move them.  X_P maps onto each
-level, so a level past |X_P| stops the walk.  A one-level X_P is its
-level, point k being (k,).  Otherwise each level gets a range of
-subspace ids, each letter one permutation of them, and a point is the
-tuple of its subspaces' ids, walked (_walk) by integer lookups alone.
-Either way each letter's permutation of the points is recorded, and
-CrossCheckError is raised as soon as the walk passes the closed-form
-count of X_P, and again if it falls short of it.  N <= |X_P| unless
-X_P is a single point, so the budget already checked on |X_P| bounds
-the line table too; a single point is never given one.
+place where an orbit count applies a matrix to a vector.  The images
+of all N line vectors are built one row at a time: row i is the
+coordinate row of the line vectors that row i of the letter names when
+it is a single 1, and a mod-q combination of coordinate rows
+otherwise; each image's base-q code then looks its line id up in a
+table of q^dim entries.  X_P is walked level by level, a level being a
+break (or isotropic dimension) d of its flags: the orbit of
+span(e_1, ..., e_d) under the letters (_walk_subspaces), the only
+place where a matrix moves a subspace.  A subspace is the sorted tuple
+of its line ids (a frozenset would take about four times the memory),
+moved once per letter by one lookup of its lines in that letter's line
+permutation.  The lines (d = 1) are not walked, as the letters' line
+permutations move them.  X_P maps onto each level, so a level past
+|X_P| stops the walk.  A one-level X_P is its level, point k being
+(k,).  Otherwise each level gets a range of subspace ids, each letter
+one permutation of them, and a point is the tuple of its subspaces'
+ids, walked (_walk) by integer lookups alone.  Either way each
+letter's permutation of the points is recorded, and CrossCheckError is
+raised as soon as the walk passes the closed-form count of X_P, and
+again if it falls short of it.  N <= |X_P| unless X_P is a single
+point, so the budget already checked on |X_P| bounds the lines too,
+and their code table of q^dim = (q - 1) N + 1 entries; a single point
+is never given either.
 
 Every acting generator is a word in G's letters (_Speller): its
 permutation of the points is composed from the letters', and its
@@ -61,6 +65,7 @@ is audited against the total point count on every call.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -98,43 +103,54 @@ __all__ = [
 
 @lru_cache(maxsize=4)
 def _lines(dim: int, q: int):
-    """The normalized vectors of F_q^dim, one per line, and the index of
-    each: the line ids."""
+    """The normalized vectors of F_q^dim, one per line, their index
+    being the line ids, and the code table: entry c is the line id of
+    the vector whose base-q digits are c (first coordinate most
+    significant), -1 for the zero vector."""
     vecs = [
         (0,) * lead + (1,) + rest
         for lead in range(dim)
         for rest in itertools.product(range(q), repeat=dim - lead - 1)
     ]
-    return tuple(vecs), {v: i for i, v in enumerate(vecs)}
+    code = array("i", [-1])  # the zero vector
+    scaled = {b: [0] for b in range(1, q)}  # scaled[b][t]: b times the tail t, digit by digit
+    for k in range(dim):  # codes a q^k + t, t < q^k: (a, t) is on the line of (1, t / a)
+        start = (q**dim - q ** (k + 1)) // (q - 1)  # the id of the line of (1, 0, ..., 0), k zeros
+        for a in range(1, q):
+            code.extend([start + t for t in scaled[pow(a, -1, q)]])
+        if k + 1 < dim:  # one digit more, in front
+            heads = {b: [b * x % q * q**k for x in range(q)] for b in scaled}
+            scaled = {b: [h + t for h in heads[b] for t in s] for b, s in scaled.items()}
+    return tuple(vecs), code
 
 
 @lru_cache(maxsize=64)
 def _line_perm(mat: Mat, q: int) -> tuple[int, ...]:
     """The permutation of the line ids of F_q^dim induced by mat, built
-    by linearity: the line with lead l and tail r goes to the line of
-    col_l + mat (0, ..., 0, r).  ``tails`` holds mat applied to every
-    tail of one length, in the order of _lines; the table one longer is
-    q parts, the a-th of them tails + a col_l.  A singular mat sends
-    some line to 0, which has no line id."""
+    one row of the images at a time over all lines at once.  Row i of
+    the images is the coordinate row of the line vectors that row i of
+    mat names when it is a single 1, and otherwise the mod-q combination
+    of the coordinate rows it names (zeros for a zero row); the base-q
+    code of each image, read off the rows, looks its line id up in the
+    code table of _lines.  A singular mat sends some line to 0, whose
+    code has no line id."""
     dim = len(mat)
-    _, index = _lines(dim, q)
-    inverse = [0] + [pow(a, -1, q) for a in range(1, q)]
-    tails = [(0,) * dim]
-    perm = []
-    for lead, col in reversed(list(enumerate(zip(*mat)))):
-        table = [tails]
-        for _ in range(1, q if lead else 2):  # lead 0 needs no longer table
-            table.append([tuple([(x + y) % q for x, y in zip(col, t)]) for t in table[-1]])
-        block = []
-        for w in table[1]:  # the images of the lines with this lead
-            a = next(filter(None, w), 0)
-            i = index.get(w if a == 1 else tuple([x * inverse[a] % q for x in w]))
-            if i is None:
-                raise CrossCheckError(f"a {dim}x{dim} matrix to act by is singular over F_{q}")
-            block.append(i)
-        perm[:0] = block
-        tails = [t for part in table for t in part]
-    return tuple(perm)
+    vecs, code = _lines(dim, q)
+    coords = list(zip(*vecs))
+    codes = [0] * len(vecs)
+    for row in mat:
+        terms = [(a, coords[j]) for j, a in enumerate(row) if a]
+        if len(terms) == 1 and terms[0][0] == 1:
+            image = terms[0][1]
+        else:  # zeros for a zero row
+            image = [0] * len(vecs)
+            for a, xs in terms:
+                image = [(y + a * x) % q for y, x in zip(image, xs)]
+        codes = [c * q + y for c, y in zip(codes, image)]
+    perm = tuple(map(code.__getitem__, codes))
+    if min(perm) < 0:
+        raise CrossCheckError(f"a {dim}x{dim} matrix to act by is singular over F_{q}")
+    return perm
 
 
 def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
@@ -244,10 +260,11 @@ def _walk_subspaces(name: str, count: int, d: int, vecs, line_perms: list):
     base = tuple(i for i, v in enumerate(vecs) if not any(v[d:]))
     subspaces, index = [base], {base: 0}
     perms = [[] for _ in line_perms]
-    moves = [(perm.__getitem__, out) for perm, out in zip(line_perms, perms)]
+    moves = list(zip(line_perms, perms))
     for sub in subspaces:
-        for image, perm in moves:
-            lines = tuple(sorted(map(image, sub)))
+        image = itemgetter(*sub)  # a tuple, as a subspace has three or more lines
+        for line_perm, perm in moves:
+            lines = tuple(sorted(image(line_perm)))
             k = index.get(lines)
             if k is None:
                 if len(subspaces) == count:

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -596,6 +597,32 @@ def test_no_assert_in_the_oracle():
         tree = ast.parse(path.read_text())
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"assert in {path.name} at lines {lines}"
+
+
+def _outside_imports(tree: ast.AST) -> list[str]:
+    """Absolute imports of modules outside the standard library."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    # the package declares no dependencies
+    import dflag
+
+    modules = sorted(Path(dflag.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        names = _outside_imports(ast.parse(path.read_text()))
+        assert names == [], f"{path.name} imports {names}"
+    # the check itself sees each spelling of an outside import
+    for source in ("import numpy", "import numpy.linalg as la", "from numpy import array"):
+        assert _outside_imports(ast.parse(source)) == [source.split()[1]], source
+    assert _outside_imports(ast.parse("from . import gfq\nimport itertools")) == []
 
 
 def _unbounded_caches(tree: ast.AST) -> list[int]:

@@ -1,12 +1,14 @@
 """The line permutation of a matrix against the dense matrix-vector product.
 
 ``_line_perm`` builds each matrix's permutation of the lines of F_q^dim
-by linearity.  The reference multiplies the matrix into each line's
-normalized vector and reduces the image with ``gfq.rref``; every line
-is checked, so the two agree on every point of every flag variety.
+one row of the images at a time and looks each image up by its base-q
+code.  The reference multiplies the matrix into each line's normalized
+vector and reduces the image with ``gfq.rref``; every line is checked,
+so the two agree on every point of every flag variety.
 ``apply_to_flag`` is the same dense product on a whole flag.
 """
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -81,6 +83,27 @@ def test_line_perm_matches_the_dense_product(group, shape, pairs, q):
 def test_cii_1_2_embeddings_permute_lines_like_the_dense_product(q):
     # CII:1,2 embeds into Sp_6, so its embeddings act on the lines of F_q^6
     _check_line_perms(sp(3), SC((1,), 4), _embedded("CII:1,2", q), q)
+
+
+@pytest.mark.parametrize(
+    "group, shape", [(sp(3), SC((1,), 4)), (gl(6), C((1, 5)))], ids=["Sp6", "GL6"]
+)
+def test_every_letter_in_dimension_6_over_f5_matches_the_dense_product(group, shape):
+    assert len(_lines(group.dim, 5)[0]) == 3906  # the lines of F_5^6
+    _check_line_perms(group, shape, list(_letters(group, 5).values()), 5)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_the_code_table_names_the_line_of_every_vector(dim, q):
+    vecs, code = _lines(dim, q)
+    index = {v: i for i, v in enumerate(vecs)}
+    assert len(code) == q**dim and code[0] == -1  # the zero vector has no line
+    # product lists the vectors in the order of their base-q codes
+    for c, v in enumerate(itertools.product(range(q), repeat=dim)):
+        if any(v):
+            (line,) = gfq.rref((v,), q)
+            assert code[c] == index[line], v
 
 
 @pytest.mark.parametrize(
