@@ -309,7 +309,7 @@ def _cmd_report(args) -> _Output:
     lines.append(f"oracle hint: {report.hint}")
 
     probes_doc = {}
-    if pair.group.family is GroupFamily.GENERAL_LINEAR and P.is_standard:
+    if pair.group.family is GroupFamily.GENERAL_LINEAR:
         tensor = spherical_probe_tensor(P, pair, args.kmax, args.lmax)
         probes_doc["tensor_multiplicity_free"] = tensor.multiplicity_free
         lines.append(f"tensor probe: multiplicity_free={tensor.multiplicity_free}")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .compositions import Composition
 from .errors import CrossCheckError
@@ -284,13 +284,15 @@ def weyl_dim_gl(lam: Partition, n: int) -> int:
     if lam.rows > n:
         raise ValueError(f"{lam} has more than {n} rows")
     full = lam.parts + (0,) * (n - lam.rows)
-    value = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value *= Fraction(full[i] - full[j] + j - i, j - i)
-    if value.denominator != 1:
-        raise CrossCheckError(f"Weyl dimension of {lam} for GL_{n} is not integral: {value}")
-    return int(value)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    top = prod(full[i] - full[j] + j - i for i, j in pairs)
+    bottom = prod(j - i for i, j in pairs)
+    value, rest = divmod(top, bottom)
+    if rest:
+        raise CrossCheckError(
+            f"Weyl dimension of {lam} for GL_{n} is not integral: {top}/{bottom}"
+        )
+    return value
 
 
 def highest_weight_of_parabolic(P: ParabolicSpec) -> Partition:

@@ -41,19 +41,15 @@ is never given either.
 Every acting generator is a word in G's letters (_Speller): its
 permutation of the points is composed from the letters', and its
 matrix, multiplied from theirs, is audited against the generator's
-own; a mismatch raises CrossCheckError.  A Standard parabolic of GL_r
-is generated by its torus, the simple root elements E_(i,i+1)(1), and
-E_(k+1,k)(1) for each simple root k of its Levi: commutators of these
-give the Levi's other negative roots, since [I + E_ij, I + E_jl] =
-I + E_il over every field, and over F_p x_a(1) generates X_a.  AIII's
-Q = Q1 x Q2 is the parabolic of shape Q1 ++ Q2 without the simple root
-at the block boundary, and CI's Q a parabolic of the Siegel Levi.  A
-parabolic of Sp (AII's and CII's Q, a type C triple's acting one)
-takes its torus and x_b(1) for every root b of it: the simple ones
-would not suffice, since over F_2 the type C commutator relations lose
-their factor 2, and the unipotent radical of the Borel of Sp_4(F_2),
-of order 16, is not generated by two elements.  The whole of a GL_r,
-CI's whole K, acts through its letters.
+own; a mismatch raises CrossCheckError.  A generator other than a
+letter is named by its root, in the encoding of groups, and
+_root_entries, the one map between roots and matrix entries, builds
+it and reads it back.  A Standard parabolic is generated by its torus
+and x_b(1) for each root b of _parabolic_roots, which has the proof.
+AIII's Q = Q1 x Q2 keeps the roots of the parabolic of shape Q1 ++ Q2
+that do not cross the block boundary, and CI's Q is a parabolic of the
+Siegel Levi.  The whole of a GL_r, CI's whole K, acts through its
+letters.
 
 Orbit fusion on a product of spaces is pure integer work: every factor
 after the first is folded into one permutation per generator, and each
@@ -188,14 +184,14 @@ def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
         levi = _embedding(group, KFactor("gl", n, tuple(range(n))))
         letters = {name: levi(m, q) for name, m in _letters(gl(n), q).items() if name != "d"}
         for name, sign in (("x+", 1), ("x-", -1)):
-            letters[name] = _sp_root_element(n, (0,) * (n - 1) + (2 * sign,), q)
+            letters[name] = _root_element(group, (0,) * (n - 1) + (2 * sign,), q)
         return letters
     letters = {}
     if n >= 2:
-        letters["u"] = _unit_matrix_with(n, {(0, 1): 1}, q)
+        letters["u"] = _root_element(group, (1, 2), q)
         letters["c"] = tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n))
     if q > 2:
-        letters["d"] = _unit_matrix_with(n, {(0, 0): _primitive_root(q)}, q)
+        letters["d"] = _torus_element(group, 0, q)
     return letters
 
 
@@ -236,7 +232,7 @@ def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
     levels = [_walk_subspaces(name, count, d, vecs, line_perms) for d in dims]
     if len(levels) == 1:  # X_P is its level
         (subspaces, perms), = levels
-        points = subspaces if dims == (1,) else tuple(zip(range(len(subspaces))))  # line k is (k,)
+        points = tuple(zip(range(len(subspaces))))
     else:
         subspaces, points, perms = _walk(name, count, levels)
     if len(points) != count:
@@ -324,9 +320,10 @@ def _memo(method):
 
 class _Speller:
     """Words in G's letters on the points of one walked X_P, composed on
-    demand.  In GL_n, E_ij(1) = c^(i-1) E_(1,1+k) c^-(i-1) for
-    k = j - i mod n, with E_(1,2) = u and E_(1,1+k) = [E_(1,k), E_(k,k+1)],
-    and diag(z at i) = c^(i-1) d c^-(i-1).  In Sp_2n the first give the
+    demand, each root element named by its root.  In GL_n,
+    E_ij(1) = c^(i-1) E_(1,1+k) c^-(i-1) for k = j - i mod n, with
+    E_(1,2) = u and E_(1,1+k) = [E_(1,k), E_(k,k+1)], and
+    diag(z at i) = c^(i-1) d c^-(i-1).  In Sp_2n the first give the
     Levi's x_(e_i - e_j)(1), the other roots are spelled as in the proof
     in _letters, and the torus from the long roots (torus)."""
 
@@ -404,7 +401,10 @@ class _Speller:
 
     @_memo
     def root(self, b: tuple[int, ...]) -> _Word:
-        """x_b(1) for a root b of Sp_2n, in epsilon coordinates."""
+        """x_b(1) for a root b of G, in the encoding of groups."""
+        if self.group.family is GroupFamily.GENERAL_LINEAR:
+            i, j = b
+            return self.elementary(i - 1, j - 1)
         n = self.group.n
         (i, a), *rest = [(i, c) for i, c in enumerate(b) if c]
         if not rest:
@@ -419,25 +419,25 @@ class _Speller:
         return self.times(self.commutator(long_j, short), long_i)
 
     def word_for(self, target: Mat) -> _Word:
-        """The word for ``target``, audited against it: a letter; a torus
-        element of G; a product of commuting E_ij(c) in GL_n; or one root
-        element x_b(c) of Sp_2n, b the root at its first entry off the
-        diagonal in row order."""
+        """The word for ``target``, audited against it: a letter; a
+        product of commuting root elements x_b(c), one for each root b
+        whose first entry (_root_entries) holds c != 0 in ``target``, as
+        E_ij(c) in GL_n or a single x_b(c) in Sp_2n; or else a torus
+        element of G."""
         word = self.by_matrix.get(target)
         if word is None:
-            n, q = self.group.n, self.q
-            off = [(i, j, x) for i, row in enumerate(target) for j, x in enumerate(row) if x and i != j]
-            if not off:
+            q = self.q
+            parts = [
+                self.power(self.root(b), target[i][j], q)
+                for b, ((i, j), *_) in _root_entries(self.group).items()
+                if target[i][j]
+            ]
+            if not parts:
                 parts = [
                     self.power(self.torus(i), self.log[target[i][i]], q - 1)
-                    for i in range(n)
+                    for i in range(self.group.n)
                     if target[i][i] != 1
                 ]
-            elif self.group.family is GroupFamily.GENERAL_LINEAR:
-                parts = [self.power(self.elementary(i, j), x, q) for i, j, x in off]
-            else:
-                i, j, x = off[0]
-                parts = [self.power(self.root(_sp_root_at(i, j, n)), x, q)]
             word = parts[0] if len(parts) == 1 else self.times(*parts)
         if word.mat != target:
             raise CrossCheckError(
@@ -569,13 +569,6 @@ def _is_symplectic(m: Mat, n: int, q: int) -> bool:
     return gfq.mat_mul(gfq.mat_mul(gfq.transpose(m), j, q), m, q) == j
 
 
-def _checked_symplectic(m: Mat, n: int, q: int) -> Mat:
-    """m itself, after auditing that it lies in Sp_2n(F_q)."""
-    if not _is_symplectic(m, n, q):
-        raise CrossCheckError(f"a generator built for Sp_{2 * n}(F_{q}) is not symplectic")
-    return m
-
-
 def _primitive_root(q: int) -> int:
     for g in range(2, q):
         seen = set()
@@ -616,55 +609,95 @@ def _embedding(group: GroupDatum, factor: KFactor):
         if factor.family == "gl":
             dual = gfq.transpose(gfq.mat_inv(m, q))
             big = _embed_block(dual, [dim - 1 - c for c in coords], dim, big)
-        return _checked_symplectic(big, n, q)
+        if not _is_symplectic(big, n, q):
+            raise CrossCheckError(f"a generator built for Sp_{2 * n}(F_{q}) is not symplectic")
+        return big
 
     return embed
 
 
-def _gl_parabolic(shape, q: int, boundary: int | None = None) -> list[Mat]:
-    """Generators of the Standard parabolic of ``shape`` in GL_r(F_q):
-    GL_r's letters for the whole group, and otherwise, indices 1-based,
+@lru_cache(maxsize=16)
+def _root_entries(group: GroupDatum) -> dict:
+    """Each root of group, in the encoding of groups, with the matrix
+    entries (i, j), 0-based, that carry it, in row order: the torus
+    weight of coordinate i minus that of j.  In GL_n coordinate k has
+    weight e_k, so (i, j) alone carries (i + 1, j + 1).  In Sp_2n
+    coordinate k < n has weight e_k and its mirror 2n-1-k has -e_k, so
+    a long root +-2e_i sits at one entry and a short root at two,
+    mirrored through the anti-diagonal."""
+    n, mirror = group.n, group.dim - 1
+    entries: dict = {}
+    for i, j in itertools.permutations(range(group.dim), 2):
+        if group.family is GroupFamily.GENERAL_LINEAR:
+            b = (i + 1, j + 1)
+        else:
+            b = tuple(
+                int(i == a) - int(mirror - i == a) - int(j == a) + int(mirror - j == a)
+                for a in range(n)
+            )
+        entries.setdefault(b, []).append((i, j))
+    return {b: tuple(e) for b, e in entries.items()}
 
-    * the torus diag(z at i) for q > 2;
-    * E_(k,k+1)(1) for every simple root k but ``boundary``;
-    * E_(k+1,k)(1) for every simple root k of the Levi (k not a break).
 
-    Leaving out the simple root at a break gives the product of the
-    parabolics on either side of it: AIII's Q1 x Q2.
+def _root_element(group: GroupDatum, b, q: int) -> Mat:
+    """x_b(1) in group(F_q): 1 at the first entry of the root b and, for
+    a short root of Sp_2n, the coefficient +-1 at its second entry that
+    makes the matrix symplectic for the anti-diagonal form."""
+    entries = _root_entries(group).get(b)
+    if entries is None:
+        raise CrossCheckError(f"{b} is not a root of {group}")
+    first, *second = entries
+    for c in (1, q - 1):
+        m = _unit_matrix_with(group.dim, {first: 1, **dict.fromkeys(second, c)}, q)
+        if group.family is GroupFamily.GENERAL_LINEAR or _is_symplectic(m, group.n, q):
+            return m
+    raise CrossCheckError(f"no symplectic root element for {b}")
+
+
+def _torus_element(group: GroupDatum, i: int, q: int) -> Mat:
+    """diag(z at i) in GL_n, or diag(z at i, z^-1 at its mirror) in
+    Sp_2n, 0-based, z the least primitive root mod q."""
+    z, mirror = _primitive_root(q), group.dim - 1 - i
+    entries = {(i, i): z}
+    if group.family is GroupFamily.SYMPLECTIC:
+        entries[mirror, mirror] = pow(z, -1, q)
+    return _unit_matrix_with(group.dim, entries, q)
+
+
+def _generators(group: GroupDatum, roots, q: int) -> list[Mat]:
+    """The torus elements of group(F_q) for q > 2 (over F_2 the torus is
+    trivial), then x_b(1) for each root b of ``roots``."""
+    torus = [_torus_element(group, i, q) for i in range(group.n)] if q > 2 else []
+    return torus + [_root_element(group, b, q) for b in roots]
+
+
+def _parabolic_roots(group: GroupDatum, shape) -> list:
+    """Roots b such that x_b(1), with the torus, generate the Standard
+    parabolic of ``shape`` in group(F_q), q prime.
+
+    GL_r: the simple roots (k, k+1), and (k+1, k) for each simple root k
+    of the Levi (k not a break).  Commutators of these give every other
+    root of the parabolic, since [I + E_ij, I + E_jl] = I + E_il over
+    every field, and over F_p x_b(1) generates X_b.  Sp_2n: every root of
+    the parabolic.  The simple ones would not suffice, since over F_2
+    the type C commutator relations lose their factor 2, and the
+    unipotent radical of the Borel of Sp_4(F_2), of order 16, is not
+    generated by two elements.
     """
-    r = shape.size
-    if not shape.is_proper:
-        return list(_letters(gl(r), q).values())
-    torus = []
-    if q > 2:
-        z = _primitive_root(q)
-        torus = [_unit_matrix_with(r, {(i, i): z}, q) for i in range(r)]
+    if group.family is GroupFamily.SYMPLECTIC:
+        return sorted(parabolic_root_set(ParabolicSpec(group, shape)))
     breaks = shape.breaks()
-    simple = [_unit_matrix_with(r, {(k - 1, k): 1}, q) for k in range(1, r) if k != boundary]
-    levi = [_unit_matrix_with(r, {(k, k - 1): 1}, q) for k in range(1, r) if k not in breaks]
-    return torus + simple + levi
-
-
-def _sp_parabolic(n: int, shape, q: int) -> list[Mat]:
-    """Generators of the Standard parabolic of ``shape`` in Sp_2n(F_q):
-    the torus diag(z at i, z^-1 at its mirror) for q > 2, and x_b(1) for
-    every root b of the parabolic."""
-    torus = []
-    if q > 2:
-        z, dim = _primitive_root(q), 2 * n
-        torus = [
-            _unit_matrix_with(dim, {(i, i): z, (dim - 1 - i, dim - 1 - i): pow(z, -1, q)}, q)
-            for i in range(n)
-        ]
-    roots = sorted(parabolic_root_set(ParabolicSpec(sp(n), shape)))
-    return torus + [_sp_root_element(n, b, q) for b in roots]
+    simple = [(k, k + 1) for k in group.simple_indices]
+    return simple + [(k + 1, k) for k in group.simple_indices if k not in breaks]
 
 
 def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
     """Generators of Q, as matrices of G (see the module docstring)."""
     if pair.kind is PairKind.AIII:
         first, second = Q.factors
-        return _gl_parabolic(Composition(first.parts + second.parts), q, boundary=pair.p)
+        roots = _parabolic_roots(pair.group, Composition(first.parts + second.parts))
+        p = pair.p
+        return _generators(pair.group, [(i, j) for i, j in roots if (i <= p) == (j <= p)], q)
     return [
         embed(m, q)
         for (group, embed), shape in zip(_k_blocks(pair), Q.factors)
@@ -673,10 +706,12 @@ def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
 
 
 def _parabolic_targets(group: GroupDatum, shape, q: int) -> list[Mat]:
-    """Generators of the Standard parabolic of ``shape`` in group(F_q)."""
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        return _gl_parabolic(shape, q)
-    return _sp_parabolic(group.n, shape, q)
+    """Generators of the Standard parabolic of ``shape`` in group(F_q):
+    GL_r's letters for the whole GL_r, and otherwise its torus and x_b(1)
+    for each root b of _parabolic_roots."""
+    if group.family is GroupFamily.GENERAL_LINEAR and not shape.is_proper:
+        return list(_letters(group, q).values())
+    return _generators(group, _parabolic_roots(group, shape), q)
 
 
 def count_K_orbits(
@@ -711,51 +746,6 @@ def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:
     for (i, j), v in entries.items():
         m[i][j] = v % q
     return tuple(tuple(r) for r in m)
-
-
-def _sp_root_at(i: int, j: int, n: int) -> tuple[int, ...]:
-    """The root of Sp_2n at matrix entry (i, j), i != j: the torus weight
-    of coordinate i minus that of j, where coordinate k < n has weight
-    e_k and its mirror 2n-1-k has -e_k, in epsilon coordinates."""
-    mirror = 2 * n - 1
-    return tuple(
-        int(i == a) - int(mirror - i == a) - int(j == a) + int(mirror - j == a) for a in range(n)
-    )
-
-
-def _sp_root_element(n: int, alpha, q: int) -> Mat:
-    """x_alpha(1) in Sp_2n for the anti-diagonal form.
-
-    The primary matrix position is read off the epsilon coordinates;
-    the paired correction coefficient is found by search over F_q.
-    """
-    dim = 2 * n
-    support = [(i, c) for i, c in enumerate(alpha) if c]
-    negative = support[0][1] < 0
-    vec = tuple(-c for c in alpha) if negative else alpha
-    support = [(i, c) for i, c in enumerate(vec) if c]
-    coeffs = [c for _, c in support]
-    if coeffs == [2]:
-        (i, _), = support
-        positions = [(i, dim - 1 - i)]
-    elif coeffs == [1, -1]:
-        (i, _), (j, _) = support
-        positions = [(i, j), (dim - 1 - j, dim - 1 - i)]
-    elif coeffs == [1, 1]:
-        (i, _), (j, _) = support
-        positions = [(i, dim - 1 - j), (j, dim - 1 - i)]
-    else:
-        raise CrossCheckError(f"{alpha} is not a root of Sp_{dim}")
-    if negative:
-        positions = [(b, a) for a, b in positions]
-    if len(positions) == 1:
-        return _checked_symplectic(_unit_matrix_with(dim, {positions[0]: 1}, q), n, q)
-    first, second = positions
-    for corr in range(q):
-        m = _unit_matrix_with(dim, {first: 1, second: corr}, q)
-        if _is_symplectic(m, n, q):
-            return m
-    raise CrossCheckError(f"no symplectic root element for {alpha}")
 
 
 def _triple_specs(group: GroupDatum, parabolics: list[ParabolicSpec], q: int):

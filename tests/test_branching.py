@@ -259,6 +259,38 @@ def test_weyl_dims():
     assert weyl_dim_gl(P((4,)), 2) == 5
 
 
+def _partitions(size, rows, largest=None):
+    """Partitions of ``size`` into at most ``rows`` parts, each at most
+    ``largest``."""
+    if size == 0:
+        yield ()
+        return
+    if rows == 0:
+        return
+    for first in range(min(size, largest or size), 0, -1):
+        for rest in _partitions(size - first, rows - 1, first):
+            yield (first,) + rest
+
+
+def test_weyl_dims_match_the_fraction_formula():
+    # the product of (lam_i - lam_j + j - i) / (j - i), in exact fractions
+    from fractions import Fraction
+
+    checked = 0
+    for n in range(1, 7):
+        for size in range(9):
+            for parts in _partitions(size, n):
+                full = parts + (0,) * (n - len(parts))
+                value = Fraction(1)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        value *= Fraction(full[i] - full[j] + j - i, j - i)
+                assert value.denominator == 1
+                assert weyl_dim_gl(P(parts), n) == value, (parts, n)
+                checked += 1
+    assert checked == 252
+
+
 # --------------------------------------------------------- highest weight
 
 
@@ -363,14 +395,12 @@ def test_probe_tensor_mirabolic():
 
 
 def test_non_integral_weyl_dimension_raises(monkeypatch):
-    import fractions
+    import math
 
     import dflag.lr
     from dflag.errors import CrossCheckError
 
-    # halving every factor of the product formula leaves 1/2 for GL_2
-    monkeypatch.setattr(
-        dflag.lr, "Fraction", lambda a, b=1: fractions.Fraction(a, 2 * b)
-    )
+    # adding 1 to both products of the formula leaves 3/2 for GL_2
+    monkeypatch.setattr(dflag.lr, "prod", lambda xs: math.prod(xs) + 1)
     with pytest.raises(CrossCheckError, match="not integral"):
         weyl_dim_gl(Partition((1,)), 2)

@@ -1,0 +1,176 @@
+"""Root elements and the generator sets of parabolics, written out.
+
+Every acting generator other than a letter is named by its root, and
+``_root_entries`` is the one map between roots and matrix entries.
+The references here spell each root element and each generator set
+out by hand, from the rules they follow, and compare them with what
+``_root_element``, ``_parabolic_targets`` and ``_k_targets`` build.
+"""
+
+import itertools
+
+import pytest
+
+from dflag import gfq
+from dflag.compositions import Composition as C
+from dflag.errors import CrossCheckError
+from dflag.flags import symplectic_gram
+from dflag.groups import GroupFamily, ParabolicSpec, all_roots, gl, parabolic_root_set, sp
+from dflag.orbits import _k_targets, _letters, _parabolic_targets, _root_element, _root_entries
+from dflag.pairs import SymmetricPairSpec
+from test_fforacle import _every_shape
+from test_k_reference import _reference_blocks
+from test_words import _k_shapes
+
+QS = (2, 3, 5)
+
+
+def _matrix(dim, entries, q):
+    """The identity with ``entries`` ({(i, j): value}) written in, mod q."""
+    return tuple(
+        tuple(entries.get((i, j), int(i == j)) % q for j in range(dim)) for i in range(dim)
+    )
+
+
+def _least_primitive_root(q):
+    return next(g for g in range(2, q) if len({pow(g, e, q) for e in range(q - 1)}) == q - 1)
+
+
+def _reference_sp_root_element(n, alpha, q):
+    """x_alpha(1) of Sp_2n for the anti-diagonal form: coefficient 2 at
+    one coordinate is the long root at (i, mirror i); (1, -1) is
+    e_i - e_j at (i, j) and -1 at (mirror j, mirror i); (1, 1) is
+    e_i + e_j at (i, mirror j) and (j, mirror i); a negative root is the
+    transpose of its positive one."""
+    dim = 2 * n
+    mirror = dim - 1
+    negative = next(c for c in alpha if c) < 0
+    support = [(i, -c if negative else c) for i, c in enumerate(alpha) if c]
+    coeffs = [c for _, c in support]
+    if coeffs == [2]:
+        ((i, _),) = support
+        entries = {(i, mirror - i): 1}
+    elif coeffs == [1, -1]:
+        (i, _), (j, _) = support
+        entries = {(i, j): 1, (mirror - j, mirror - i): -1}
+    else:
+        assert coeffs == [1, 1], alpha
+        (i, _), (j, _) = support
+        entries = {(i, mirror - j): 1, (j, mirror - i): 1}
+    if negative:
+        entries = {(b, a): c for (a, b), c in entries.items()}
+    return _matrix(dim, entries, q)
+
+
+def _is_symplectic(m, n, q):
+    j = symplectic_gram(n, q)
+    return gfq.mat_mul(gfq.mat_mul(gfq.transpose(m), j, q), m, q) == j
+
+
+# ----------------------------------------------------------- root elements
+
+
+@pytest.mark.parametrize("q", QS)
+def test_sp_root_elements_match_the_written_out_reference(q):
+    for n in range(1, 5):
+        roots = sorted(all_roots(sp(n)))
+        assert len(roots) == 2 * n * n
+        for b in roots:
+            expected = _reference_sp_root_element(n, b, q)
+            assert _is_symplectic(expected, n, q), b
+            assert _root_element(sp(n), b, q) == expected, (n, b)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_gl_root_elements_are_the_elementary_matrices(q):
+    for n in range(2, 7):
+        for i, j in itertools.permutations(range(1, n + 1), 2):
+            assert _root_element(gl(n), (i, j), q) == _matrix(n, {(i - 1, j - 1): 1}, q)
+
+
+@pytest.mark.parametrize("group", [gl(n) for n in range(1, 7)] + [sp(n) for n in range(1, 5)])
+def test_the_root_table_lists_each_entry_off_the_diagonal_once(group):
+    table = _root_entries(group)
+    assert set(table) == all_roots(group)
+    entries = [e for es in table.values() for e in es]
+    assert sorted(entries) == list(itertools.permutations(range(group.dim), 2))
+    for b, es in table.items():
+        assert list(es) == sorted(es)  # row order
+        one = group.family is GroupFamily.GENERAL_LINEAR or 2 in map(abs, b)  # GL or a long root
+        assert len(es) == (1 if one else 2), b
+
+
+def test_a_non_root_is_a_cross_check_error():
+    with pytest.raises(CrossCheckError, match="not a root of GL3"):
+        _root_element(gl(3), (1, 1), 3)
+    with pytest.raises(CrossCheckError, match="not a root of Sp4"):
+        _root_element(sp(2), (1, 0), 3)
+
+
+# ---------------------------------------------------------- generator sets
+
+
+def _gl_rule(r, shape, q, boundary=None):
+    """The torus (q > 2), E_(k,k+1)(1) for every simple root k but
+    ``boundary``, E_(k+1,k)(1) for every simple root k of the Levi;
+    indices 1-based.  A whole GL_r is its letters."""
+    if not shape.is_proper:
+        return set(_letters(gl(r), q).values())
+    torus = [_matrix(r, {(i, i): _least_primitive_root(q)}, q) for i in range(r)] if q > 2 else []
+    simple = [_matrix(r, {(k - 1, k): 1}, q) for k in range(1, r) if k != boundary]
+    levi = [_matrix(r, {(k, k - 1): 1}, q) for k in range(1, r) if k not in shape.breaks()]
+    return set(torus + simple + levi)
+
+
+def _sp_rule(n, shape, q):
+    """The torus (q > 2) and x_b(1) for every root b of the parabolic."""
+    dim, torus = 2 * n, []
+    if q > 2:
+        z = _least_primitive_root(q)
+        mirrored = [{(i, i): z, (dim - 1 - i, dim - 1 - i): pow(z, -1, q)} for i in range(n)]
+        torus = [_matrix(dim, entries, q) for entries in mirrored]
+    roots = parabolic_root_set(ParabolicSpec(sp(n), shape))
+    return set(torus) | {_reference_sp_root_element(n, b, q) for b in roots}
+
+
+def _rule(group, shape, q):
+    if group.family is GroupFamily.GENERAL_LINEAR:
+        return _gl_rule(group.n, shape, q)
+    return _sp_rule(group.n, shape, q)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_parabolic_generators_follow_the_rules(q):
+    checked = 0
+    for group in [gl(n) for n in range(1, 6)] + [sp(n) for n in range(1, 4)]:
+        for shape in _every_shape(group):
+            assert set(_parabolic_targets(group, shape, q)) == _rule(group, shape, q), (group, shape)
+            checked += 1
+    assert checked == (1 + 2 + 4 + 8 + 16) + (2 + 4 + 8)
+
+
+PAIRS = (
+    [f"AIII:{p},{n - p}" for n in range(2, 5) for p in range(1, n)]
+    + ["AII:2", "AII:4"]
+    + [f"CI:{n}" for n in range(1, 5)]
+    + [f"CII:{p},{n - p}" for n in range(2, 5) for p in range(1, n)]
+)
+
+
+@pytest.mark.parametrize("token", PAIRS)
+@pytest.mark.parametrize("q", QS)
+def test_k_parabolic_generators_follow_the_rules(token, q):
+    # AIII's Q: the rule for Q1 ++ Q2 without the simple root at the
+    # block boundary; every other Q: each factor's rule, embedded
+    pair = SymmetricPairSpec.parse(token)
+    for Q in _k_shapes(pair):
+        if token.startswith("AIII"):
+            first, second = Q.factors
+            expected = _gl_rule(pair.group.n, C(first.parts + second.parts), q, boundary=pair.p)
+        else:
+            expected = {
+                embed(m, q)
+                for (group, embed), shape in zip(_reference_blocks(pair), Q.factors)
+                for m in _rule(group, shape, q)
+            }
+        assert set(_k_targets(pair, Q, q)) == expected, Q
