@@ -79,6 +79,8 @@ def _parse_qlist(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad --qlist {text!r}") from exc
     if not values:
         raise ParseError("--qlist must name at least one prime")
+    if len(set(values)) < len(values):
+        raise ParseError(f"--qlist names a prime twice: {text!r}")
     return values
 
 

@@ -8,9 +8,11 @@ flags consist of isotropic subspaces.
 Closed-form point counts are Gaussian binomial products; they are used
 to enforce the enumeration budget up front (which thereby bounds the
 work as well as the output) and to audit the enumerations.  The points
-themselves come from the orbit walk of dflag.orbits, which every orbit
-count uses; enumerate_flags only writes them in rref.  apply_to_flag
-is the dense action of a matrix on a flag.
+themselves come from the orbit walk dflag.orbits._walk_flags, whose
+cache for the orbit counts (_flag_orbit) keeps only the letters'
+permutations of the points; enumerate_flags walks again and writes
+the points in rref.  apply_to_flag is the dense action of a matrix on
+a flag.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def enumerate_flags(
     group: GroupDatum, shape, q: int, budget: int = DEFAULT_BUDGET
 ) -> list[FlagPoint]:
     """All F_q-points of G/P in canonical form, sorted: the points of the
-    orbit walk ``orbits._flag_orbit``, each subspace row reduced from
+    orbit walk ``orbits._walk_flags``, each subspace row reduced from
     its lines.
 
     Raises BudgetExceededError (carrying the closed-form count) before
@@ -126,10 +128,10 @@ def enumerate_flags(
     from . import orbits  # orbits imports this module
 
     budgeted_flag_count(group, shape, q, budget)
-    orbit = orbits._flag_orbit(group, shape, q)
+    subspaces, points, _ = orbits._walk_flags(group, shape, q)
     vecs, _ = orbits._lines(group.dim, q)
-    subs = [gfq.rref([vecs[i] for i in sub], q) for sub in orbit.subspaces]
-    return sorted(tuple(subs[s] for s in pt) for pt in orbit.points)
+    subs = [gfq.rref([vecs[i] for i in sub], q) for sub in subspaces]
+    return sorted(tuple(subs[s] for s in pt) for pt in points)
 
 
 def apply_to_flag(g: Mat, flag: FlagPoint, q: int) -> FlagPoint:

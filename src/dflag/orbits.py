@@ -30,13 +30,14 @@ permutations move them.  X_P maps onto each level, so a level past
 |X_P| stops the walk.  A one-level X_P is its level, point k being
 (k,).  Otherwise each level gets a range of subspace ids, each letter
 one permutation of them, and a point is the tuple of its subspaces'
-ids, walked (_walk) by integer lookups alone.  Either way each
-letter's permutation of the points is recorded, and CrossCheckError is
-raised as soon as the walk passes the closed-form count of X_P, and
-again if it falls short of it.  N <= |X_P| unless X_P is a single
-point, so the budget already checked on |X_P| bounds the lines too,
-and their code table of q^dim = (q - 1) N + 1 entries; a single point
-is never given either.
+ids, walked (_walk) by integer lookups alone.  Either way the walk
+(_walk_flags) records each letter's permutation of the points, and
+raises CrossCheckError as soon as it passes the closed-form count of
+X_P, and again if it falls short of it.  _flag_orbit caches only the
+letters with these permutations, as no count reads a point.
+N <= |X_P| unless X_P is a single point, so the budget already checked
+on |X_P| bounds the lines too, and their code table of
+q^dim = (q - 1) N + 1 entries; a single point is never given either.
 
 Every acting generator is a word in G's letters (_Speller): its
 permutation of the points is composed from the letters', and its
@@ -203,30 +204,17 @@ class _Word(NamedTuple):
     perm: Sequence[int]
 
 
-class _Orbit(NamedTuple):
-    """A flag variety as the orbit of its base flag: its subspaces, as
-    sorted tuples of line ids, its points, as tuples of subspace ids,
-    and G's letters by name, each with its permutation of the points."""
-
-    name: str
-    subspaces: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[int, ...], ...]
-    letters: dict[str, _Word]
-
-
-@lru_cache(maxsize=8)
-def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
-    """X_P, walked from its base flag under _letters(group, q), with
-    each letter's permutation of its points: each level once, then the
-    flags if there are two or more levels.  Only the walked factors are
-    built (X_P, or the last factors of a triple), so a few entries
-    suffice."""
+def _walk_flags(group: GroupDatum, shape, q: int):
+    """(subspaces, points, letters): X_P walked from its base flag under
+    _letters(group, q), each level once, then the flags if there are
+    two or more levels, and the letters by name, each with its
+    permutation of the points."""
     name = f"{group}/{shape} over F_{q}"
     count = flag_count(group, shape, q)
     dims = shape.isotropic_dims() if group.family is GroupFamily.SYMPLECTIC else shape.breaks()
     letters = _letters(group, q)
     if not dims:  # X_G is one point; its lines are not bounded by the budget
-        return _Orbit(name, (), ((),), {k: _Word(m, (0,)) for k, m in letters.items()})
+        return (), ((),), {k: _Word(m, (0,)) for k, m in letters.items()}
     line_perms = [_line_perm(m, q) for m in letters.values()]
     vecs, _ = _lines(group.dim, q)
     levels = [_walk_subspaces(name, count, d, vecs, line_perms) for d in dims]
@@ -239,7 +227,15 @@ def _flag_orbit(group: GroupDatum, shape, q: int) -> _Orbit:
         raise CrossCheckError(
             f"the orbit of the base flag of {name} has {len(points)} of its {count} points"
         )
-    return _Orbit(name, subspaces, points, dict(zip(letters, map(_Word, letters.values(), perms))))
+    return subspaces, points, dict(zip(letters, map(_Word, letters.values(), perms)))
+
+
+@lru_cache(maxsize=8)
+def _flag_orbit(group: GroupDatum, shape, q: int) -> dict[str, _Word]:
+    """The letters of _walk_flags, without its points and subspaces.
+    Only the walked factors are built (X_P, or the last factors of a
+    triple), so a few entries suffice."""
+    return _walk_flags(group, shape, q)[2]
 
 
 def _walk_subspaces(name: str, count: int, d: int, vecs, line_perms: list):
@@ -327,8 +323,8 @@ class _Speller:
     Levi's x_(e_i - e_j)(1), the other roots are spelled as in the proof
     in _letters, and the torus from the long roots (torus)."""
 
-    def __init__(self, group: GroupDatum, q: int, orbit: _Orbit):
-        self.group, self.q, self.letters = group, q, orbit.letters
+    def __init__(self, group: GroupDatum, q: int, letters: dict[str, _Word]):
+        self.group, self.q, self.letters = group, q, letters
         self.by_matrix = {w.mat: w for w in self.letters.values()}
         z = _primitive_root(q) if q > 2 else 1
         self.log = {pow(z, e, q): e for e in range(q - 1)}  # z^e -> e
@@ -446,19 +442,11 @@ class _Speller:
         return word
 
 
-def _word_perms(group: GroupDatum, q: int, orbit: _Orbit, targets: list[Mat]) -> list:
+def _word_perms(group: GroupDatum, q: int, letters: dict, targets: list[Mat]) -> list:
     """The point permutations of the words in G's letters for the
-    matrices ``targets``, on the walked X_P ``orbit``."""
-    speller = _Speller(group, q, orbit)
+    matrices ``targets``, on the X_P whose ``letters`` _flag_orbit gave."""
+    speller = _Speller(group, q, letters)
     return [speller.word_for(t).perm for t in targets]
-
-
-@dataclass
-class _Space:
-    """A finite G-set with each generator realized as a permutation."""
-
-    points: Sequence
-    perms: list
 
 
 def _count_orbits(walked: list, q: int, targets: list[Mat]) -> int:
@@ -466,11 +454,12 @@ def _count_orbits(walked: list, q: int, targets: list[Mat]) -> int:
     shape) each), of the subgroup of G(F_q) generated by the matrices
     ``targets``: each factor is walked, each target acts on it as the
     word in G's letters that gives its matrix, and the product is
-    searched (X_G is one point, which every word fixes)."""
-    spaces = []
-    for group, shape in walked:
-        orbit = _flag_orbit(group, shape, q)
-        spaces.append(_Space(orbit.points, _word_perms(group, q, orbit, targets)))
+    searched (X_G is one point, which every word fixes).  Each size is
+    the closed form, which the walk audits."""
+    spaces = [
+        (flag_count(group, shape, q), _word_perms(group, q, _flag_orbit(group, shape, q), targets))
+        for group, shape in walked
+    ]
     _, orbits = _product_orbits(spaces)
     return orbits
 
@@ -500,8 +489,9 @@ def _is_permutation(perm: Sequence[int], size: int) -> bool:
     return 0 not in marks
 
 
-def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
-    """(total points, orbit count) for the diagonal action on the product.
+def _product_orbits(spaces: list) -> tuple[int, int]:
+    """(total points, orbit count) for the diagonal action on the product
+    of ``spaces``, each (size, one permutation per generator).
 
     The factors after the first are folded into one permutation per
     generator of their product, so point (i, j) has index i * s2 + j.
@@ -510,26 +500,24 @@ def _product_orbits(spaces: list[_Space]) -> tuple[int, int]:
     bijection of a finite set (its inverse is one of its powers), which
     is checked first.
     """
-    for space in spaces:
-        size = len(space.points)
-        for perm in space.perms:
+    for size, perms in spaces:
+        for perm in perms:
             if not _is_permutation(perm, size):
                 raise CrossCheckError(f"a generator does not permute a space of {size} points")
-    first, rest = spaces[0], spaces[1:]
+    (first_size, first_perms), rest = spaces[0], spaces[1:]
     s2 = 1
-    folded = [(0,)] * len(first.perms)
-    for space in rest:
-        size = len(space.points)
+    folded = [(0,)] * len(first_perms)
+    for size, perms in rest:
         folded = [
             [a * size + b for a in pa for b in pb]
-            for pa, pb in zip(folded, space.perms, strict=True)
+            for pa, pb in zip(folded, perms, strict=True)
         ]
         s2 *= size
     gens = [
         (pa if s2 == 1 else [a * s2 for a in pa], pb)  # one factor: no scaled copy
-        for pa, pb in zip(first.perms, folded, strict=True)
+        for pa, pb in zip(first_perms, folded, strict=True)
     ]
-    total = len(first.points) * s2
+    total = first_size * s2
     seen = bytearray(total)
     orbits = orbit_total = 0
     for start in range(total):
@@ -826,10 +814,10 @@ def growth_probe(
 
     Every field is checked against the budget before any is counted.
     Entries keep the order of ``q_list``; the trend is judged in order
-    of field size.  An empty ``q_list`` raises ValueError: no count
-    supports a hint."""
-    if not q_list:
-        raise ValueError("growth_probe needs at least one field size")
+    of field size.  A ``q_list`` that is empty or repeats a field size
+    raises ValueError: no count, or one field's, supports a hint."""
+    if not q_list or len(set(q_list)) < len(q_list):
+        raise ValueError(f"growth_probe needs at least one field size, each once: {list(q_list)}")
     fields = [(q, _orbit_factors(pair, P, Q, q)) for q in q_list]
     totals = [_check_budget(factors, q, budget) for q, factors in fields]
     entries = [

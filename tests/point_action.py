@@ -9,32 +9,33 @@ composed permutations with it, and use it to let arbitrary matrices act.
 """
 
 from dflag.errors import CrossCheckError
-from dflag.orbits import _flag_orbit, _line_perm, _Space
+from dflag.orbits import _line_perm, _walk_flags
 
 
 class PointAction:
-    """X_P = _flag_orbit(group, shape, q), with lookups of its subspaces
-    and points."""
+    """X_P as _walk_flags(group, shape, q) walks it, with lookups of its
+    subspaces and points."""
 
     def __init__(self, group, shape, q):
-        self.orbit = _flag_orbit(group, shape, q)
+        self.name = f"{group}/{shape} over F_{q}"
+        self.subspaces, self.points, _ = _walk_flags(group, shape, q)
         self.q = q
-        self.subspace_ids = {sub: i for i, sub in enumerate(self.orbit.subspaces)}
-        self.index = {pt: i for i, pt in enumerate(self.orbit.points)}
+        self.subspace_ids = {sub: i for i, sub in enumerate(self.subspaces)}
+        self.index = {pt: i for i, pt in enumerate(self.points)}
 
     def of_lines(self, lines):
         """The permutation of the points induced by the line permutation
         ``lines``: one lookup per subspace, one per point."""
-        image, name = lines.__getitem__, self.orbit.name
+        image, name = lines.__getitem__, self.name
         try:
-            subs = [self.subspace_ids[tuple(sorted(map(image, sub)))] for sub in self.orbit.subspaces]
+            subs = [self.subspace_ids[tuple(sorted(map(image, sub)))] for sub in self.subspaces]
         except KeyError:
             raise CrossCheckError(
                 f"the image of a subspace of {name} is not one of its subspaces"
             ) from None
         move = subs.__getitem__
         try:
-            return tuple([self.index[tuple(map(move, pt))] for pt in self.orbit.points])
+            return tuple([self.index[tuple(map(move, pt))] for pt in self.points])
         except KeyError:
             raise CrossCheckError(
                 f"the image of a point of {name} is not one of its points"
@@ -45,5 +46,5 @@ class PointAction:
         return self.of_lines(_line_perm(mat, self.q))
 
     def space(self, mats):
-        """X_P with one permutation per matrix of ``mats``."""
-        return _Space(self.orbit.points, [self.perm(m) for m in mats])
+        """X_P as (size, one permutation per matrix of ``mats``)."""
+        return len(self.points), [self.perm(m) for m in mats]

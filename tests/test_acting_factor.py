@@ -17,12 +17,12 @@ import pytest
 import dflag.orbits
 from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
+from dflag.flags import flag_count
 from dflag.groups import ParabolicSpec, gl, sp
 from dflag.orbits import (
     _flag_orbit,
     _parabolic_targets,
     _product_orbits,
-    _Space,
     _word_perms,
     count_triple_orbits,
 )
@@ -38,8 +38,11 @@ def _count_acting(group, shapes, acting, q):
     """The orbit count with the factor ``acting`` acting, whatever its
     size: the other factors are walked under its parabolic."""
     targets = _parabolic_targets(group, shapes[acting], q)
-    walked = [_flag_orbit(group, s, q) for k, s in enumerate(shapes) if k != acting]
-    spaces = [_Space(o.points, _word_perms(group, q, o, targets)) for o in walked]
+    spaces = [
+        (flag_count(group, s, q), _word_perms(group, q, _flag_orbit(group, s, q), targets))
+        for k, s in enumerate(shapes)
+        if k != acting
+    ]
     return _product_orbits(spaces)[1]
 
 
@@ -124,15 +127,14 @@ def test_one_factor_fusion_copies_no_permutation():
     full flags over F_3 are one orbit under GL_4's letters.  A scaled
     copy of each of the 3 letters' permutations would add 40 bytes per
     point each."""
-    orbit = _flag_orbit(gl(4), C((1, 1, 1, 1)), 3)
-    space = _Space(orbit.points, [w.perm for w in orbit.letters.values()])
+    perms = [w.perm for w in _flag_orbit(gl(4), C((1, 1, 1, 1)), 3).values()]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        total, orbits = _product_orbits([space])
+        total, orbits = _product_orbits([(len(perms[0]), perms)])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert (total, orbits, len(space.perms)) == (2080, 1, 3)
+    assert (total, orbits, len(perms)) == (2080, 1, 3)
     assert peak / total < 64, peak / total

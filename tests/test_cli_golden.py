@@ -68,6 +68,8 @@ ERRORS = [
     ["classify", "--pair", "AIII:2,2", "--p", "1,1,1", "--q", "1,1;1,1"],
     ["probe-orbits", "--pair", "AIII:1,1", "--p", "1,1", "--q", "1;1", "--qlist", "2,x"],
     ["probe-orbits", "--pair", "AIII:1,1", "--p", "1,1", "--q", "1;1", "--qlist", ","],
+    # a repeated field would count twice and read as two fields in the hint
+    ["probe-orbits", "--pair", "AIII:1,1", "--p", "1,1", "--q", "1;1", "--qlist", "3,3"],
     ["twisted-involutions", "--family", "C", "--n", "2", "--twist", "flip"],
     ["branch", "--mode", "restrict", "--weight", "2,1"],
     ["branch", "--mode", "restrict", "--weight", "2,1", "--pair", "CI:2"],

@@ -27,7 +27,7 @@ from dflag.orbits import (
     _line_perm,
     _lines,
     _product_orbits,
-    _Space,
+    _walk_flags,
     count_K_orbits,
     count_triple_orbits,
     growth_probe,
@@ -110,7 +110,6 @@ def test_counts_match_closed_forms():
 def test_enumeration_audit_raises(monkeypatch):
     # the walk audits itself against flag_count as orbits reads it
     real = dflag.orbits.flag_count
-    _flag_orbit.cache_clear()
     monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: real(*args) + 1)
     with pytest.raises(CrossCheckError):
         enumerate_flags(gl(3), C((1, 2)), 2)
@@ -140,7 +139,7 @@ def test_refusal_comes_before_any_walk(monkeypatch):
     def never(*args):
         raise AssertionError("walked a space over budget")
 
-    monkeypatch.setattr(dflag.orbits, "_flag_orbit", never)
+    monkeypatch.setattr(dflag.orbits, "_walk_flags", never)
     monkeypatch.setattr(dflag.orbits, "_lines", never)
     with pytest.raises(BudgetExceededError) as info:
         enumerate_flags(gl(4), C((1, 1, 1, 1)), 3, budget=100)
@@ -246,7 +245,7 @@ def _reference_orbits(spaces):
     """Orbit count on the product by plain union-find over tuples."""
     points = [()]
     for s in spaces:
-        points = [pt + (i,) for pt in points for i in range(len(s.points))]
+        points = [pt + (i,) for pt in points for i in range(s[0])]
     parent = {pt: pt for pt in points}
 
     def find(x):
@@ -254,32 +253,32 @@ def _reference_orbits(spaces):
             x = parent[x]
         return x
 
-    for g in range(len(spaces[0].perms)):
+    for g in range(len(spaces[0][1])):
         for pt in points:
-            image = tuple(s.perms[g][i] for s, i in zip(spaces, pt))
+            image = tuple(perms[g][i] for (_, perms), i in zip(spaces, pt))
             parent[find(pt)] = find(image)
     return len(points), sum(1 for pt in points if find(pt) == pt)
 
 
 def test_orbit_walk_on_hand_built_space():
     # one generator with cycles (0) (1 2) (3 4 5): orbits of sizes 1, 2, 3
-    space = _Space(list(range(6)), [(0, 2, 1, 4, 5, 3)])
+    space = (6, [(0, 2, 1, 4, 5, 3)])
     assert _product_orbits([space]) == (6, 3)
     assert _reference_orbits([space]) == (6, 3)
 
 
 def test_non_bijective_generator_raises():
-    collapsing = _Space(list(range(3)), [(0, 0, 1)])
+    collapsing = (3, [(0, 0, 1)])
     with pytest.raises(CrossCheckError):
         _product_orbits([collapsing])
-    fine = _Space(list(range(3)), [(1, 2, 0)])
+    fine = (3, [(1, 2, 0)])
     with pytest.raises(CrossCheckError):
         _product_orbits([fine, collapsing])
-    out_of_range = _Space(list(range(2)), [(1, 2)])
+    out_of_range = (2, [(1, 2)])
     with pytest.raises(CrossCheckError):
         _product_orbits([out_of_range])
     # -1 would mark the last point: (-1, 0) marks both points of 2
-    negative = _Space(list(range(2)), [(-1, 0)])
+    negative = (2, [(-1, 0)])
     with pytest.raises(CrossCheckError, match="does not permute a space of 2 points"):
         _product_orbits([negative])
 
@@ -289,11 +288,11 @@ def test_the_bijection_check_takes_a_byte_per_point():
     import tracemalloc
 
     size = 200_000
-    space = _Space(range(size), [list(range(size))[::-1]])
+    perm = list(range(size))[::-1]
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        _is_permutation(space.perms[0], size)
+        _is_permutation(perm, size)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -313,16 +312,16 @@ def test_product_orbits_match_reference_union_find():
                 perm = list(range(size))
                 rng.shuffle(perm)
                 perms.append(tuple(perm))
-            spaces.append(_Space(list(range(size)), perms))
+            spaces.append((size, perms))
         assert _product_orbits(spaces) == _reference_orbits(spaces)
 
 
 def _rref_points(group, shape, q):
     """The points of the orbit-built X_P in rref, through their lines."""
-    orbit = _flag_orbit(group, shape, q)
+    subspaces, points, _ = _walk_flags(group, shape, q)
     vecs, _ = _lines(group.dim, q)
-    subs = [gfq.rref([vecs[i] for i in sub], q) for sub in orbit.subspaces]
-    return [tuple(subs[s] for s in pt) for pt in orbit.points]
+    subs = [gfq.rref([vecs[i] for i in sub], q) for sub in subspaces]
+    return [tuple(subs[s] for s in pt) for pt in points]
 
 
 def _compositions(d):
@@ -341,6 +340,22 @@ def _every_shape(group):
 
 
 @pytest.mark.parametrize("q", [2, 3])
+def test_the_cached_letters_and_the_points_are_one_walk(q):
+    # _flag_orbit keeps the letters with the walk's permutations, and
+    # enumerate_flags writes the walk's points in rref
+    for group in (gl(2), gl(3), gl(4), sp(1), sp(2)):
+        letters = _letters(group, q)
+        for shape in _every_shape(group):
+            _, points, walked = _walk_flags(group, shape, q)
+            words = _flag_orbit(group, shape, q)
+            assert words == walked
+            assert list(words) == list(letters)
+            assert [w.mat for w in words.values()] == list(letters.values())
+            assert all(len(w.perm) == len(points) for w in words.values())
+            assert enumerate_flags(group, shape, q) == sorted(_rref_points(group, shape, q))
+
+
+@pytest.mark.parametrize("q", [2, 3])
 def test_walked_letter_permutations_match_per_flag_action(q):
     # the walk's record of each letter, and the lines' permutations
     # where X_P is the lines, against apply_to_flag on every point
@@ -353,7 +368,7 @@ def test_walked_letter_permutations_match_per_flag_action(q):
     for group, shape in cases:
         flags = enumerate_flags(group, shape, q)
         index = {pt: i for i, pt in enumerate(_rref_points(group, shape, q))}
-        letters = _flag_orbit(group, shape, q).letters
+        letters = _flag_orbit(group, shape, q)
         assert list(letters) == list(_letters(group, q))
         for word in letters.values():
             plain = [None] * len(flags)
@@ -430,6 +445,19 @@ def test_growth_probe_needs_a_field(monkeypatch):
     pair = SymmetricPairSpec.parse("AIII:1,1")
     with pytest.raises(ValueError, match="at least one field"):
         growth_probe(pair, borel(gl(2)), whole_K(pair), (), budget=0)
+
+
+def test_growth_probe_refuses_a_repeated_field(monkeypatch):
+    # F_3 twice would count one field twice and call it "Bounded"; the
+    # input is refused before any budget check or walk
+    def fail(*args):
+        raise AssertionError("counted or charged a repeated field")
+
+    monkeypatch.setattr(dflag.orbits, "_check_budget", fail)
+    monkeypatch.setattr(dflag.orbits, "_count_orbits", fail)
+    pair = SymmetricPairSpec.parse("AIII:1,1")
+    with pytest.raises(ValueError, match=r"each once: \[3, 2, 3\]"):
+        growth_probe(pair, borel(gl(2)), whole_K(pair), (3, 2, 3))
 
 
 def test_cii_counts_are_field_stable():

@@ -20,7 +20,7 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.flags import flag_count
 from dflag.groups import gl, sp
-from dflag.orbits import _flag_orbit, _letters, _line_perm, _lines
+from dflag.orbits import _flag_orbit, _letters, _line_perm, _lines, _walk_flags
 from point_action import PointAction
 
 GRASSMANNIANS = [
@@ -50,12 +50,13 @@ def test_a_grassmannian_is_walked_as_its_subspaces(
 
     monkeypatch.setattr(dflag.orbits, "_walk", refused)
     assert flag_count(group, shape, q) == count
-    orbit = _flag_orbit(group, shape, q)
-    assert orbit.points == tuple((k,) for k in range(count))
-    assert len(orbit.subspaces) == len(set(orbit.subspaces)) == count
-    assert list(orbit.letters) == list(_letters(group, q))
+    subspaces, points, _ = _walk_flags(group, shape, q)
+    assert points == tuple((k,) for k in range(count))
+    assert len(subspaces) == len(set(subspaces)) == count
+    letters = _flag_orbit(group, shape, q)
+    assert list(letters) == list(_letters(group, q))
     ref = PointAction(group, shape, q)
-    for word in orbit.letters.values():
+    for word in letters.values():
         assert tuple(word.perm) == ref.perm(word.mat)
 
 
@@ -90,13 +91,14 @@ def test_both_walks_audit_their_count(monkeypatch, fresh_walks, shape, reached):
 
 
 def test_the_flag_walk_keeps_few_bytes_per_point(fresh_walks):
-    """The walk of the Sp_6 full flags over F_3 (58,240 points), measured
-    by tracemalloc after the line table and the letters' line
+    """The cached walk of the Sp_6 full flags over F_3 (58,240 points),
+    measured by tracemalloc after the line table and the letters' line
     permutations are built.  It peaked at 216 bytes per point and kept
-    152 on CPython 3.11 (x86-64): a point's tuple of subspace ids and its
-    slot in each letter's permutation are kept, the index of the points
-    only during the walk.  Keeping that index too adds about 45 bytes
-    per point and breaks the second bound."""
+    70 on CPython 3.11 (x86-64): a point's slot in each of the 4
+    letters' permutations and its id are kept, its tuple of subspace
+    ids and the index of the points only during the walk.  Keeping the
+    point tuples too, as the cache once did, adds about 80 bytes per
+    point and breaks the second bound."""
     group, shape, q = sp(3), SC((1, 1, 1), 0), 3
     _lines(group.dim, q)
     for m in _letters(group, q).values():
@@ -105,11 +107,11 @@ def test_the_flag_walk_keeps_few_bytes_per_point(fresh_walks):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        orbit = _flag_orbit(group, shape, q)
+        letters = _flag_orbit(group, shape, q)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    points = len(orbit.points)
+    (points,) = {len(word.perm) for word in letters.values()}
     assert points == flag_count(group, shape, q) == 58240
     assert (peak - before) / points < 248, (peak - before) / points
-    assert (kept - before) / points < 176, (kept - before) / points
+    assert (kept - before) / points < 96, (kept - before) / points

@@ -27,7 +27,7 @@ from dflag.orbits import (
     _letters,
     _line_perm,
     _product_orbits,
-    _Space,
+    _walk_flags,
     count_K_orbits,
     growth_probe,
 )
@@ -78,9 +78,9 @@ def _full_product_walk(pair, P, Q, q):
     spaces = [PointAction(pair.group, P.standard_form().shape, q).space(ambient)]
     for (group, _), shape, mats in zip(blocks, Q.factors, per_factor):
         action = PointAction(group, shape, q)
-        identity = tuple(range(len(action.orbit.points)))
+        identity = tuple(range(len(action.points)))
         perms = [identity if m is None else action.perm(m) for m in mats]
-        spaces.append(_Space(action.orbit.points, perms))
+        spaces.append((len(action.points), perms))
     return _product_orbits(spaces)
 
 
@@ -265,14 +265,10 @@ def test_each_level_of_a_full_flag_is_walked_once(monkeypatch):
     group, shape, q = gl(4), Composition((1, 1, 1, 1)), 3
     real = _line_perm
     monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: _Counted(real(m, q)))
-    _flag_orbit.cache_clear()
     _Counted.lookups.clear()
-    try:
-        orbit = _flag_orbit(group, shape, q)
-    finally:
-        _flag_orbit.cache_clear()
-    assert len(orbit.points) == 2080
-    assert len(orbit.subspaces) == 40 + 130 + 40
+    subspaces, points, _ = _walk_flags(group, shape, q)
+    assert len(points) == 2080
+    assert len(subspaces) == 40 + 130 + 40
     assert len(_letters(group, q)) == 3
     assert len(_Counted.lookups) == (130 * 4 + 40 * 13) * 3 == 3120
 
@@ -286,10 +282,11 @@ def test_the_lines_are_not_walked(monkeypatch):
     _flag_orbit.cache_clear()
     _Counted.lookups.clear()
     try:
-        orbit = _flag_orbit(group, shape, q)
-        assert orbit.points == orbit.subspaces == tuple((i,) for i in range(40))
+        subspaces, points, _ = _walk_flags(group, shape, q)
+        assert points == subspaces == tuple((i,) for i in range(40))
+        letters = _flag_orbit(group, shape, q)
         for name, m in _letters(group, q).items():
-            assert orbit.letters[name] == (m, real(m, q))
+            assert letters[name] == (m, real(m, q))
         assert _Counted.lookups == []
         monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: 39)
         _flag_orbit.cache_clear()

@@ -15,6 +15,7 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.groups import GroupFamily, gl, sp
 from dflag.orbits import (
+    _flag_orbit,
     _k_targets,
     _letters,
     _parabolic_targets,
@@ -30,10 +31,11 @@ from test_fforacle import _every_shape
 def _check_words(group, shape, q, targets):
     """Spell ``targets`` on X_P; compare every word with the reference."""
     ref = PointAction(group, shape, q)
-    speller = _Speller(group, q, ref.orbit)
+    letters = _flag_orbit(group, shape, q)
+    speller = _Speller(group, q, letters)
     words = [speller.word_for(t) for t in targets]
     assert [w.mat for w in words] == targets
-    checked = [*ref.orbit.letters.values(), *speller.memo.values(), *words]
+    checked = [*letters.values(), *speller.memo.values(), *words]
     for w in checked:
         assert tuple(w.perm) == ref.perm(w.mat)
     return len(checked)
@@ -131,11 +133,11 @@ def test_a_word_that_misses_its_matrix_is_a_cross_check_error():
     # give the cycle letter the matrix of its inverse: every conjugate
     # by it lands on the wrong root, and the audit of the word's matrix
     # catches it, though the letter still permutes the points
-    orbit = PointAction(gl(3), C((1, 1, 1)), 2).orbit
-    c = orbit.letters["c"]
-    wrong = {**orbit.letters, "c": c._replace(mat=tuple(zip(*c.mat)))}
-    speller = _Speller(gl(3), 2, orbit._replace(letters=wrong))
+    letters = _flag_orbit(gl(3), C((1, 1, 1)), 2)
+    c = letters["c"]
+    wrong = {**letters, "c": c._replace(mat=tuple(zip(*c.mat)))}
+    speller = _Speller(gl(3), 2, wrong)
     e23 = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    assert _Speller(gl(3), 2, orbit).word_for(e23).mat == e23
+    assert _Speller(gl(3), 2, letters).word_for(e23).mat == e23
     with pytest.raises(CrossCheckError, match="letters of GL3 over F_2 does not give its matrix"):
         speller.word_for(e23)
