@@ -392,9 +392,6 @@ def finiteness_via_intersection(
     return DoubleFlagVerdict(Status.UNKNOWN, None)
 
 
-BOREL_CASES = ("i", "ii", "iii", "iv", "v")
-
-
 def classify_AIII_borel(p: int, q: int, Q1: Composition, Q2: Composition) -> str:
     """The five-case table for X_B x Z_{Q1 x Q2} of AIII(p, q), q >= p.
 

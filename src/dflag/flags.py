@@ -8,10 +8,10 @@ flags consist of isotropic subspaces.
 Closed-form point counts are Gaussian binomial products; they are used
 to enforce the enumeration budget up front (which thereby bounds the
 work as well as the output) and to audit the enumerations.  The points
-themselves come from the orbit walk dflag.orbits._walk_flags, whose
-cache for the orbit counts (_flag_orbit) keeps only the letters'
-permutations of the points; enumerate_flags walks again and writes
-the points in rref.  apply_to_flag is the dense action of a matrix on
+themselves come from the orbit walk dflag.orbits._walk_flags, of
+which an orbit count keeps only the letters' permutations of the
+points, and only while it counts; enumerate_flags walks again and
+writes the points in rref.  apply_to_flag is the dense action of a matrix on
 a flag.
 """
 

@@ -20,21 +20,23 @@ coordinate row of the line vectors that row i of the letter names when
 it is a single 1, and a mod-q combination of coordinate rows
 otherwise; each image's base-q code then looks its line id up in a
 table of q^dim entries.  X_P is walked level by level, a level being a
-break (or isotropic dimension) d of its flags: the orbit of
-span(e_1, ..., e_d) under the letters (_walk_subspaces), the only
-place where a matrix moves a subspace.  A subspace is the sorted tuple
-of its line ids (a frozenset would take about four times the memory),
-moved once per letter by one lookup of its lines in that letter's line
-permutation.  The lines (d = 1) are not walked, as the letters' line
-permutations move them.  X_P maps onto each level, so a level past
-|X_P| stops the walk.  A one-level X_P is its level, point k being
-(k,).  Otherwise each level gets a range of subspace ids, each letter
-one permutation of them, and a point is the tuple of its subspaces'
-ids, walked (_walk) by integer lookups alone.  Either way the walk
+break (or isotropic dimension) d of its flags, and then as flags, by
+one breadth-first walk (_orbit) whose element is a tuple of ids that
+each move maps by one lookup.  A level is the orbit of
+span(e_1, ..., e_d) under the letters, the only place where a matrix
+moves a subspace: a subspace is the sorted tuple of its line ids (a
+frozenset would take about four times the memory), moved by the
+letters' line permutations.  The lines (d = 1) are not walked, as the
+line permutations move them.  X_P maps onto each level, so a level
+past |X_P| stops the walk.  A one-level X_P is its level, point k
+being (k,).  Otherwise each level gets a range of subspace ids, each
+letter one permutation of them, and a point is the tuple of its
+subspaces' ids, walked by integer lookups alone.  Either way the walk
 (_walk_flags) records each letter's permutation of the points, and
 raises CrossCheckError as soon as it passes the closed-form count of
-X_P, and again if it falls short of it.  _flag_orbit caches only the
-letters with these permutations, as no count reads a point.
+X_P, and again if it falls short of it.  A count walks each distinct
+factor once and keeps only its letters with these permutations, as no
+count reads a point; no walk outlives its count.
 N <= |X_P| unless X_P is a single point, so the budget already checked
 on |X_P| bounds the lines too, and their code table of
 q^dim = (q - 1) N + 1 entries; a single point is never given either.
@@ -217,12 +219,27 @@ def _walk_flags(group: GroupDatum, shape, q: int):
         return (), ((),), {k: _Word(m, (0,)) for k, m in letters.items()}
     line_perms = [_line_perm(m, q) for m in letters.values()]
     vecs, _ = _lines(group.dim, q)
-    levels = [_walk_subspaces(name, count, d, vecs, line_perms) for d in dims]
+    levels = []
+    for d in dims:
+        if d > 1:  # the subspaces: sorted tuples of line ids
+            base = tuple(i for i, v in enumerate(vecs) if not any(v[d:]))
+            levels.append(_orbit(name, count, base, line_perms, sort=True))
+        elif len(vecs) > count:  # X_P maps onto every level
+            raise _passed(name, count)
+        else:  # the lines, which the line permutations already move
+            levels.append((tuple(zip(range(len(vecs)))), line_perms))
     if len(levels) == 1:  # X_P is its level
         (subspaces, perms), = levels
         points = tuple(zip(range(len(subspaces))))
-    else:
-        subspaces, points, perms = _walk(name, count, levels)
+    else:  # each level a range of subspace ids, each letter one permutation of them
+        subspaces, start, moves = [], [], [[] for _ in letters]
+        for subs, level_perms in levels:
+            start.append(len(subspaces))
+            for move, perm in zip(moves, level_perms):
+                move += [start[-1] + k for k in perm]
+            subspaces += subs
+        subspaces = tuple(subspaces)
+        points, perms = _orbit(name, count, tuple(start), moves, sort=False)
     if len(points) != count:
         raise CrossCheckError(
             f"the orbit of the base flag of {name} has {len(points)} of its {count} points"
@@ -230,71 +247,28 @@ def _walk_flags(group: GroupDatum, shape, q: int):
     return subspaces, points, dict(zip(letters, map(_Word, letters.values(), perms)))
 
 
-@lru_cache(maxsize=8)
-def _flag_orbit(group: GroupDatum, shape, q: int) -> dict[str, _Word]:
-    """The letters of _walk_flags, without its points and subspaces.
-    Only the walked factors are built (X_P, or the last factors of a
-    triple), so a few entries suffice."""
-    return _walk_flags(group, shape, q)[2]
-
-
-def _walk_subspaces(name: str, count: int, d: int, vecs, line_perms: list):
-    """(subspaces, permutations) of the level d of a flag: the orbit of
-    span(e_1, ..., e_d) under the line permutations, each subspace a
-    sorted tuple of line ids, subspace k the k-th found, each moved once
-    per permutation.  The lines (d = 1) are not walked: the line
-    permutations already move them.  X_P maps onto every level, so a
-    level past ``count`` stops the walk."""
-    if d == 1:
-        if len(vecs) > count:
-            raise _passed(name, count)
-        return tuple(zip(range(len(vecs)))), line_perms
-    base = tuple(i for i, v in enumerate(vecs) if not any(v[d:]))
-    subspaces, index = [base], {base: 0}
-    perms = [[] for _ in line_perms]
-    moves = list(zip(line_perms, perms))
-    for sub in subspaces:
-        image = itemgetter(*sub)  # a tuple, as a subspace has three or more lines
-        for line_perm, perm in moves:
-            lines = tuple(sorted(image(line_perm)))
-            k = index.get(lines)
-            if k is None:
-                if len(subspaces) == count:
-                    raise _passed(name, count)
-                k = index[lines] = len(subspaces)
-                subspaces.append(lines)
-            perm.append(k)
-    return tuple(subspaces), perms
-
-
-def _walk(name: str, count: int, levels: list):
-    """(subspaces, points, point permutations) of the orbit of the base
-    flag, from the walked ``levels``: each level's subspace ids get a
-    range of their own, its permutations are concatenated into one per
-    letter, and a point is the tuple of its subspaces' ids, one per
-    level, moved by integer lookups alone."""
-    subspaces, start, moves = [], [], [[] for _ in levels[0][1]]
-    for subs, perms in levels:
-        offset = len(subspaces)
-        start.append(offset)
-        subspaces += subs
-        for move, perm in zip(moves, perms):
-            move += [offset + k for k in perm]
-    start = tuple(start)
-    points, index = [start], {start: 0}
-    steps = [(move, []) for move in moves]
-    for pt in points:
-        image = itemgetter(*pt)  # a tuple, as a point has two or more levels
+def _orbit(name: str, count: int, base: tuple, moves: list, sort: bool):
+    """(elements, permutations) of the orbit of ``base``, a tuple of two
+    or more ids, under ``moves``, each a sequence that maps ids to ids:
+    element k is the k-th found, moved once per move by one lookup of
+    its ids, which are sorted if ``sort`` (a subspace is the set of its
+    lines; a flag's levels keep their order).  An orbit past ``count``
+    stops the walk."""
+    elements, index = [base], {base: 0}
+    perms = [[] for _ in moves]
+    steps = list(zip(moves, perms))
+    for element in elements:
+        image = itemgetter(*element)  # a tuple, as there are two or more ids
         for move, perm in steps:
-            moved = image(move)
+            moved = tuple(sorted(image(move))) if sort else image(move)
             k = index.get(moved)
             if k is None:
-                if len(points) == count:
+                if len(elements) == count:
                     raise _passed(name, count)
-                k = index[moved] = len(points)
-                points.append(moved)
+                k = index[moved] = len(elements)
+                elements.append(moved)
             perm.append(k)
-    return tuple(subspaces), tuple(points), [perm for _, perm in steps]
+    return tuple(elements), perms
 
 
 def _passed(name: str, count: int) -> CrossCheckError:
@@ -444,7 +418,7 @@ class _Speller:
 
 def _word_perms(group: GroupDatum, q: int, letters: dict, targets: list[Mat]) -> list:
     """The point permutations of the words in G's letters for the
-    matrices ``targets``, on the X_P whose ``letters`` _flag_orbit gave."""
+    matrices ``targets``, on the X_P whose ``letters`` _walk_flags gave."""
     speller = _Speller(group, q, letters)
     return [speller.word_for(t).perm for t in targets]
 
@@ -455,11 +429,14 @@ def _count_orbits(walked: list, q: int, targets: list[Mat]) -> int:
     ``targets``: each factor is walked, each target acts on it as the
     word in G's letters that gives its matrix, and the product is
     searched (X_G is one point, which every word fixes).  Each size is
-    the closed form, which the walk audits."""
-    spaces = [
-        (flag_count(group, shape, q), _word_perms(group, q, _flag_orbit(group, shape, q), targets))
-        for group, shape in walked
-    ]
+    the closed form, which the walk audits.  Equal factors share one
+    walk and its words; only the walk's letters are kept, and only
+    until its words are composed."""
+    perms = {
+        (group, shape): _word_perms(group, q, _walk_flags(group, shape, q)[2], targets)
+        for group, shape in dict.fromkeys(walked)
+    }
+    spaces = [(flag_count(group, shape, q), perms[group, shape]) for group, shape in walked]
     _, orbits = _product_orbits(spaces)
     return orbits
 

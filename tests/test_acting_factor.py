@@ -20,9 +20,9 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.flags import flag_count
 from dflag.groups import ParabolicSpec, gl, sp
 from dflag.orbits import (
-    _flag_orbit,
     _parabolic_targets,
     _product_orbits,
+    _walk_flags,
     _word_perms,
     count_triple_orbits,
 )
@@ -39,7 +39,7 @@ def _count_acting(group, shapes, acting, q):
     size: the other factors are walked under its parabolic."""
     targets = _parabolic_targets(group, shapes[acting], q)
     spaces = [
-        (flag_count(group, s, q), _word_perms(group, q, _flag_orbit(group, s, q), targets))
+        (flag_count(group, s, q), _word_perms(group, q, _walk_flags(group, s, q)[2], targets))
         for k, s in enumerate(shapes)
         if k != acting
     ]
@@ -95,13 +95,13 @@ def _walked_shapes(monkeypatch, group, shapes, q):
     """The shapes count_triple_orbits walks, in order; the orbit search
     on their product is skipped."""
     walked = []
-    original = dflag.orbits._flag_orbit
+    original = dflag.orbits._walk_flags
 
     def recording(group, shape, q):
         walked.append(shape)
         return original(group, shape, q)
 
-    monkeypatch.setattr(dflag.orbits, "_flag_orbit", recording)
+    monkeypatch.setattr(dflag.orbits, "_walk_flags", recording)
     monkeypatch.setattr(dflag.orbits, "_product_orbits", lambda spaces: (0, 0))
     count_triple_orbits(group, _specs(group, shapes), q)
     return walked
@@ -114,9 +114,10 @@ def test_the_largest_variety_acts_and_is_not_walked(monkeypatch):
     # on a tie the first of the largest acts, and the rest are walked
     walked = _walked_shapes(monkeypatch, gl(4), [C((2, 1, 1)), C((1, 1, 2)), C((3, 1))], 3)
     assert walked == [C((1, 1, 2)), C((3, 1))]
-    # three Borels tie: factors 2 and 3 are walked, as before
+    # three Borels tie: factors 2 and 3 are left, and their one X_B is
+    # walked once
     walked = _walked_shapes(monkeypatch, gl(4), [borel4] * 3, 3)
-    assert walked == [borel4, borel4]
+    assert walked == [borel4]
 
 
 def test_one_factor_fusion_copies_no_permutation():
@@ -127,7 +128,7 @@ def test_one_factor_fusion_copies_no_permutation():
     full flags over F_3 are one orbit under GL_4's letters.  A scaled
     copy of each of the 3 letters' permutations would add 40 bytes per
     point each."""
-    perms = [w.perm for w in _flag_orbit(gl(4), C((1, 1, 1, 1)), 3).values()]
+    perms = [w.perm for w in _walk_flags(gl(4), C((1, 1, 1, 1)), 3)[2].values()]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -175,7 +175,7 @@ def test_product_refused_before_enumeration(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("enumerated a product over the budget")
 
-    monkeypatch.setattr(dflag.orbits, "_flag_orbit", fail)
+    monkeypatch.setattr(dflag.orbits, "_walk_flags", fail)
     monkeypatch.setattr(dflag.orbits, "_line_perm", fail)
     code, _, err = run(
         capsys, "triple-orbits", "--family", "A", "--n", "4",
@@ -193,7 +193,7 @@ def test_triple_budget_charges_the_factors_after_the_first(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("walked a triple over the budget")
 
-    monkeypatch.setattr(dflag.orbits, "_flag_orbit", fail)
+    monkeypatch.setattr(dflag.orbits, "_walk_flags", fail)
     code, _, err = run(
         capsys, "triple-orbits", "--family", "A", "--n", "4",
         "--triple", "2,2;1,1,1,1;1,1,1,1", "--qlist", "3", "--budget", "1000000",
@@ -209,7 +209,7 @@ def test_every_field_refused_before_any_is_counted(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("counted a field before refusing a later one")
 
-    monkeypatch.setattr(dflag.orbits, "_flag_orbit", fail)
+    monkeypatch.setattr(dflag.orbits, "_walk_flags", fail)
     monkeypatch.setattr(dflag.orbits, "_line_perm", fail)
     code, _, err = run(
         capsys, "probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1",

@@ -20,7 +20,6 @@ from dflag.flags import (
 )
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp, whole_group
 from dflag.orbits import (
-    _flag_orbit,
     _is_permutation,
     _k_blocks,
     _letters,
@@ -340,14 +339,15 @@ def _every_shape(group):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_the_cached_letters_and_the_points_are_one_walk(q):
-    # _flag_orbit keeps the letters with the walk's permutations, and
-    # enumerate_flags writes the walk's points in rref
+def test_the_walked_letters_and_the_points_are_one_walk(q):
+    # the walk gives the letters with its permutations of its points,
+    # the same on every walk, and enumerate_flags writes those points
+    # in rref
     for group in (gl(2), gl(3), gl(4), sp(1), sp(2)):
         letters = _letters(group, q)
         for shape in _every_shape(group):
             _, points, walked = _walk_flags(group, shape, q)
-            words = _flag_orbit(group, shape, q)
+            words = _walk_flags(group, shape, q)[2]
             assert words == walked
             assert list(words) == list(letters)
             assert [w.mat for w in words.values()] == list(letters.values())
@@ -368,7 +368,7 @@ def test_walked_letter_permutations_match_per_flag_action(q):
     for group, shape in cases:
         flags = enumerate_flags(group, shape, q)
         index = {pt: i for i, pt in enumerate(_rref_points(group, shape, q))}
-        letters = _flag_orbit(group, shape, q)
+        letters = _walk_flags(group, shape, q)[2]
         assert list(letters) == list(_letters(group, q))
         for word in letters.values():
             plain = [None] * len(flags)
@@ -520,12 +520,8 @@ def test_a_matrix_that_leaves_X_P_is_a_cross_check_error(monkeypatch):
     monkeypatch.setattr(
         dflag.orbits, "_letters", lambda group, q: {**real_letters(group, q), "e12": e12}
     )
-    _flag_orbit.cache_clear()
-    try:
-        with pytest.raises(CrossCheckError, match="base flag of Sp4/2,2 over F_3 passes its 40"):
-            _flag_orbit(sp(2), lagrangian, 3)
-    finally:
-        _flag_orbit.cache_clear()
+    with pytest.raises(CrossCheckError, match="base flag of Sp4/2,2 over F_3 passes its 40"):
+        _walk_flags(sp(2), lagrangian, 3)
     # E_12(1) with e_1 sent to 0 is singular: as a letter it sends a line
     # of F_3^4 to 0, and its line permutation is refused
     # (only Sp_4 gets it: Sp_4's letters embed GL_2's, which must invert)
@@ -536,13 +532,11 @@ def test_a_matrix_that_leaves_X_P_is_a_cross_check_error(monkeypatch):
         return {**real_letters(group, q), **extra}
 
     monkeypatch.setattr(dflag.orbits, "_letters", letters)
-    _flag_orbit.cache_clear()
     _line_perm.cache_clear()
     try:
         with pytest.raises(CrossCheckError, match="4x4 matrix to act by is singular over F_3"):
-            _flag_orbit(sp(2), lagrangian, 3)
+            _walk_flags(sp(2), lagrangian, 3)
     finally:
-        _flag_orbit.cache_clear()
         _line_perm.cache_clear()
 
 

@@ -2,12 +2,13 @@
 
 X_P with one break (type A) or one isotropic dimension (type C), other
 than the lines, is a Grassmannian: its point k is the subspace k, so
-the walk moves each subspace once per letter straight into the point
-index.  The shape alone selects that walk; each letter's permutation
-is compared with the reference action of its matrix (point_action.py).
-This walk and the walk of flags of several subspaces both stop with
-CrossCheckError when they pass the closed-form count, or fall short of
-it.  The walk of flags keeps a bounded number of bytes per point.
+the one walk of its subspaces moves each subspace once per letter
+straight into the point index, and no walk of flags follows.  Each
+letter's permutation is compared with the reference action of its
+matrix (point_action.py).  The walk of a Grassmannian and the walk of
+flags of several subspaces both stop with CrossCheckError when they
+pass the closed-form count, or fall short of it.  The walk of flags
+keeps a bounded number of bytes per point.
 """
 
 import tracemalloc
@@ -20,7 +21,7 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.flags import flag_count
 from dflag.groups import gl, sp
-from dflag.orbits import _flag_orbit, _letters, _line_perm, _lines, _walk_flags
+from dflag.orbits import _letters, _line_perm, _lines, _walk_flags
 from point_action import PointAction
 
 GRASSMANNIANS = [
@@ -31,29 +32,24 @@ GRASSMANNIANS = [
 ]
 
 
-@pytest.fixture
-def fresh_walks():
-    _flag_orbit.cache_clear()
-    yield
-    _flag_orbit.cache_clear()
-
-
 @pytest.mark.parametrize(
     "group, shape, q, count",
     [pytest.param(*case, id=f"{case[0]}-{case[1]}-F{case[2]}") for case in GRASSMANNIANS],
 )
-def test_a_grassmannian_is_walked_as_its_subspaces(
-    monkeypatch, fresh_walks, group, shape, q, count
-):
-    def refused(*args):
-        raise AssertionError("a flag of one subspace took the flag walk")
+def test_a_grassmannian_is_walked_as_its_subspaces(monkeypatch, group, shape, q, count):
+    real = dflag.orbits._orbit
+    walks = []  # whether each walk sorted its elements, as subspaces
 
-    monkeypatch.setattr(dflag.orbits, "_walk", refused)
+    def recording(*args, sort):
+        walks.append(sort)
+        return real(*args, sort=sort)
+
+    monkeypatch.setattr(dflag.orbits, "_orbit", recording)
     assert flag_count(group, shape, q) == count
-    subspaces, points, _ = _walk_flags(group, shape, q)
+    subspaces, points, letters = _walk_flags(group, shape, q)
+    assert walks == [True]  # the subspaces, and no flag walk
     assert points == tuple((k,) for k in range(count))
     assert len(subspaces) == len(set(subspaces)) == count
-    letters = _flag_orbit(group, shape, q)
     assert list(letters) == list(_letters(group, q))
     ref = PointAction(group, shape, q)
     for word in letters.values():
@@ -75,7 +71,7 @@ E12 = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(4)) for i in ra
         pytest.param(SC((1, 1), 0), "Sp4/1,1,1,1 over F_3 has 4 of its 160", id="borel"),
     ],
 )
-def test_both_walks_audit_their_count(monkeypatch, fresh_walks, shape, reached):
+def test_both_walks_audit_their_count(monkeypatch, shape, reached):
     real = _letters
     count = flag_count(sp(2), shape, 3)
 
@@ -84,20 +80,20 @@ def test_both_walks_audit_their_count(monkeypatch, fresh_walks, shape, reached):
 
     monkeypatch.setattr(dflag.orbits, "_letters", levi_only)
     with pytest.raises(CrossCheckError, match=f"base flag of {reached} points"):
-        _flag_orbit(sp(2), shape, 3)
+        _walk_flags(sp(2), shape, 3)
     monkeypatch.setattr(dflag.orbits, "_letters", lambda group, q: {**real(group, q), "e12": E12})
     with pytest.raises(CrossCheckError, match=f"over F_3 passes its {count} points"):
-        _flag_orbit(sp(2), shape, 3)
+        _walk_flags(sp(2), shape, 3)
 
 
-def test_the_flag_walk_keeps_few_bytes_per_point(fresh_walks):
-    """The cached walk of the Sp_6 full flags over F_3 (58,240 points),
-    measured by tracemalloc after the line table and the letters' line
-    permutations are built.  It peaked at 216 bytes per point and kept
-    70 on CPython 3.11 (x86-64): a point's slot in each of the 4
-    letters' permutations and its id are kept, its tuple of subspace
-    ids and the index of the points only during the walk.  Keeping the
-    point tuples too, as the cache once did, adds about 80 bytes per
+def test_the_flag_walk_keeps_few_bytes_per_point():
+    """The walk of the Sp_6 full flags over F_3 (58,240 points), its
+    letters alone kept, measured by tracemalloc after the line table
+    and the letters' line permutations are built.  It peaked at 216
+    bytes per point and kept 70 on CPython 3.11 (x86-64): a point's
+    slot in each of the 4 letters' permutations and its id are kept,
+    its tuple of subspace ids and the index of the points only during
+    the walk.  Keeping the point tuples too adds about 80 bytes per
     point and breaks the second bound."""
     group, shape, q = sp(3), SC((1, 1, 1), 0), 3
     _lines(group.dim, q)
@@ -107,7 +103,7 @@ def test_the_flag_walk_keeps_few_bytes_per_point(fresh_walks):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        letters = _flag_orbit(group, shape, q)
+        letters = _walk_flags(group, shape, q)[2]
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

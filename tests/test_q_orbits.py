@@ -9,6 +9,7 @@ agree on every (P, Q) at every field.
 
 import itertools
 import sys
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -22,7 +23,6 @@ from dflag.errors import CrossCheckError
 from dflag.flags import flag_count
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl
 from dflag.orbits import (
-    _flag_orbit,
     _k_blocks,
     _letters,
     _line_perm,
@@ -149,7 +149,6 @@ def _refuse_everywhere(monkeypatch, name):
 
 
 def _clear_caches():
-    _flag_orbit.cache_clear()
     _line_perm.cache_clear()
 
 
@@ -206,6 +205,26 @@ def test_row_reduction_only_audits_matrices(monkeypatch):
     assert calls[0] == calls[1]
 
 
+def test_no_walk_outlives_its_count():
+    # CI:3 with P = B and Q = B of GL_3 walks the 58,240 full isotropic
+    # flags of F_3^6, whose letters alone take over 3 MB; after the
+    # count, tracemalloc finds under 1 MB kept, the line permutations
+    # built for it included
+    pair = SymmetricPairSpec.parse("CI:3")
+    P = borel(pair.group)
+    assert flag_count(pair.group, P.shape, 3) == 58240
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count_K_orbits(pair, P, KParabolicSpec.parse(pair, "1,1,1"), 3)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        _clear_caches()
+    assert kept < 2**20, kept
+
+
 class _Counted(tuple):
     """A line permutation that records each lookup."""
 
@@ -227,13 +246,9 @@ def test_a_walk_past_its_count_stops(monkeypatch):
     n_letters = len(_letters(group, q))
     for low in (count - 1, 1):
         monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: low)
-        _flag_orbit.cache_clear()
         _Counted.lookups.clear()
-        try:
-            with pytest.raises(CrossCheckError, match=f"passes its {low} points"):
-                _flag_orbit(group, shape, q)
-        finally:
-            _flag_orbit.cache_clear()
+        with pytest.raises(CrossCheckError, match=f"passes its {low} points"):
+            _walk_flags(group, shape, q)
         assert 0 < len(_Counted.lookups) <= (low + 1) * n_letters * 4
 
 
@@ -248,13 +263,9 @@ def test_a_level_past_the_count_stops_the_flag_walk(monkeypatch):
     n_letters = len(_letters(group, q))
     for low in (10, 1):
         monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: low)
-        _flag_orbit.cache_clear()
         _Counted.lookups.clear()
-        try:
-            with pytest.raises(CrossCheckError, match=f"passes its {low} points"):
-                _flag_orbit(group, shape, q)
-        finally:
-            _flag_orbit.cache_clear()
+        with pytest.raises(CrossCheckError, match=f"passes its {low} points"):
+            _walk_flags(group, shape, q)
         assert 0 < len(_Counted.lookups) <= (low + 1) * n_letters * 4
 
 
@@ -279,18 +290,12 @@ def test_the_lines_are_not_walked(monkeypatch):
     group, shape, q = gl(4), Composition((1, 3)), 3
     real = _line_perm
     monkeypatch.setattr(dflag.orbits, "_line_perm", lambda m, q: _Counted(real(m, q)))
-    _flag_orbit.cache_clear()
     _Counted.lookups.clear()
-    try:
-        subspaces, points, _ = _walk_flags(group, shape, q)
-        assert points == subspaces == tuple((i,) for i in range(40))
-        letters = _flag_orbit(group, shape, q)
-        for name, m in _letters(group, q).items():
-            assert letters[name] == (m, real(m, q))
-        assert _Counted.lookups == []
-        monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: 39)
-        _flag_orbit.cache_clear()
-        with pytest.raises(CrossCheckError, match="GL4/1,3 over F_3 passes its 39 points"):
-            _flag_orbit(group, shape, q)
-    finally:
-        _flag_orbit.cache_clear()
+    subspaces, points, letters = _walk_flags(group, shape, q)
+    assert points == subspaces == tuple((i,) for i in range(40))
+    for name, m in _letters(group, q).items():
+        assert letters[name] == (m, real(m, q))
+    assert _Counted.lookups == []
+    monkeypatch.setattr(dflag.orbits, "flag_count", lambda *args: 39)
+    with pytest.raises(CrossCheckError, match="GL4/1,3 over F_3 passes its 39 points"):
+        _walk_flags(group, shape, q)

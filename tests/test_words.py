@@ -15,13 +15,13 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.groups import GroupFamily, gl, sp
 from dflag.orbits import (
-    _flag_orbit,
     _k_targets,
     _letters,
     _parabolic_targets,
     _primitive_root,
     _Speller,
     _unit_matrix_with,
+    _walk_flags,
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec
 from point_action import PointAction
@@ -31,7 +31,7 @@ from test_fforacle import _every_shape
 def _check_words(group, shape, q, targets):
     """Spell ``targets`` on X_P; compare every word with the reference."""
     ref = PointAction(group, shape, q)
-    letters = _flag_orbit(group, shape, q)
+    letters = _walk_flags(group, shape, q)[2]
     speller = _Speller(group, q, letters)
     words = [speller.word_for(t) for t in targets]
     assert [w.mat for w in words] == targets
@@ -133,7 +133,7 @@ def test_a_word_that_misses_its_matrix_is_a_cross_check_error():
     # give the cycle letter the matrix of its inverse: every conjugate
     # by it lands on the wrong root, and the audit of the word's matrix
     # catches it, though the letter still permutes the points
-    letters = _flag_orbit(gl(3), C((1, 1, 1)), 2)
+    letters = _walk_flags(gl(3), C((1, 1, 1)), 2)[2]
     c = letters["c"]
     wrong = {**letters, "c": c._replace(mat=tuple(zip(*c.mat)))}
     speller = _Speller(gl(3), 2, wrong)
