@@ -61,15 +61,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args) -> int:
+    """--budget, else DFLAG_BUDGET, else the default; at least 1."""
     if args.budget is not None:
-        return args.budget
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"bad {BUDGET_ENV} value {raw!r}") from exc
+        budget, source = args.budget, "--budget"
+    else:
+        raw = os.environ.get(BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            budget, source = int(raw), BUDGET_ENV
+        except ValueError as exc:
+            raise ParseError(f"bad {BUDGET_ENV} value {raw!r}") from exc
+    if budget < 1:
+        raise ParseError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _parse_qlist(text: str) -> tuple[int, ...]:

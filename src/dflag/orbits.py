@@ -1,13 +1,11 @@
 """Orbit counting over F_q by walks over generator permutations.
 
-Every count is one parabolic acting on the remaining flag varieties.
-G is transitive on each factor of a triple (or pair), so any factor's
-parabolic may act on the product of the others; the one with the
-largest flag variety acts (the first of them on a tie), chosen from
-the closed forms, so the smallest product is walked.  The K-orbits on
-X_P x Z_Q match the Q-orbits on X_P one to one, since K is transitive
-on Z_Q = K/Q, so only X_P is walked; the points column is still
-|X_P x Z_Q|, from the closed forms.
+Every count walks one flag variety, once, and sums the orbit counts
+on it of one or more generated subgroups.  The K-orbits on X_P x Z_Q
+are the Q-orbits on X_P, as K is transitive on Z_Q = K/Q; the points
+column is still |X_P x Z_Q|, from the closed forms.  A pair's G-orbits
+are one parabolic's orbits on the other flag variety, and a triple's
+are summed over Bruhat double cosets (count_triple_orbits).
 
 Each group has a fixed set of letters that generates it (_letters has
 the proofs): u, c and the torus letter d for GL_n; u and c on the
@@ -34,9 +32,9 @@ letter one permutation of them, and a point is the tuple of its
 subspaces' ids, walked by integer lookups alone.  Either way the walk
 (_walk_flags) records each letter's permutation of the points, and
 raises CrossCheckError as soon as it passes the closed-form count of
-X_P, and again if it falls short of it.  A count walks each distinct
-factor once and keeps only its letters with these permutations, as no
-count reads a point; no walk outlives its count.
+X_P, and again if it falls short of it.  A count keeps only the
+letters with these permutations, as no count reads a point; no walk
+outlives its count.
 N <= |X_P| unless X_P is a single point, so the budget already checked
 on |X_P| bounds the lines too, and their code table of
 q^dim = (q - 1) N + 1 entries; a single point is never given either.
@@ -44,21 +42,21 @@ q^dim = (q - 1) N + 1 entries; a single point is never given either.
 Every acting generator is a word in G's letters (_Speller): its
 permutation of the points is composed from the letters', and its
 matrix, multiplied from theirs, is audited against the generator's
-own; a mismatch raises CrossCheckError.  A generator other than a
-letter is named by its root, in the encoding of groups, and
-_root_entries, the one map between roots and matrix entries, builds
-it and reads it back.  A Standard parabolic is generated by its torus
-and x_b(1) for each root b of _parabolic_roots, which has the proof.
-AIII's Q = Q1 x Q2 keeps the roots of the parabolic of shape Q1 ++ Q2
-that do not cross the block boundary, and CI's Q is a parabolic of the
-Siegel Levi.  The whole of a GL_r, CI's whole K, acts through its
-letters.
+own; a mismatch raises CrossCheckError.  One speller serves all the
+generator sets of a count, so each word is composed once.  A generator
+other than a letter is named by its root, in the encoding of groups,
+and _root_entries, the one map between roots and matrix entries,
+builds it and reads it back.  A Standard parabolic is generated by its
+torus and x_b(1) for each root b of _parabolic_roots, which has the
+proof.  AIII's Q = Q1 x Q2 keeps the roots of the parabolic of shape
+Q1 ++ Q2 that do not cross the block boundary, and CI's Q is a
+parabolic of the Siegel Levi.  The whole of a GL_r, CI's whole K, acts
+through its letters.
 
-Orbit fusion on a product of spaces is pure integer work: every factor
-after the first is folded into one permutation per generator, and each
-orbit is walked from a list that grows while it is read.  Every
-permutation is checked to be a bijection, and the sum of orbit sizes
-is audited against the total point count on every call.
+Orbit fusion (_orbit_count) is pure integer work: each orbit is walked
+from a list that grows while it is read.  Every permutation is checked
+to be a bijection, and the sum of orbit sizes is audited against the
+point count on every call.
 """
 
 from __future__ import annotations
@@ -90,6 +88,7 @@ from .groups import (
 )
 from .gfq import Mat
 from .pairs import KFactor, KParabolicSpec, PairKind, SymmetricPairSpec, check_membership
+from .weyl import _root_image, bruhat_double_cosets
 
 __all__ = [
     "OrbitCountReport",
@@ -416,29 +415,18 @@ class _Speller:
         return word
 
 
-def _word_perms(group: GroupDatum, q: int, letters: dict, targets: list[Mat]) -> list:
-    """The point permutations of the words in G's letters for the
-    matrices ``targets``, on the X_P whose ``letters`` _walk_flags gave."""
-    speller = _Speller(group, q, letters)
-    return [speller.word_for(t).perm for t in targets]
-
-
-def _count_orbits(walked: list, q: int, targets: list[Mat]) -> int:
-    """Orbits, on the product of the flag varieties ``walked`` ((group,
-    shape) each), of the subgroup of G(F_q) generated by the matrices
-    ``targets``: each factor is walked, each target acts on it as the
-    word in G's letters that gives its matrix, and the product is
-    searched (X_G is one point, which every word fixes).  Each size is
-    the closed form, which the walk audits.  Equal factors share one
-    walk and its words; only the walk's letters are kept, and only
-    until its words are composed."""
-    perms = {
-        (group, shape): _word_perms(group, q, _walk_flags(group, shape, q)[2], targets)
-        for group, shape in dict.fromkeys(walked)
-    }
-    spaces = [(flag_count(group, shape, q), perms[group, shape]) for group, shape in walked]
-    _, orbits = _product_orbits(spaces)
-    return orbits
+def _count_orbits(group: GroupDatum, shape, q: int, target_sets: list) -> int:
+    """The sum of the orbit counts on X_P = group/shape, walked once, of
+    the subgroups of G(F_q) that the matrix lists ``target_sets``
+    generate.  Each matrix acts as its word in G's letters, all spelled
+    by one speller; X_G is one point.  The size is the closed form,
+    which the walk audits."""
+    speller = _Speller(group, q, _walk_flags(group, shape, q)[2])
+    size = flag_count(group, shape, q)
+    return sum(
+        _orbit_count(size, [speller.word_for(t).perm for t in targets])
+        for targets in target_sets
+    )
 
 
 def _check_budget(factors, q: int, budget: int) -> int:
@@ -466,57 +454,33 @@ def _is_permutation(perm: Sequence[int], size: int) -> bool:
     return 0 not in marks
 
 
-def _product_orbits(spaces: list) -> tuple[int, int]:
-    """(total points, orbit count) for the diagonal action on the product
-    of ``spaces``, each (size, one permutation per generator).
-
-    The factors after the first are folded into one permutation per
-    generator of their product, so point (i, j) has index i * s2 + j.
-    Each orbit is walked forwards only, from a list that grows while it
-    is read.  That finds the whole orbit because every generator is a
-    bijection of a finite set (its inverse is one of its powers), which
-    is checked first.
-    """
-    for size, perms in spaces:
-        for perm in perms:
-            if not _is_permutation(perm, size):
-                raise CrossCheckError(f"a generator does not permute a space of {size} points")
-    (first_size, first_perms), rest = spaces[0], spaces[1:]
-    s2 = 1
-    folded = [(0,)] * len(first_perms)
-    for size, perms in rest:
-        folded = [
-            [a * size + b for a in pa for b in pb]
-            for pa, pb in zip(folded, perms, strict=True)
-        ]
-        s2 *= size
-    gens = [
-        (pa if s2 == 1 else [a * s2 for a in pa], pb)  # one factor: no scaled copy
-        for pa, pb in zip(first_perms, folded, strict=True)
-    ]
-    total = first_size * s2
-    seen = bytearray(total)
+def _orbit_count(size: int, perms: list) -> int:
+    """Orbits, on ``size`` points, of the group generated by ``perms``,
+    one permutation per generator.  Each orbit is walked forwards only,
+    from a list that grows while it is read: every generator is checked
+    first to be a bijection of a finite set, so its inverse is one of
+    its powers."""
+    for perm in perms:
+        if not _is_permutation(perm, size):
+            raise CrossCheckError(f"a generator does not permute a space of {size} points")
+    seen = bytearray(size)
     orbits = orbit_total = 0
-    for start in range(total):
+    for start in range(size):
         if seen[start]:
             continue
         orbits += 1
         seen[start] = 1
         orbit = [start]
         for x in orbit:
-            i = x // s2
-            j = x - i * s2
-            for scaled, pb in gens:
-                y = scaled[i] + pb[j]
+            for perm in perms:
+                y = perm[x]
                 if not seen[y]:
                     seen[y] = 1
                     orbit.append(y)
         orbit_total += len(orbit)
-    if orbit_total != total:
-        raise CrossCheckError(
-            f"orbit sizes add up to {orbit_total}, the product has {total} points"
-        )
-    return total, orbits
+    if orbit_total != size:
+        raise CrossCheckError(f"orbit sizes add up to {orbit_total}, the space has {size} points")
+    return orbits
 
 
 def _embed_block(m: Mat, coords, dim: int, big: Mat | None = None) -> Mat:
@@ -679,6 +643,36 @@ def _parabolic_targets(group: GroupDatum, shape, q: int) -> list[Mat]:
     return _generators(group, _parabolic_roots(group, shape), q)
 
 
+def _coset_targets(group: GroupDatum, Pi: ParabolicSpec, Pj: ParabolicSpec, q: int) -> list:
+    """Generators of H_w = P_i cap wP_jw^-1 in group(F_q), q prime, for
+    each minimal w of W_Pi\\W/W_Pj (weyl.bruhat_double_cosets): the
+    torus and x_b(1) for each root b of Phi(P_i) cap w.Phi(P_j), with
+    Phi from groups.parabolic_root_set.  The G-orbits on X_i x X_j x X_k
+    are the sum over w of the H_w-orbits on X_k, since:
+
+    1. G(F_q) has a split BN-pair, so it is the disjoint union of the
+       P_i(F_q) w P_j(F_q) (Bruhat over F_q): the G-orbits on X_i x X_j
+       are those of the points (P_i, wP_j), one per w.
+    2. The G-orbits on the triple over that of (P_i, wP_j) are the
+       orbits on X_k of its stabilizer P_i(F_q) cap wP_j(F_q)w^-1.
+    3. H_w contains the torus T, which w normalizes, and is its Levi
+       part L_i cap wL_jw^-1, split of types A and C, times its
+       unipotent radical (Carter, Finite Groups of Lie Type, 2.8).  Over
+       F_q the Levi part is generated by T and its root subgroups
+       (Steinberg, as in _letters), the radical is the product of its
+       root subgroups, and over F_p x_b(1) generates X_b.  w.Phi(P_j)
+       (weyl._root_image) is the root set of wP_jw^-1.
+    4. Every root of H_w is used, not only those that give the rest by
+       commutators: over F_2 the type C commutator relations lose their
+       factor 2 (see _parabolic_roots).
+    """
+    phi_i, phi_j, family = parabolic_root_set(Pi), parabolic_root_set(Pj), group.family
+    return [
+        _generators(group, sorted(phi_i & {_root_image(w.values, b, family) for b in phi_j}), q)
+        for w in bruhat_double_cosets(Pi, Pj).representatives
+    ]
+
+
 def count_K_orbits(
     pair: SymmetricPairSpec,
     P: ParabolicSpec,
@@ -734,8 +728,9 @@ def check_triple_budget(
     refuse a list of fields before counting any of them.
 
     The budget is charged with the product of the factors after the
-    first.  The walked product, all factors but the largest, is never
-    bigger, so the budget bounds it from above."""
+    first.  The work, cosets x |X_k| for the walked factor X_k, is never
+    more than the product of the two smallest factors, so the budget
+    bounds it from above."""
     _, *rest = _triple_specs(group, parabolics, q)
     _check_budget([(group, P.shape) for P in rest], q, budget)
 
@@ -748,20 +743,22 @@ def count_triple_orbits(
 ) -> int:
     """Orbits of diagonal G(F_q) on X_{P1} x ... x X_{Pk} (k = 2 or 3).
 
-    G is transitive on every factor, so this equals the number of
-    P(F_q)-orbits on the product of the other factors, for any one
-    factor's P.  The factor with the largest flag_count acts (the first
-    of them on a tie): the smallest parabolic, with the fewest
-    generators, leaves the smallest product to walk.  The budget is
-    checked as in check_triple_budget.  For a pair this is the Bruhat
-    double coset count, independent of q.
+    The factor X_k with the smallest flag_count, the first on a tie, is
+    walked once, chosen from the closed forms.  G is transitive on each
+    factor, so a pair's orbits are those of the other parabolic on X_k
+    (the Bruhat double coset count, independent of q), and a triple's
+    are summed over the double cosets of the other two (_coset_targets).
+    The budget is checked as in check_triple_budget.
     """
     specs = _triple_specs(group, parabolics, q)
     _check_budget([(group, P.shape) for P in specs[1:]], q, budget)
     sizes = [flag_count(group, P.shape, q) for P in specs]
-    acting = specs.pop(sizes.index(max(sizes)))
-    targets = _parabolic_targets(group, acting.shape, q)
-    return _count_orbits([(group, P.shape) for P in specs], q, targets)
+    walked = specs.pop(sizes.index(min(sizes)))
+    if len(specs) == 1:
+        target_sets = [_parabolic_targets(group, specs[0].shape, q)]
+    else:
+        target_sets = _coset_targets(group, *specs, q)
+    return _count_orbits(group, walked.shape, q, target_sets)
 
 
 @dataclass(frozen=True)
@@ -798,7 +795,7 @@ def growth_probe(
     fields = [(q, _orbit_factors(pair, P, Q, q)) for q in q_list]
     totals = [_check_budget(factors, q, budget) for q, factors in fields]
     entries = [
-        (q, total, _count_orbits(factors[:1], q, _k_targets(pair, Q, q)))
+        (q, total, _count_orbits(*factors[0], q, [_k_targets(pair, Q, q)]))
         for (q, factors), total in zip(fields, totals)
     ]
     by_size = sorted(entries)

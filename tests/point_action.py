@@ -6,7 +6,11 @@ letters'.  This module maps a matrix the direct way instead: its
 permutation of the lines of F_q^dim, then the sorted image of each
 subspace of X_P, then the image of each point.  Tests compare the
 composed permutations with it, and use it to let arbitrary matrices act.
+reference_orbits counts orbits on a product of such spaces by plain
+union-find, where the library walks one space only.
 """
+
+from operator import getitem
 
 from dflag.errors import CrossCheckError
 from dflag.orbits import _line_perm, _walk_flags
@@ -48,3 +52,24 @@ class PointAction:
     def space(self, mats):
         """X_P as (size, one permutation per matrix of ``mats``)."""
         return len(self.points), [self.perm(m) for m in mats]
+
+
+def reference_orbits(spaces):
+    """(points, orbits) of the diagonal action on the product of
+    ``spaces``, each (size, one permutation per generator), by plain
+    union-find over tuples."""
+    points = [()]
+    for s in spaces:
+        points = [pt + (i,) for pt in points for i in range(s[0])]
+    parent = {pt: pt for pt in points}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
+    for g in range(len(spaces[0][1])):
+        factors = [perms[g] for _, perms in spaces]
+        for pt in points:
+            parent[find(pt)] = find(tuple(map(getitem, factors, pt)))
+    return len(points), sum(1 for pt in points if find(pt) == pt)

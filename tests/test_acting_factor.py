@@ -1,12 +1,13 @@
-"""Which parabolic acts in a triple or pair orbit count.
+"""Which factor a triple or pair orbit count walks.
 
 G is transitive on every factor of X_P1 x X_P2 (x X_P3), so the
 diagonal G-orbits are the P-orbits on the product of the other factors
-for any one factor's P.  count_triple_orbits lets the factor with the
-largest flag variety act, the first of them on a tie.  These tests
-check that the count depends neither on the order of the factors nor
-on the factor that acts, that the acting factor is never walked, and
-that one-factor fusion makes no copy of the generators' permutations.
+for any one factor's P.  count_triple_orbits walks the factor with the
+smallest flag variety, the first of them on a tie, and nothing else.
+These tests check that the count depends neither on the order of the
+factors nor on the factor that acts (against union-find on the product
+of the others), that only the smallest factor is walked, once, and that
+orbit fusion makes no copy of the generators' permutations.
 """
 
 import itertools
@@ -20,12 +21,14 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.flags import flag_count
 from dflag.groups import ParabolicSpec, gl, sp
 from dflag.orbits import (
+    _orbit_count,
     _parabolic_targets,
-    _product_orbits,
+    _Speller,
     _walk_flags,
-    _word_perms,
     count_triple_orbits,
 )
+from dflag.weyl import bruhat_double_cosets
+from point_action import reference_orbits
 
 GL3_PROPER = [C((2, 1)), C((1, 2)), C((1, 1, 1))]
 
@@ -34,16 +37,24 @@ def _specs(group, shapes):
     return [ParabolicSpec(group, shape) for shape in shapes]
 
 
+def _word_perms(group, shape, q, targets):
+    """The point permutations of the words in G's letters for the
+    matrices ``targets``, on X_P = group/shape."""
+    speller = _Speller(group, q, _walk_flags(group, shape, q)[2])
+    return [speller.word_for(t).perm for t in targets]
+
+
 def _count_acting(group, shapes, acting, q):
     """The orbit count with the factor ``acting`` acting, whatever its
-    size: the other factors are walked under its parabolic."""
+    size: the other factors are walked under its parabolic, and their
+    product is searched by union-find."""
     targets = _parabolic_targets(group, shapes[acting], q)
     spaces = [
-        (flag_count(group, s, q), _word_perms(group, q, _walk_flags(group, s, q)[2], targets))
+        (flag_count(group, s, q), _word_perms(group, s, q, targets))
         for k, s in enumerate(shapes)
         if k != acting
     ]
-    return _product_orbits(spaces)[1]
+    return reference_orbits(spaces)[1]
 
 
 def _orderings_agree(group, shapes, q):
@@ -92,9 +103,9 @@ def test_orderings_agree(group, shapes, qs):
 
 
 def _walked_shapes(monkeypatch, group, shapes, q):
-    """The shapes count_triple_orbits walks, in order; the orbit search
-    on their product is skipped."""
-    walked = []
+    """The shapes count_triple_orbits walks, in order, and the number of
+    generator sets it counts on them; each orbit search is skipped."""
+    walked, searched = [], []
     original = dflag.orbits._walk_flags
 
     def recording(group, shape, q):
@@ -102,22 +113,27 @@ def _walked_shapes(monkeypatch, group, shapes, q):
         return original(group, shape, q)
 
     monkeypatch.setattr(dflag.orbits, "_walk_flags", recording)
-    monkeypatch.setattr(dflag.orbits, "_product_orbits", lambda spaces: (0, 0))
+    monkeypatch.setattr(dflag.orbits, "_orbit_count", lambda size, perms: searched.append(size) or 0)
     count_triple_orbits(group, _specs(group, shapes), q)
-    return walked
+    return walked, len(searched)
 
 
-def test_the_largest_variety_acts_and_is_not_walked(monkeypatch):
+def test_the_smallest_variety_is_walked_once_and_nothing_else_is(monkeypatch):
     borel4 = C((1, 1, 1, 1))
-    walked = _walked_shapes(monkeypatch, gl(4), [C((2, 2)), borel4, C((3, 1))], 3)
-    assert walked == [C((2, 2)), C((3, 1))]
-    # on a tie the first of the largest acts, and the rest are walked
-    walked = _walked_shapes(monkeypatch, gl(4), [C((2, 1, 1)), C((1, 1, 2)), C((3, 1))], 3)
-    assert walked == [C((1, 1, 2)), C((3, 1))]
-    # three Borels tie: factors 2 and 3 are left, and their one X_B is
-    # walked once
-    walked = _walked_shapes(monkeypatch, gl(4), [borel4] * 3, 3)
-    assert walked == [borel4]
+    # the P_(2,2) x B double cosets, one generator set each, act on the
+    # 40 points of X_(3,1)
+    walked, searched = _walked_shapes(monkeypatch, gl(4), [C((2, 2)), borel4, C((3, 1))], 3)
+    assert walked == [C((3, 1))]
+    assert searched == bruhat_double_cosets(*_specs(gl(4), [C((2, 2)), borel4])).count == 6
+    # on a tie the first of the smallest is walked
+    walked, _ = _walked_shapes(monkeypatch, gl(4), [C((2, 2)), C((1, 3)), C((3, 1))], 3)
+    assert walked == [C((1, 3))]
+    # three Borels tie: the first X_B is walked once
+    walked, searched = _walked_shapes(monkeypatch, gl(4), [borel4] * 3, 3)
+    assert (walked, searched) == ([borel4], 24)
+    # a pair walks its smaller factor under the other's parabolic
+    walked, searched = _walked_shapes(monkeypatch, gl(4), [borel4, C((2, 2))], 3)
+    assert (walked, searched) == ([C((2, 2))], 1)
 
 
 def test_one_factor_fusion_copies_no_permutation():
@@ -129,11 +145,12 @@ def test_one_factor_fusion_copies_no_permutation():
     copy of each of the 3 letters' permutations would add 40 bytes per
     point each."""
     perms = [w.perm for w in _walk_flags(gl(4), C((1, 1, 1, 1)), 3)[2].values()]
+    total = len(perms[0])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        total, orbits = _product_orbits([(len(perms[0]), perms)])
+        orbits = _orbit_count(total, perms)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

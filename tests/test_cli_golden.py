@@ -83,6 +83,9 @@ ERRORS = [
     ["DFLAG_BUDGET=100", "probe-orbits", "--pair", "AIII:2,2", "--p", "1,1,1,1",
      "--q", "1,1;1,1"],
     ["DFLAG_BUDGET=abc", "probe-orbits", "--pair", "AIII:1,1", "--p", "1,1", "--q", "1;1"],
+    # a budget below 1 is refused as input, before anything is sized
+    ["probe-orbits", "--pair", "AIII:1,1", "--p", "2", "--q", "1;1", "--budget", "0"],
+    ["DFLAG_BUDGET=-5", "probe-orbits", "--pair", "AIII:1,1", "--p", "2", "--q", "1;1"],
     # the F_q oracle does not cover AI
     ["probe-orbits", "--pair", "AI:3", "--p", "1,2", "--q", "1,1,1"],
     ["report", "--pair", "AI:3", "--p", "1,2", "--q", "1,1,1"],

@@ -25,7 +25,7 @@ from dflag.orbits import (
     _letters,
     _line_perm,
     _lines,
-    _product_orbits,
+    _orbit_count,
     _walk_flags,
     count_K_orbits,
     count_triple_orbits,
@@ -33,7 +33,7 @@ from dflag.orbits import (
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
 from dflag.weyl import bruhat_double_cosets
-from point_action import PointAction
+from point_action import PointAction, reference_orbits
 
 
 # ------------------------------------------------------------------ gfq
@@ -240,46 +240,27 @@ def test_symplectic_gram_antidiagonal():
 # ------------------------------------------------------------ orbit counts
 
 
-def _reference_orbits(spaces):
-    """Orbit count on the product by plain union-find over tuples."""
-    points = [()]
-    for s in spaces:
-        points = [pt + (i,) for pt in points for i in range(s[0])]
-    parent = {pt: pt for pt in points}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for g in range(len(spaces[0][1])):
-        for pt in points:
-            image = tuple(perms[g][i] for (_, perms), i in zip(spaces, pt))
-            parent[find(pt)] = find(image)
-    return len(points), sum(1 for pt in points if find(pt) == pt)
-
-
 def test_orbit_walk_on_hand_built_space():
     # one generator with cycles (0) (1 2) (3 4 5): orbits of sizes 1, 2, 3
     space = (6, [(0, 2, 1, 4, 5, 3)])
-    assert _product_orbits([space]) == (6, 3)
-    assert _reference_orbits([space]) == (6, 3)
+    assert _orbit_count(*space) == 3
+    assert reference_orbits([space]) == (6, 3)
 
 
 def test_non_bijective_generator_raises():
-    collapsing = (3, [(0, 0, 1)])
+    collapsing = (0, 0, 1)
     with pytest.raises(CrossCheckError):
-        _product_orbits([collapsing])
-    fine = (3, [(1, 2, 0)])
+        _orbit_count(3, [collapsing])
+    fine = (1, 2, 0)
+    with pytest.raises(CrossCheckError):  # every generator is checked, not only the first
+        _orbit_count(3, [fine, collapsing])
+    out_of_range = (1, 2)
     with pytest.raises(CrossCheckError):
-        _product_orbits([fine, collapsing])
-    out_of_range = (2, [(1, 2)])
-    with pytest.raises(CrossCheckError):
-        _product_orbits([out_of_range])
+        _orbit_count(2, [out_of_range])
     # -1 would mark the last point: (-1, 0) marks both points of 2
-    negative = (2, [(-1, 0)])
+    negative = (-1, 0)
     with pytest.raises(CrossCheckError, match="does not permute a space of 2 points"):
-        _product_orbits([negative])
+        _orbit_count(2, [negative])
 
 
 def test_the_bijection_check_takes_a_byte_per_point():
@@ -298,7 +279,19 @@ def test_the_bijection_check_takes_a_byte_per_point():
     assert peak < 2 * size
 
 
+def _product_space(spaces):
+    """The product of ``spaces`` as one space: point (i, j, ...) has the
+    mixed-radix index i * s2 * s3 ... + j * s3 ... + ..."""
+    size, perms = spaces[0]
+    for s, ps in spaces[1:]:
+        perms = [[a * s + b for a in pa for b in pb] for pa, pb in zip(perms, ps, strict=True)]
+        size *= s
+    return size, perms
+
+
 def test_product_orbits_match_reference_union_find():
+    # the orbit walk on a product, folded here into one space, against
+    # union-find over its tuples
     rng = random.Random(20261018)
     for trial in range(60):
         n_factors = 1 + trial % 3
@@ -312,7 +305,8 @@ def test_product_orbits_match_reference_union_find():
                 rng.shuffle(perm)
                 perms.append(tuple(perm))
             spaces.append((size, perms))
-        assert _product_orbits(spaces) == _reference_orbits(spaces)
+        size, perms = _product_space(spaces)
+        assert (size, _orbit_count(size, perms)) == reference_orbits(spaces)
 
 
 def _rref_points(group, shape, q):
@@ -562,9 +556,11 @@ def test_orbit_count_is_generator_set_invariant():
     counts = []
     for gens in (small, full):
         spaces = [PointAction(gl(2), C((1, 1)), 2).space(gens) for _ in range(2)]
-        _, orbits = _product_orbits(spaces)
+        _, orbits = reference_orbits(spaces)
         counts.append(orbits)
     assert counts == [2, 2]
+    borel2 = ParabolicSpec(gl(2), C((1, 1)))
+    assert count_triple_orbits(gl(2), [borel2, borel2], 2) == 2
 
 
 # |K factor(F_q)| by (factor, q): the closure below must reach all of it
@@ -605,7 +601,7 @@ def test_k_orbits_match_the_whole_group(token, P, Q, q):
     spaces = [PointAction(pair.group, P, q).space(ambient)]
     for i, ((group, _), shape) in enumerate(zip(blocks, Q.factors)):
         spaces.append(PointAction(group, shape, q).space([e[i][0] for e in elements]))
-    _, orbits = _product_orbits(spaces)
+    _, orbits = reference_orbits(spaces)
     assert orbits == count_K_orbits(pair, ParabolicSpec(pair.group, P), Q, q)
 
 

@@ -4,9 +4,9 @@ finite-field oracle, and clan counts at both small primes.
 In type A the stabilizer of any tuple of flags is the unit group of the
 endomorphism algebra of the configuration, hence connected, so orbit
 counts of finite-type triples are literally equal across fields; for
-infinite types they grow.  The sweeps below check both directions.
-Their size cap charges the factors after the first, as the orbit
-budget does, so each triple lists its largest variety first.
+infinite types they grow.  The sweeps below check both directions,
+exhaustively at ranks 3 and 4: a triple count walks only its smallest
+factor, once per Bruhat double coset of the other two.
 """
 
 import itertools
@@ -14,12 +14,9 @@ import itertools
 from dflag.clans import enumerate_clans
 from dflag.classify import mwz_classify_A
 from dflag.compositions import Composition as C
-from dflag.flags import flag_count
 from dflag.groups import ParabolicSpec, borel, gl
 from dflag.orbits import count_K_orbits, count_triple_orbits
 from dflag.pairs import SymmetricPairSpec, whole_K
-
-CAP = 300_000
 
 
 def _proper_comps(n):
@@ -36,18 +33,9 @@ def _proper_comps(n):
     return out
 
 
-def _reduced_size(n, shapes, q):
-    size = 1
-    for s in shapes[1:]:
-        size *= flag_count(gl(n), C(s), q)
-    return size
-
-
 def _sweep(n, triples):
     checked = 0
     for shapes in triples:
-        if any(_reduced_size(n, shapes, q) > CAP for q in (2, 3)):
-            continue
         specs = [ParabolicSpec(gl(n), C(s)) for s in shapes]
         counts = [count_triple_orbits(gl(n), specs, q) for q in (2, 3)]
         finite = mwz_classify_A(*(C(s) for s in shapes)).finite
@@ -65,18 +53,11 @@ def test_mwz_exhaustive_versus_oracle_rank3():
     assert checked == len(shapes) ** 3
 
 
-def test_mwz_exhaustive_versus_oracle_rank4_selected():
-    # representatives of every table family plus an infinite case
-    triples = [
-        ((1, 1, 1, 1), (3, 1), (2, 2)),  # S (and D) rows
-        ((2, 2), (2, 2), (2, 2)),  # D row
-        ((2, 1, 1), (2, 2), (2, 1, 1)),  # E_6 (plus E^{(a)}, E^{(b)})
-        ((1, 1, 1, 1), (2, 2), (2, 1, 1)),  # E_7 via lengths (4, 2, 3)
-        ((1, 1, 1, 1), (3, 1), (2, 1, 1)),  # E^{(b)}: the length-3 slot has a 1
-        ((2, 1, 1), (2, 1, 1), (2, 1, 1)),  # infinite: lengths (3, 3, 3)
-    ]
-    checked = _sweep(4, triples)
-    assert checked == len(triples)
+def test_mwz_exhaustive_versus_oracle_rank4():
+    # every unordered triple of proper shapes, finite and infinite
+    triples = list(itertools.combinations_with_replacement(_proper_comps(4), 3))
+    assert len(triples) == 84
+    assert _sweep(4, triples) == 84
 
 
 def test_mwz_oracle_spot_checks_rank5():

@@ -26,13 +26,12 @@ from dflag.orbits import (
     _k_blocks,
     _letters,
     _line_perm,
-    _product_orbits,
     _walk_flags,
     count_K_orbits,
     growth_probe,
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
-from point_action import PointAction
+from point_action import PointAction, reference_orbits
 
 
 def _compositions(n):
@@ -81,7 +80,7 @@ def _full_product_walk(pair, P, Q, q):
         identity = tuple(range(len(action.points)))
         perms = [identity if m is None else action.perm(m) for m in mats]
         spaces.append((len(action.points), perms))
-    return _product_orbits(spaces)
+    return reference_orbits(spaces)
 
 
 CASES = [
