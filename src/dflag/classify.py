@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 
 from .compositions import Composition, SymplecticComposition
@@ -40,8 +41,9 @@ from .pairs import (
     KParabolicSpec,
     PairKind,
     SymmetricPairSpec,
+    _factor_key,
+    _split_parts,
     check_membership,
-    k_parabolic_of_split,
     theta_on_parabolic,
 )
 
@@ -265,24 +267,56 @@ def _theta_stable_splits(pair: SymmetricPairSpec):
             yield descriptor, shape, plus, minus
 
 
+@lru_cache(maxsize=1024)
+def _split_count(size: int, cap_plus: int, cap_minus: int) -> int:
+    """How many splits _splits yields, summed over every composition of
+    ``size`` taken as its blocks: the first block and its split, then
+    the rest under the caps left (the empty split, for size 0)."""
+    if not size:
+        return 1
+    return sum(
+        _split_count(size - head, cap_plus - b, cap_minus - head + b)
+        for head in range(1, size + 1)
+        for b in range(max(0, head - cap_minus), min(head, cap_plus) + 1)
+    )
+
+
+def _candidate_count(pair: SymmetricPairSpec) -> int:
+    """len(_triple_candidates(pair)), in closed form."""
+    n = pair.group.n
+    if not pair.is_inner:
+        # the proper palindromic compositions of n
+        return 2 ** (n // 2) - 1
+    caps = pair.k_factors[0].rank, pair.k_factors[-1].rank
+    if pair.group.family is GroupFamily.SYMPLECTIC:
+        # the isotropic steps fill 1..n dimensions
+        return sum(_split_count(d, *caps) for d in range(1, n + 1))
+    # less the improper shape (n), which AIII's caps (p, q) split one way
+    return _split_count(n, *caps) - 1
+
+
 def _triple_candidates(pair: SymmetricPairSpec):
     """Theta-stable parabolic candidates with the K-parabolic each cuts
     out, as (descriptor, split descriptor, Q conjugacy key, mwz shape).
 
     Every entry describes a theta-stable member of the conjugacy class
     of the standard parabolic of that shape (the block splitting records
-    which K-conjugate realization is used).
+    which K-conjugate realization is used).  The key is read off the
+    split's parts, with no K-parabolic built, and the search space is
+    counted, and refused over SEARCH_CAP, before any split is made.
     """
+    count = _candidate_count(pair)
+    if count > SEARCH_CAP:
+        raise BudgetExceededError(
+            f"theta-stable search space has {count} candidates", count, SEARCH_CAP
+        )
+    families = [f.family for f in pair.k_factors]
     out = []
     inner = pair.is_inner
     for descriptor, shape, plus, minus in _theta_stable_splits(pair):
-        qc = k_parabolic_of_split(pair, plus, minus)
         split = _fmt_split(plus, minus) if inner else ""
-        out.append((descriptor, split, qc.conjugacy_key(), shape))
-    if len(out) > SEARCH_CAP:
-        raise BudgetExceededError(
-            f"theta-stable search space has {len(out)} candidates", len(out), SEARCH_CAP
-        )
+        qkey = tuple(map(_factor_key, families, _split_parts(pair, plus, minus)))
+        out.append((descriptor, split, qkey, shape))
     # the first matching candidate is reported as the witness, so keep
     # the search order lexicographic and independent of generation order
     out.sort(key=itemgetter(0, 1))

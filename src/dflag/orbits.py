@@ -55,8 +55,9 @@ through its letters.
 
 Orbit fusion (_orbit_count) is pure integer work: each orbit is walked
 from a list that grows while it is read.  Every permutation is checked
-to be a bijection, and the sum of orbit sizes is audited against the
-point count on every call.
+to be a bijection once per count, before any orbit is counted
+(_check_permutations), and the sum of orbit sizes is audited against
+the point count on every call.
 """
 
 from __future__ import annotations
@@ -420,13 +421,13 @@ def _count_orbits(group: GroupDatum, shape, q: int, target_sets: list) -> int:
     the subgroups of G(F_q) that the matrix lists ``target_sets``
     generate.  Each matrix acts as its word in G's letters, all spelled
     by one speller; X_G is one point.  The size is the closed form,
-    which the walk audits."""
+    which the walk audits.  Every permutation is checked before any
+    orbit is counted."""
     speller = _Speller(group, q, _walk_flags(group, shape, q)[2])
     size = flag_count(group, shape, q)
-    return sum(
-        _orbit_count(size, [speller.word_for(t).perm for t in targets])
-        for targets in target_sets
-    )
+    perm_sets = [[speller.word_for(t).perm for t in targets] for targets in target_sets]
+    _check_permutations(size, perm_sets)
+    return sum(_orbit_count(size, perms) for perms in perm_sets)
 
 
 def _check_budget(factors, q: int, budget: int) -> int:
@@ -454,15 +455,25 @@ def _is_permutation(perm: Sequence[int], size: int) -> bool:
     return 0 not in marks
 
 
+def _check_permutations(size: int, perm_sets: list) -> None:
+    """Raise CrossCheckError unless every permutation in ``perm_sets``
+    permutes ``size`` points.  A memoized word reaches many sets (a
+    triple's root words, once per double coset), so each distinct list
+    is checked once."""
+    checked = set()
+    for perm in itertools.chain.from_iterable(perm_sets):
+        if id(perm) not in checked:
+            if not _is_permutation(perm, size):
+                raise CrossCheckError(f"a generator does not permute a space of {size} points")
+            checked.add(id(perm))
+
+
 def _orbit_count(size: int, perms: list) -> int:
     """Orbits, on ``size`` points, of the group generated by ``perms``,
     one permutation per generator.  Each orbit is walked forwards only,
-    from a list that grows while it is read: every generator is checked
-    first to be a bijection of a finite set, so its inverse is one of
-    its powers."""
-    for perm in perms:
-        if not _is_permutation(perm, size):
-            raise CrossCheckError(f"a generator does not permute a space of {size} points")
+    from a list that grows while it is read: every generator must be a
+    bijection of a finite set (_check_permutations), so its inverse is
+    one of its powers."""
     seen = bytearray(size)
     orbits = orbit_total = 0
     for start in range(size):

@@ -212,21 +212,11 @@ class KParabolicSpec:
             raise ParseError(str(exc)) from exc
 
     def conjugacy_key(self):
-        """Hashable key identifying the K-conjugacy class.
-
-        GL factors are unordered (sort parts); Sp and SO factors are
-        determined by their isotropic flag dimensions, i.e. by the
-        shape itself.
-        """
-        keys = []
-        for factor, shape in zip(self.pair.k_factors, self.factors):
-            if factor.family == "gl":
-                keys.append(("gl", shape.sorted_key()))
-            elif factor.family == "so":
-                keys.append(("so", shape.parts))
-            else:
-                keys.append(("sp", shape.full_parts))
-        return tuple(keys)
+        """Hashable key identifying the K-conjugacy class (_factor_key)."""
+        return tuple(
+            _factor_key(f.family, s.full_parts if f.family == "sp" else s.parts)
+            for f, s in zip(self.pair.k_factors, self.factors)
+        )
 
     @property
     def is_whole_K(self) -> bool:
@@ -273,36 +263,51 @@ def is_theta_stable(pair: SymmetricPairSpec, P: ParabolicSpec) -> bool:
     return P.shape.is_palindromic
 
 
-def _drop_zeros(parts: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(filter(None, parts))
+def _factor_key(family: str, parts: tuple[int, ...]) -> tuple:
+    """One factor's entry in a K-conjugacy key, from the factor's full
+    parts.  GL factors are unordered (parts sorted descending); Sp and
+    SO factors are determined by their isotropic flag dimensions, i.e.
+    by the shape itself."""
+    return (family, tuple(sorted(parts, reverse=True)) if family == "gl" else parts)
+
+
+def _split_parts(
+    pair: SymmetricPairSpec, plus: tuple[int, ...], minus: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The full parts of each factor of K meet P' for a theta-stable P'
+    whose i-th block (the i-th isotropic step in type C) has plus[i]
+    dimensions on the coordinates of K's first factor, theta's +1
+    eigenspace, and minus[i] on the rest.  For AI and AII that factor is
+    all of K, so minus is all zeros.
+
+    In type C every step comes with its mirror under the form.  An Sp
+    factor sees its own part of both, around its Levi; CI's GL_n, on a
+    Lagrangian, sees the -1 part of each step through its mirror, after
+    the middle.  A split that does not fit K gives parts that no shape
+    of its factor has."""
+    in_sp = pair.group.family is GroupFamily.SYMPLECTIC
+    out = []
+    for factor, own, other in zip(pair.k_factors, (plus, minus), (minus, plus)):
+        if in_sp and factor.family == "gl":
+            own = own + (factor.rank - sum(own) - sum(other),) + other[::-1]
+        elif in_sp:
+            own = own + (2 * (factor.rank - sum(own)),) + own[::-1]
+        out.append(tuple(filter(None, own)))
+    return tuple(out)
 
 
 def k_parabolic_of_split(
     pair: SymmetricPairSpec, plus: tuple[int, ...], minus: tuple[int, ...]
 ) -> KParabolicSpec:
-    """K meet P' for a theta-stable P' whose i-th block (the i-th
-    isotropic step in type C) has plus[i] dimensions on the coordinates
-    of K's first factor, theta's +1 eigenspace, and minus[i] on the rest.
-    For AI and AII that factor is all of K, so minus is all zeros.
-
-    In type C every step comes with its mirror under the form.  An Sp
-    factor sees its own part of both, around its Levi; CI's GL_n, on a
-    Lagrangian, sees the -1 part of each step through its mirror, after
-    the middle.  Raises ValueError for a split that does not fit K.
-    """
-    in_sp = pair.group.family is GroupFamily.SYMPLECTIC
-    shapes = []
-    for factor, own, other in zip(pair.k_factors, (plus, minus), (minus, plus)):
-        if factor.family != "sp":
-            if in_sp:
-                own = own + (factor.rank - sum(own) - sum(other),) + other[::-1]
-            shapes.append(Composition(_drop_zeros(own)))
-        elif in_sp:
-            left = _drop_zeros(own)
-            shapes.append(SymplecticComposition(left, 2 * (factor.rank - sum(left))))
-        else:
-            shapes.append(SymplecticComposition.from_full(own))
-    return KParabolicSpec(pair, tuple(shapes))
+    """K meet P' for the split (plus, minus) of P' (_split_parts).
+    Raises ValueError for a split that does not fit K."""
+    return KParabolicSpec(
+        pair,
+        tuple(
+            SymplecticComposition.from_full(parts) if f.family == "sp" else Composition(parts)
+            for f, parts in zip(pair.k_factors, _split_parts(pair, plus, minus))
+        ),
+    )
 
 
 def intersect_with_K(pair: SymmetricPairSpec, P: ParabolicSpec) -> KParabolicSpec:

@@ -2,8 +2,13 @@ import itertools
 
 import pytest
 
+import dflag.classify
 from dflag.classify import (
     Status,
+    _candidate_count,
+    _fmt_split,
+    _theta_stable_splits,
+    _triple_candidates,
     classify_AIII_borel,
     classify_double_flag,
     finiteness_via_intersection,
@@ -14,8 +19,9 @@ from dflag.classify import (
 )
 from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
+from dflag.errors import BudgetExceededError
 from dflag.groups import ParabolicSpec, borel, gl, sp, whole_group
-from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
+from dflag.pairs import KParabolicSpec, SymmetricPairSpec, k_parabolic_of_split, whole_K
 
 
 def _comps(n):
@@ -399,3 +405,81 @@ def test_non_open_intersection_product_raises(monkeypatch):
     Q = KParabolicSpec.parse(pair, "1,1;1,1")
     with pytest.raises(CrossCheckError, match="not open"):
         dflag.classify.finiteness_via_intersection(pair, borel(gl(4)), Q)
+
+
+# ---------------------------------------------------- theta-stable search
+
+
+def _search_pairs():
+    """AIII and AI up to rank 7, AII:2, 4, 6, CI and CII up to rank 5,
+    each (p, q) with p <= q: 32 pairs."""
+    tokens = [f"AIII:{p},{n - p}" for n in range(2, 8) for p in range(1, n // 2 + 1)]
+    tokens += [f"AI:{n}" for n in range(2, 8)] + [f"AII:{n}" for n in (2, 4, 6)]
+    tokens += [f"CI:{n}" for n in range(1, 6)]
+    tokens += [f"CII:{p},{n - p}" for n in range(2, 6) for p in range(1, n // 2 + 1)]
+    return [SymmetricPairSpec.parse(t) for t in tokens]
+
+
+def _key_of_shapes(spec):
+    """A K-conjugacy key read off the shapes themselves: a GL factor's
+    parts in any order, an SO factor's flag and an Sp factor's full
+    palindrome as they are."""
+    keys = []
+    for factor, shape in zip(spec.pair.k_factors, spec.factors):
+        if factor.family == "gl":
+            keys.append(("gl", shape.sorted_key()))
+        elif factor.family == "so":
+            keys.append(("so", shape.parts))
+        else:
+            keys.append(("sp", shape.full_parts))
+    return tuple(keys)
+
+
+def _candidates_through_specs(pair):
+    """The search with one validated KParabolicSpec built per split, its
+    key read through conjugacy_key and checked against its shapes."""
+    out = []
+    for descriptor, shape, plus, minus in _theta_stable_splits(pair):
+        spec = k_parabolic_of_split(pair, plus, minus)
+        key = spec.conjugacy_key()
+        assert key == _key_of_shapes(spec), (str(pair), str(spec))
+        out.append((descriptor, _fmt_split(plus, minus) if pair.is_inner else "", key, shape))
+    return sorted(out, key=lambda c: (c[0], c[1]))
+
+
+def test_candidates_match_the_spec_path():
+    pairs = _search_pairs()
+    assert len(pairs) == 32
+    total = 0
+    for pair in pairs:
+        got = _triple_candidates(pair)
+        assert got == _candidates_through_specs(pair), str(pair)
+        total += len(got)
+    assert total > 3000
+
+
+def test_the_search_is_counted_in_closed_form():
+    for pair in _search_pairs():
+        assert _candidate_count(pair) == len(_triple_candidates(pair)), str(pair)
+
+
+def test_a_lowered_cap_refuses_before_any_split(monkeypatch):
+    pair = SymmetricPairSpec.parse("AIII:3,3")
+    size = len(_triple_candidates(pair))
+
+    def never(*args):
+        raise AssertionError("a split was made")
+
+    monkeypatch.setattr(dflag.classify, "SEARCH_CAP", size - 1)
+    monkeypatch.setattr(dflag.classify, "_theta_stable_splits", never)
+    monkeypatch.setattr(dflag.classify, "_split_parts", never)
+    with pytest.raises(BudgetExceededError, match=f"search space has {size} candidates") as err:
+        finiteness_via_triple(pair, borel(gl(6)), KParabolicSpec.parse(pair, "1,2;3"))
+    assert (err.value.size, err.value.budget) == (size, size - 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(dflag.classify, "SEARCH_CAP", size)
+    assert len(_triple_candidates(pair)) == size
+    # at the real cap, a pair whose search would never end is refused
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceededError, match="has 4145895935 candidates"):
+        _triple_candidates(SymmetricPairSpec.parse("AIII:10,10"))

@@ -20,6 +20,7 @@ from dflag.flags import (
 )
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp, whole_group
 from dflag.orbits import (
+    _check_permutations,
     _is_permutation,
     _k_blocks,
     _letters,
@@ -250,17 +251,50 @@ def test_orbit_walk_on_hand_built_space():
 def test_non_bijective_generator_raises():
     collapsing = (0, 0, 1)
     with pytest.raises(CrossCheckError):
-        _orbit_count(3, [collapsing])
+        _check_permutations(3, [[collapsing]])
     fine = (1, 2, 0)
     with pytest.raises(CrossCheckError):  # every generator is checked, not only the first
-        _orbit_count(3, [fine, collapsing])
+        _check_permutations(3, [[fine, collapsing]])
     out_of_range = (1, 2)
     with pytest.raises(CrossCheckError):
-        _orbit_count(2, [out_of_range])
+        _check_permutations(2, [[out_of_range]])
     # -1 would mark the last point: (-1, 0) marks both points of 2
     negative = (-1, 0)
     with pytest.raises(CrossCheckError, match="does not permute a space of 2 points"):
-        _orbit_count(2, [negative])
+        _check_permutations(2, [[negative]])
+
+
+def test_each_permutation_is_checked_once_before_any_orbit_is_counted(monkeypatch):
+    # GL_4 B;B;B at q = 3 sums over 24 double cosets; their generators
+    # are 10 distinct words, the letters' and the memoized ones
+    borels = [borel(gl(4))] * 3
+    checked, counted = [], []
+    real_check, real_count = dflag.orbits._is_permutation, dflag.orbits._orbit_count
+
+    def check(perm, size):
+        checked.append(perm)
+        return real_check(perm, size)
+
+    def count(size, perms):
+        counted.append(len(checked))
+        return real_count(size, perms)
+
+    monkeypatch.setattr(dflag.orbits, "_is_permutation", check)
+    monkeypatch.setattr(dflag.orbits, "_orbit_count", count)
+    assert count_triple_orbits(gl(4), borels, 3, budget=10**9) == 2469
+    assert len(checked) == len({id(p) for p in checked}) == 10
+    assert counted == [10] * 24  # every check came first
+    # the last of them fails: nothing is counted
+    checked.clear()
+    counted.clear()
+
+    def last_fails(perm, size):
+        return check(perm, size) and len(checked) < 10
+
+    monkeypatch.setattr(dflag.orbits, "_is_permutation", last_fails)
+    with pytest.raises(CrossCheckError, match="does not permute"):
+        count_triple_orbits(gl(4), borels, 3, budget=10**9)
+    assert (len(checked), counted) == (10, [])
 
 
 def test_the_bijection_check_takes_a_byte_per_point():
