@@ -451,35 +451,43 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser, with only the subparser of the command that argv
-    names when it names one; --help, no command and an unknown command
-    get them all."""
+def _add_arguments(parser: _Parser, name: str) -> _Parser:
+    """parser, given --format and the arguments of the command ``name``."""
+    parser.add_argument(
+        "--format",
+        choices=("text", "json", "tsv"),
+        default="text",
+        help="tsv columns: probe-orbits q/points/orbits; triple-orbits "
+        "q/orbits; branch target/multiplicity; others key/value",
+    )
+    for flag, options in _COMMANDS[name][2:]:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(command=name)
+    return parser
+
+
+def _build_parser(argv: list[str]) -> tuple[_Parser, list[str]]:
+    """(parser, the arguments it parses).  A command named first gets
+    its own parser alone, for the rest of argv; no command, an unknown
+    command and --help get the top-level parser with every command's
+    subparser, for all of argv."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _Parser(prog=f"dflag {name}", description=_COMMANDS[name][1])
+        return _add_arguments(parser, name), argv[1:]
     # --help shows the docstring without its last paragraph, which is
     # about the code
     parser = _Parser(prog="dflag", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        _, help_text, *arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument(
-            "--format",
-            choices=("text", "json", "tsv"),
-            default="text",
-            help="tsv columns: probe-orbits q/points/orbits; triple-orbits "
-            "q/orbits; branch target/multiplicity; others key/value",
-        )
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-    return parser
+    for name, (_, help_text, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text, description=help_text), name)
+    return parser, argv
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
+    parser, rest = _build_parser(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(rest)
         code, doc, lines, rows = _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

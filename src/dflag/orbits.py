@@ -42,7 +42,11 @@ q^dim = (q - 1) N + 1 entries; a single point is never given either.
 Every acting generator is a word in G's letters (_Speller): its
 permutation of the points is composed from the letters', and its
 matrix, multiplied from theirs, is audited against the generator's
-own; a mismatch raises CrossCheckError.  One speller serves all the
+own; a mismatch raises CrossCheckError.  No permutation is inverted:
+every inverse a word takes is a power of an element of known order
+over F_q, q prime (a root element has order q, the n-cycle c order n),
+so a word is a product of powers, each composed once per count and
+memoized on its matrix and exponent.  One speller serves all the
 generator sets of a count, so each word is composed once.  A generator
 other than a letter is named by its root, in the encoding of groups,
 and _root_entries, the one map between roots and matrix entries,
@@ -291,11 +295,18 @@ def _memo(method):
 class _Speller:
     """Words in G's letters on the points of one walked X_P, composed on
     demand, each root element named by its root.  In GL_n,
-    E_ij(1) = c^(i-1) E_(1,1+k) c^-(i-1) for k = j - i mod n, with
+    E_ij(1) = c^(i-1) E_(1,1+k) c^(n-i+1) for k = j - i mod n, with
     E_(1,2) = u and E_(1,1+k) = [E_(1,k), E_(k,k+1)], and
-    diag(z at i) = c^(i-1) d c^-(i-1).  In Sp_2n the first give the
+    diag(z at i) = c^(i-1) d c^(n-i+1).  In Sp_2n the first give the
     Levi's x_(e_i - e_j)(1), the other roots are spelled as in the proof
-    in _letters, and the torus from the long roots (torus)."""
+    in _letters, and the torus from the long roots (torus).
+
+    No permutation is inverted: every inverse taken is of an element of
+    known order over F_q, q prime, and so one of its powers.  A root
+    element x_b(1) has order q, so x_b(1)^-1 = x_b(1)^(q-1), and
+    c^-k = c^(n-k).  Each power is memoized on (its word's matrix, the
+    exponent), so an inverse spelled for a commutator serves a target
+    entry q - 1 too."""
 
     def __init__(self, group: GroupDatum, q: int, letters: dict[str, _Word]):
         self.group, self.q, self.letters = group, q, letters
@@ -312,31 +323,34 @@ class _Speller:
             perm = map(w.perm.__getitem__, perm)
         return _Word(mat, list(perm))
 
-    def inverse(self, w: _Word) -> _Word:
-        perm = [0] * len(w.perm)
-        for i, j in enumerate(w.perm):
-            perm[j] = i
-        return _Word(gfq.mat_inv(w.mat, self.q), perm)
+    def power(self, w: _Word, e: int, memo: dict | None = None) -> _Word:
+        """w^e for e > 0, by halving e: one composition per power not
+        yet in ``memo``, the speller's own by default."""
+        memo = self.memo if memo is None else memo
+        if e == 1:
+            return w
+        key = (w.mat, e)
+        word = memo.get(key)
+        if word is None:
+            if e % 2:
+                word = self.times(w, self.power(w, e - 1, memo))
+            else:
+                half = self.power(w, e // 2, memo)
+                word = self.times(half, half)
+            memo[key] = word
+        return word
 
     def commutator(self, a: _Word, b: _Word) -> _Word:
-        return self.times(a, b, self.inverse(a), self.inverse(b))
-
-    def power(self, w: _Word, e: int, order: int) -> _Word:
-        """w^e, 0 < e < order, for w of the given order."""
-        if e > 1 and e == order - 1:
-            return self.inverse(w)
-        return w if e == 1 else self.times(*[w] * e)
-
-    @_memo
-    def cycle(self, k: int) -> _Word:
-        """c^k, for 0 < |k| < n."""
-        if k < 0:
-            return self.inverse(self.cycle(-k))
-        return self.letters["c"] if k == 1 else self.times(self.letters["c"], self.cycle(k - 1))
+        """a b a^-1 b^-1, for root elements a and b."""
+        q = self.q
+        return self.times(a, b, self.power(a, q - 1), self.power(b, q - 1))
 
     def conj(self, k: int, w: _Word) -> _Word:
-        """c^k w c^-k."""
-        return w if k == 0 else self.times(self.cycle(k), w, self.cycle(-k))
+        """c^k w c^-k, for 0 <= k < n."""
+        if k == 0:
+            return w
+        c = self.letters["c"]
+        return self.times(self.power(c, k), w, self.power(c, self.group.n - k))
 
     @_memo
     def elementary(self, i: int, j: int) -> _Word:
@@ -353,21 +367,26 @@ class _Speller:
         """diag(z at i) of GL_n, or diag(z at i, z^-1 at its mirror) of
         Sp_2n, 0-based.  The latter is h(z) = w(z) w(1)^-1 in the SL_2
         of the long root 2e_i, where w(t) = x(t) y(-1/t) x(t) with
-        x(t) = x_(2e_i)(t) and y(t) = x_(-2e_i)(t).  It is spelled once,
-        for i = n-1 with the letters x+-, and conjugated by c^(i+1) for
-        every other i, as the long roots are."""
+        x(t) = x_(2e_i)(t) = x^t and y(t) = x_(-2e_i)(t) = y^t, so
+        w(1)^-1 = x^(q-1) y x^(q-1) and
+        h(z) = x^z y^(-1/z) x^(z-1) y x^(q-1).  It is spelled once, for
+        i = n-1 with the letters x = x+ and y = x-, and conjugated by
+        c^(i+1) for every other i, as the long roots are; so its powers
+        of x and y are kept only while it is composed, not memoized."""
         if self.group.family is GroupFamily.GENERAL_LINEAR:
             return self.conj(i, self.letters["d"])
         n, q = self.group.n, self.q
         if i != n - 1:
             return self.conj(i + 1, self.torus(n - 1))
-        x, y = self.letters["x+"], self.letters["x-"]
-
-        def w(t: int) -> _Word:
-            xt = self.power(x, t, q)
-            return self.times(xt, self.power(y, -pow(t, -1, q) % q, q), xt)
-
-        return self.times(w(_primitive_root(q)), self.inverse(w(1)))
+        x, y, z = self.letters["x+"], self.letters["x-"], _primitive_root(q)
+        powers: dict = {}
+        return self.times(
+            self.power(x, z, powers),
+            self.power(y, -pow(z, -1, q) % q, powers),
+            self.power(x, z - 1, powers),
+            y,
+            self.power(x, q - 1, powers),
+        )
 
     @_memo
     def root(self, b: tuple[int, ...]) -> _Word:
@@ -385,7 +404,7 @@ class _Speller:
         short = self.root(tuple(a * (int(k == i) - int(k == j)) for k in range(n)))
         long_i, long_j = (self.root(tuple(2 * a * int(k == x) for k in range(n))) for x in (i, j))
         if a > 0:
-            return self.times(self.commutator(short, long_j), self.inverse(long_i))
+            return self.times(self.commutator(short, long_j), self.power(long_i, self.q - 1))
         return self.times(self.commutator(long_j, short), long_i)
 
     def word_for(self, target: Mat) -> _Word:
@@ -396,15 +415,14 @@ class _Speller:
         element of G."""
         word = self.by_matrix.get(target)
         if word is None:
-            q = self.q
             parts = [
-                self.power(self.root(b), target[i][j], q)
+                self.power(self.root(b), target[i][j])
                 for b, ((i, j), *_) in _root_entries(self.group).items()
                 if target[i][j]
             ]
             if not parts:
                 parts = [
-                    self.power(self.torus(i), self.log[target[i][i]], q - 1)
+                    self.power(self.torus(i), self.log[target[i][i]])
                     for i in range(self.group.n)
                     if target[i][i] != 1
                 ]

@@ -250,10 +250,18 @@ def test_env_budget(capsys, monkeypatch):
 
 
 def test_only_the_named_subcommand_is_built():
+    import argparse
+
     from dflag.cli import _COMMANDS, _build_parser
 
-    assert "{report}" in _build_parser(["report", "--pair", "CI:2"]).format_usage()
+    parser, rest = _build_parser(["report", "--pair", "CI:2"])
+    assert rest == ["--pair", "CI:2"]
+    assert parser.prog == "dflag report"
+    assert parser.format_usage().startswith("usage: dflag report [-h] [--format {text,json,tsv}]")
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
     everything = "{" + ",".join(_COMMANDS) + "}"
     assert len(_COMMANDS) == 11
     for argv in ([], ["--help"], ["nope"], ["-h", "report"]):
-        assert everything in _build_parser(argv).format_usage()
+        parser, rest = _build_parser(argv)
+        assert everything in parser.format_usage()
+        assert rest == argv

@@ -5,19 +5,24 @@ Every acting generator other than a letter is named by its root, and
 The references here spell each root element and each generator set
 out by hand, from the rules they follow, and compare them with what
 ``_root_element``, ``_parabolic_targets`` and ``_k_targets`` build.
+Those rules are the library's own, so each K-parabolic's generator set
+is also certified by the order of the group it generates, from closed
+forms alone.
 """
 
 import itertools
+import math
 
 import pytest
 
 from dflag import gfq
 from dflag.compositions import Composition as C
 from dflag.errors import CrossCheckError
-from dflag.flags import symplectic_gram
+from dflag.flags import flag_count, symplectic_gram
 from dflag.groups import GroupFamily, ParabolicSpec, all_roots, gl, parabolic_root_set, sp
 from dflag.orbits import _k_targets, _letters, _parabolic_targets, _root_element, _root_entries
-from dflag.pairs import SymmetricPairSpec
+from dflag.pairs import PairKind, SymmetricPairSpec
+from test_bruhat_split import _group_order, _line_order
 from test_fforacle import _every_shape
 from test_k_reference import _reference_blocks
 from test_words import _k_shapes
@@ -174,3 +179,34 @@ def test_k_parabolic_generators_follow_the_rules(token, q):
                 for m in _rule(group, shape, q)
             }
         assert set(_k_targets(pair, Q, q)) == expected, Q
+
+
+# Schreier-Sims runs on the lines of F_q^dim; this cap on their number,
+# fixed by running time, keeps every pair at q = 2 and leaves out Sp_6
+# and Sp_8 over F_3 (364 and 3,280 lines, up to 7 s a pair)
+ORDER_LINES_CAP = 255
+
+
+@pytest.mark.parametrize(
+    "token, q",
+    [
+        (t, q)
+        for t in PAIRS
+        for q in (2, 3)
+        if (q ** SymmetricPairSpec.parse(t).group.dim - 1) // (q - 1) <= ORDER_LINES_CAP
+    ],
+)
+def test_k_parabolic_generators_have_the_order_of_Q(token, q):
+    # the image of Q(F_q) on the lines of F_q^dim is Q(F_q) over the
+    # scalars of G inside it, which act trivially: F_q^* for AIII, +-1
+    # for CI, CII and AII (the -1 of GL_n, of Sp_2p x Sp_2q, of Sp_2n);
+    # |Q(F_q)| is the product over K's factors of the factor's order
+    # over its flag count
+    pair = SymmetricPairSpec.parse(token)
+    scalars = q - 1 if pair.kind is PairKind.AIII else math.gcd(2, q - 1)
+    for Q in _k_shapes(pair):
+        size = math.prod(
+            _group_order(group, q) // flag_count(group, shape, q)
+            for (group, _), shape in zip(_reference_blocks(pair), Q.factors)
+        )
+        assert _line_order(pair.group, _k_targets(pair, Q, q), q) == size // scalars, str(Q)

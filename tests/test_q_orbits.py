@@ -21,11 +21,13 @@ from dflag import gfq
 from dflag.compositions import Composition, SymplecticComposition
 from dflag.errors import CrossCheckError
 from dflag.flags import flag_count
-from dflag.groups import GroupFamily, ParabolicSpec, borel, gl
+from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp
 from dflag.orbits import (
     _k_blocks,
     _letters,
     _line_perm,
+    _Speller,
+    _unit_matrix_with,
     _walk_flags,
     count_K_orbits,
     growth_probe,
@@ -179,7 +181,8 @@ def test_only_G_letters_move_lines(monkeypatch):
 
 
 def test_row_reduction_only_audits_matrices(monkeypatch):
-    # no subspace is row reduced, so the rref calls do not depend on P
+    # no subspace is row reduced and no word inverts a matrix, so an
+    # AIII count row reduces nothing, whatever P
     pair = SymmetricPairSpec.parse("AIII:2,2")
     Q = KParabolicSpec.parse(pair, "1,1;1,1")
     _refuse_everywhere(monkeypatch, "apply_to_flag")
@@ -191,17 +194,68 @@ def test_row_reduction_only_audits_matrices(monkeypatch):
         return real(rows, q)
 
     monkeypatch.setattr(gfq, "rref", counted)
-    calls = []
     for shape in ((1, 1, 1, 1), (2, 2)):
         _clear_caches()
-        callers.clear()
         try:
             count_K_orbits(pair, ParabolicSpec(pair.group, Composition(shape)), Q, 3)
         finally:
             _clear_caches()
-        assert set(callers) == {"mat_inv"}
-        calls.append(len(callers))
-    assert calls[0] == calls[1]
+        assert callers == []
+
+
+def _speller(group, shape, q):
+    return _Speller(group, q, _walk_flags(group, shape, q)[2])
+
+
+def _count(token, p, q_shapes, q):
+    pair = SymmetricPairSpec.parse(token)
+    shape = SymplecticComposition if pair.group.family is GroupFamily.SYMPLECTIC else Composition
+    P = ParabolicSpec(pair.group, shape.parse(p))
+    return count_K_orbits(pair, P, KParabolicSpec.parse(pair, q_shapes), q)
+
+
+# each composition is one pass over the points; no word inverts a
+# permutation, which would take a loop in Python over the points: a
+# root element's inverse is its (q-1)-th power, and c^-k = c^(n-k)
+PASS_CASES = [
+    ("Sp6-torus-F3", lambda: _speller(sp(3), SymplecticComposition((1,), 4), 3).torus(2), 5),
+    ("Sp6-torus-F5", lambda: _speller(sp(3), SymplecticComposition((1,), 4), 5).torus(2), 7),
+    (
+        "GL4-E21-F3",
+        lambda: _speller(gl(4), Composition((1, 3)), 3).word_for(
+            _unit_matrix_with(4, {(1, 0): 1}, 3)
+        ),
+        18,
+    ),
+    ("AIII:2,2-Q2;2-F3", lambda: _count("AIII:2,2", "1,1,1,1", "2;2", 3), 26),
+    ("AIII:3,3-P1,5-F3", lambda: _count("AIII:3,3", "1,5", "1,1,1;1,2", 3), 44),
+    ("CII:1,2-Siegel-F3", lambda: _count("CII:1,2", "3,3", "1,1;1,2,1", 3), 23),
+]
+
+
+@pytest.mark.parametrize("spell, passes", [pytest.param(s, n, id=i) for i, s, n in PASS_CASES])
+def test_words_take_their_pinned_passes_and_no_inverse(monkeypatch, spell, passes):
+    assert not hasattr(_Speller, "inverse")
+    real = _Speller.times
+    counted = []
+
+    def times(self, *words):
+        counted.append(len(words) - 1)
+        return real(self, *words)
+
+    real_inv = gfq.mat_inv
+    inverted_by = set()
+
+    def mat_inv(m, q):
+        inverted_by.add(sys._getframe(1).f_code.co_name)
+        return real_inv(m, q)
+
+    monkeypatch.setattr(_Speller, "times", times)
+    monkeypatch.setattr(gfq, "mat_inv", mat_inv)
+    spell()
+    assert sum(counted) == passes
+    # only the Levi embedding of Sp_2n's letters inverts a matrix
+    assert inverted_by <= {"embed"}
 
 
 def test_no_walk_outlives_its_count():
