@@ -305,8 +305,8 @@ class _Speller:
     known order over F_q, q prime, and so one of its powers.  A root
     element x_b(1) has order q, so x_b(1)^-1 = x_b(1)^(q-1), and
     c^-k = c^(n-k).  Each power is memoized on (its word's matrix, the
-    exponent), so an inverse spelled for a commutator serves a target
-    entry q - 1 too."""
+    exponent), so an inverse spelled for a commutator, or for Sp's
+    torus, serves a target entry q - 1 too."""
 
     def __init__(self, group: GroupDatum, q: int, letters: dict[str, _Word]):
         self.group, self.q, self.letters = group, q, letters
@@ -323,21 +323,20 @@ class _Speller:
             perm = map(w.perm.__getitem__, perm)
         return _Word(mat, list(perm))
 
-    def power(self, w: _Word, e: int, memo: dict | None = None) -> _Word:
+    def power(self, w: _Word, e: int) -> _Word:
         """w^e for e > 0, by halving e: one composition per power not
-        yet in ``memo``, the speller's own by default."""
-        memo = self.memo if memo is None else memo
+        yet memoized."""
         if e == 1:
             return w
         key = (w.mat, e)
-        word = memo.get(key)
+        word = self.memo.get(key)
         if word is None:
             if e % 2:
-                word = self.times(w, self.power(w, e - 1, memo))
+                word = self.times(w, self.power(w, e - 1))
             else:
-                half = self.power(w, e // 2, memo)
+                half = self.power(w, e // 2)
                 word = self.times(half, half)
-            memo[key] = word
+            self.memo[key] = word
         return word
 
     def commutator(self, a: _Word, b: _Word) -> _Word:
@@ -371,21 +370,19 @@ class _Speller:
         w(1)^-1 = x^(q-1) y x^(q-1) and
         h(z) = x^z y^(-1/z) x^(z-1) y x^(q-1).  It is spelled once, for
         i = n-1 with the letters x = x+ and y = x-, and conjugated by
-        c^(i+1) for every other i, as the long roots are; so its powers
-        of x and y are kept only while it is composed, not memoized."""
+        c^(i+1) for every other i, as the long roots are."""
         if self.group.family is GroupFamily.GENERAL_LINEAR:
             return self.conj(i, self.letters["d"])
         n, q = self.group.n, self.q
         if i != n - 1:
             return self.conj(i + 1, self.torus(n - 1))
         x, y, z = self.letters["x+"], self.letters["x-"], _primitive_root(q)
-        powers: dict = {}
         return self.times(
-            self.power(x, z, powers),
-            self.power(y, -pow(z, -1, q) % q, powers),
-            self.power(x, z - 1, powers),
+            self.power(x, z),
+            self.power(y, -pow(z, -1, q) % q),
+            self.power(x, z - 1),
             y,
-            self.power(x, q - 1, powers),
+            self.power(x, q - 1),
         )
 
     @_memo
