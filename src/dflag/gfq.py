@@ -4,9 +4,10 @@ Field elements are plain ints in range(q); vectors and matrices are
 tuples (of tuples) so they can be dict keys.  rref is the reduced row
 echelon form with zero rows dropped, unique per row space: it names the
 subspaces that flags.enumerate_flags lists and the images that the
-dense reference flags.apply_to_flag returns, and mat_inv reads
-inverses off it.  The orbit counts (dflag.orbits) never reduce a
-subspace; they name one by the ids of its lines.
+dense reference flags.apply_to_flag returns.  The orbit counts
+(dflag.orbits) never reduce a subspace, naming one by the ids of its
+lines, and never invert a matrix: each matrix they act by is built
+from its roots, or is a letter, and its inverses are its powers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "mat_mul",
     "identity",
     "rref",
-    "mat_inv",
     "transpose",
 ]
 
@@ -75,11 +75,3 @@ def rref(rows, q: int) -> Mat:
             break
     return tuple(tuple(r) for r in work[:pivot_row] if any(r))
 
-
-def mat_inv(a: Mat, q: int) -> Mat:
-    """Inverse of a square matrix: the right half of rref([a | I])."""
-    n = len(a)
-    reduced = rref([tuple(row) + e for row, e in zip(a, identity(n))], q)
-    if tuple(row[:n] for row in reduced) != identity(n):
-        raise ValueError("matrix is singular")
-    return tuple(row[n:] for row in reduced)

@@ -52,10 +52,14 @@ other than a letter is named by its root, in the encoding of groups,
 and _root_entries, the one map between roots and matrix entries,
 builds it and reads it back.  A Standard parabolic is generated by its
 torus and x_b(1) for each root b of _parabolic_roots, which has the
-proof.  AIII's Q = Q1 x Q2 keeps the roots of the parabolic of shape
-Q1 ++ Q2 that do not cross the block boundary, and CI's Q is a
-parabolic of the Siegel Levi.  The whole of a GL_r, CI's whole K, acts
-through its letters.
+proof.  For AIII, CI and CII theta is conjugation by a diagonal matrix
+(pairs), so K contains G's torus and every root subgroup of a
+parabolic Q of K is one of G's: Q is generated by G's torus and x_b(1)
+for the roots b of each factor's parabolic, carried into G by the
+factor's coordinates (_carried_root).  AII's K = Sp_n is a subgroup of
+GL_n as it stands.  The whole of a GL_r acts through its letters; CI's
+whole K, GL_n, through G's u and c and a torus element.  No generator
+is built by inverting a matrix.
 
 Orbit fusion (_orbit_count) is pure integer work: each orbit is walked
 from a list that grows while it is read.  Every permutation is checked
@@ -75,7 +79,6 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import gfq
-from .compositions import Composition
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from .flags import (
     DEFAULT_BUDGET,
@@ -169,12 +172,14 @@ def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
     letters generate SL_n.  The determinant z of d generates F_q^*,
     which gives GL_n (over F_2, GL_n = SL_n).
 
-    Sp_2n: u and c on the Siegel Levi, each m acting as m on e_1..e_n
-    and as m^-T on their mirror images, as CI's K does; then
-    x+ = x_(2e_n)(1) and x- = x_(-2e_n)(1).  The Levi gives
-    x_(e_i - e_j)(1), the image of E_ij(1), for every i != j.  The image
-    of c permutes e_1..e_n cyclically and their mirrors with them, so
-    its powers conjugate x+- to x_(+-2e_i)(1) for every i.  One
+    Sp_2n: u = x_(e_1 - e_2)(1) and the n-cycle c on e_1..e_n and on
+    their mirror images for n >= 2, then x+ = x_(2e_n)(1) and
+    x- = x_(-2e_n)(1).  u and c are the images of GL_n's u and c in the
+    Siegel Levi, where m acts as m on e_1..e_n and as m^-T on their
+    mirrors, as CI's K does, so they give x_(e_i - e_j)(1), the image
+    of E_ij(1), for every i != j.  c permutes e_1..e_n cyclically and
+    their mirrors with them, so its powers conjugate x+- to
+    x_(+-2e_i)(1) for every i.  One
     commutator gives e_i + e_j:
     [x_(e_i - e_j)(1), x_(2e_j)(1)] = x_(e_i + e_j)(1) x_(2e_i)(1), and
     [x_(-2e_j)(1), x_(e_j - e_i)(1)] = x_(-e_i - e_j)(1) x_(-2e_i)(1)^-1.
@@ -186,18 +191,19 @@ def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
     SL_2s of the long roots (_Speller.torus), and Sp_2's letters are
     x+- alone.
     """
-    n = group.n
+    n, dim = group.n, group.dim
+    letters = {}
+    if n >= 2:  # c e_k = e_(k+1) for k < n, and in Sp_2n likewise on their mirrors
+        first = (1, 2) if group.family is GroupFamily.GENERAL_LINEAR else (1, -1) + (0,) * (n - 2)
+        letters["u"] = _root_element(group, first, q)
+        step = [(k + 1) % n if k < n else dim - 1 - (dim - k) % n for k in range(dim)]
+        letters["c"] = tuple(tuple(int(i == step[j]) for j in range(dim)) for i in range(dim))
     if group.family is GroupFamily.SYMPLECTIC:
-        levi = _embedding(group, KFactor("gl", n, tuple(range(n))))
-        letters = {name: levi(m, q) for name, m in _letters(gl(n), q).items() if name != "d"}
         for name, sign in (("x+", 1), ("x-", -1)):
             letters[name] = _root_element(group, (0,) * (n - 1) + (2 * sign,), q)
-        return letters
-    letters = {}
-    if n >= 2:
-        letters["u"] = _root_element(group, (1, 2), q)
-        letters["c"] = tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n))
-    if q > 2:
+        if not all(_is_symplectic(m, n, q) for m in letters.values()):
+            raise CrossCheckError(f"a letter built for Sp_{dim}(F_{q}) is not symplectic")
+    elif q > 2:
         letters["d"] = _torus_element(group, 0, q)
     return letters
 
@@ -509,16 +515,6 @@ def _orbit_count(size: int, perms: list) -> int:
     return orbits
 
 
-def _embed_block(m: Mat, coords, dim: int, big: Mat | None = None) -> Mat:
-    """big (the identity by default) with m written on the rows and
-    columns ``coords``."""
-    big = [list(r) for r in (big or gfq.identity(dim))]
-    for a, i in enumerate(coords):
-        for b, j in enumerate(coords):
-            big[i][j] = m[a][b]
-    return tuple(tuple(r) for r in big)
-
-
 def _is_symplectic(m: Mat, n: int, q: int) -> bool:
     j = symplectic_gram(n, q)
     return gfq.mat_mul(gfq.mat_mul(gfq.transpose(m), j, q), m, q) == j
@@ -536,39 +532,14 @@ def _primitive_root(q: int) -> int:
     raise ValueError(f"no primitive root mod {q}")
 
 
-def _k_blocks(pair: SymmetricPairSpec):
-    """(group, embedding into G) for each factor of K, in the order of
-    the factors of Q; embed(m, q) is the image of a factor matrix m."""
-    blocks = []
-    for factor in pair.k_factors:
-        if factor.family == "so":
-            raise UnsupportedPairError(
-                "orbit counting over F_q is not implemented for AI pairs "
-                "(orthogonal groups degenerate in characteristic 2)"
-            )
-        group = (gl if factor.family == "gl" else sp)(factor.rank)
-        blocks.append((group, _embedding(pair.group, factor)))
-    return blocks
-
-
-def _embedding(group: GroupDatum, factor: KFactor):
-    """m placed on the factor's coordinates.  CI's GL_n also acts by
-    the contragredient m^{-T} on their mirror images, which the
-    anti-diagonal form pairs with them; every image in Sp_2n is audited."""
-    n, dim, coords = group.n, group.dim, factor.coords
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        return lambda m, q: _embed_block(m, coords, dim)
-
-    def embed(m: Mat, q: int) -> Mat:
-        big = _embed_block(m, coords, dim)
-        if factor.family == "gl":
-            dual = gfq.transpose(gfq.mat_inv(m, q))
-            big = _embed_block(dual, [dim - 1 - c for c in coords], dim, big)
-        if not _is_symplectic(big, n, q):
-            raise CrossCheckError(f"a generator built for Sp_{2 * n}(F_{q}) is not symplectic")
-        return big
-
-    return embed
+def _k_groups(pair: SymmetricPairSpec) -> list[GroupDatum]:
+    """The group of each factor of K, in the order of the factors of Q."""
+    if pair.kind is PairKind.AI:
+        raise UnsupportedPairError(
+            "orbit counting over F_q is not implemented for AI pairs "
+            "(orthogonal groups degenerate in characteristic 2)"
+        )
+    return [(gl if f.family == "gl" else sp)(f.rank) for f in pair.k_factors]
 
 
 @lru_cache(maxsize=16)
@@ -648,16 +619,33 @@ def _parabolic_roots(group: GroupDatum, shape) -> list:
 
 def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
     """Generators of Q, as matrices of G (see the module docstring)."""
-    if pair.kind is PairKind.AIII:
-        first, second = Q.factors
-        roots = _parabolic_roots(pair.group, Composition(first.parts + second.parts))
-        p = pair.p
-        return _generators(pair.group, [(i, j) for i, j in roots if (i <= p) == (j <= p)], q)
-    return [
-        embed(m, q)
-        for (group, embed), shape in zip(_k_blocks(pair), Q.factors)
-        for m in _parabolic_targets(group, shape, q)
+    groups, group = _k_groups(pair), pair.group
+    if pair.kind is PairKind.AII:  # K = Sp_n is a subgroup of GL_n as it stands
+        return _parabolic_targets(groups[0], Q.factors[0], q)
+    if pair.kind is PairKind.CI and not Q.factors[0].is_proper:  # GL_n's letters u, c and d
+        torus = [_torus_element(group, 0, q)] if q > 2 else []
+        return [m for name, m in _letters(group, q).items() if name in ("u", "c")] + torus
+    roots = [
+        _carried_root(group, factor, b)
+        for factor, factor_group, shape in zip(pair.k_factors, groups, Q.factors)
+        for b in _parabolic_roots(factor_group, shape)
     ]
+    return _generators(group, roots, q)
+
+
+def _carried_root(group: GroupDatum, factor: KFactor, b: tuple) -> tuple:
+    """The root b of a factor of K as a root of G, by the factor's
+    coordinates: (i, j) of AIII's GL factor to (coords[i-1]+1,
+    coords[j-1]+1), (i, j) of CI's GL_n to e_i - e_j, and epsilon_k of
+    an Sp factor of CII to epsilon_coords[k]."""
+    coords = factor.coords
+    if group.family is GroupFamily.GENERAL_LINEAR:
+        return tuple(coords[i - 1] + 1 for i in b)
+    if factor.family == "gl":
+        i, j = b
+        b = tuple(int(k == i - 1) - int(k == j - 1) for k in range(factor.rank))
+    carried = dict(zip(coords, b))
+    return tuple(carried.get(k, 0) for k in range(group.n))
 
 
 def _parabolic_targets(group: GroupDatum, shape, q: int) -> list[Mat]:
@@ -722,8 +710,7 @@ def _orbit_factors(pair, P, Q, q) -> list:
     gfq.check_prime(q)
     check_membership(pair, P, Q)
     P = P.standard_form()
-    z_factors = [(group, shape) for (group, _), shape in zip(_k_blocks(pair), Q.factors)]
-    return [(P.group, P.shape)] + z_factors
+    return [(P.group, P.shape), *zip(_k_groups(pair), Q.factors)]
 
 
 def _unit_matrix_with(dim: int, entries: dict, q: int) -> Mat:

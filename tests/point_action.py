@@ -7,13 +7,24 @@ permutation of the lines of F_q^dim, then the sorted image of each
 subspace of X_P, then the image of each point.  Tests compare the
 composed permutations with it, and use it to let arbitrary matrices act.
 reference_orbits counts orbits on a product of such spaces by plain
-union-find, where the library walks one space only.
+union-find, where the library walks one space only.  mat_inv inverts
+a matrix for the tests' references; the library never needs to.
 """
 
 from operator import getitem
 
+from dflag import gfq
 from dflag.errors import CrossCheckError
 from dflag.orbits import _line_perm, _walk_flags
+
+
+def mat_inv(a, q):
+    """Inverse of a square matrix: the right half of rref([a | I])."""
+    n = len(a)
+    reduced = gfq.rref([tuple(row) + e for row, e in zip(a, gfq.identity(n))], q)
+    if tuple(row[:n] for row in reduced) != gfq.identity(n):
+        raise ValueError("matrix is singular")
+    return tuple(row[n:] for row in reduced)
 
 
 class PointAction:

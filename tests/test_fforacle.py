@@ -22,7 +22,6 @@ from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp, whole_group
 from dflag.orbits import (
     _check_permutations,
     _is_permutation,
-    _k_blocks,
     _letters,
     _line_perm,
     _lines,
@@ -34,7 +33,8 @@ from dflag.orbits import (
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
 from dflag.weyl import bruhat_double_cosets
-from point_action import PointAction, reference_orbits
+from point_action import PointAction, mat_inv, reference_orbits
+from test_k_reference import _reference_blocks
 
 
 # ------------------------------------------------------------------ gfq
@@ -51,20 +51,20 @@ def test_rref_canonical():
 
 def test_mat_inv():
     a = ((1, 1), (0, 1))
-    inv = gfq.mat_inv(a, 5)
+    inv = mat_inv(a, 5)
     assert gfq.mat_mul(a, inv, 5) == gfq.identity(2)
     with pytest.raises(ValueError):
-        gfq.mat_inv(((1, 1), (2, 2)), 3)
+        mat_inv(((1, 1), (2, 2)), 3)
 
 
 def test_mat_inv_of_every_2x2_over_F3():
     for entries in itertools.product(range(3), repeat=4):
         a = (entries[:2], entries[2:])
         if (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % 3:
-            assert gfq.mat_mul(a, gfq.mat_inv(a, 3), 3) == gfq.identity(2)
+            assert gfq.mat_mul(a, mat_inv(a, 3), 3) == gfq.identity(2)
         else:
             with pytest.raises(ValueError, match="matrix is singular"):
-                gfq.mat_inv(a, 3)
+                mat_inv(a, 3)
 
 
 def test_prime_guard():
@@ -194,7 +194,7 @@ def test_gl_generators_reach_every_cyclic_simple_root(n, q):
         conj = e12
         for k in range(n):
             assert conj == _unit(n, {(k, (k + 1) % n): 1})
-            conj = gfq.mat_mul(gfq.mat_mul(cycle, conj, q), gfq.mat_inv(cycle, q), q)
+            conj = gfq.mat_mul(gfq.mat_mul(cycle, conj, q), mat_inv(cycle, q), q)
     if q > 2:
         z = gens[-1][0][0]
         assert gens[-1] == _unit(n, {(0, 0): z})
@@ -216,7 +216,7 @@ def test_sp_letters_are_the_siegel_levi_and_the_long_roots(n, q):
     assert list(letters) == list(gl_letters) + ["x+", "x-"]
     flip = [[int(a + b == n - 1) for b in range(n)] for a in range(n)]
     for name, m in gl_letters.items():
-        dual = gfq.mat_mul(gfq.mat_mul(flip, gfq.transpose(gfq.mat_inv(m, q)), q), flip, q)
+        dual = gfq.mat_mul(gfq.mat_mul(flip, gfq.transpose(mat_inv(m, q)), q), flip, q)
         g = letters[name]
         assert tuple(row[:n] for row in g[:n]) == m
         assert tuple(row[n:] for row in g[n:]) == dual
@@ -552,14 +552,10 @@ def test_a_matrix_that_leaves_X_P_is_a_cross_check_error(monkeypatch):
         _walk_flags(sp(2), lagrangian, 3)
     # E_12(1) with e_1 sent to 0 is singular: as a letter it sends a line
     # of F_3^4 to 0, and its line permutation is refused
-    # (only Sp_4 gets it: Sp_4's letters embed GL_2's, which must invert)
     degenerate = tuple((0,) + row[1:] for row in e12)
-
-    def letters(group, q):
-        extra = {"e12": degenerate} if group == sp(2) else {}
-        return {**real_letters(group, q), **extra}
-
-    monkeypatch.setattr(dflag.orbits, "_letters", letters)
+    monkeypatch.setattr(
+        dflag.orbits, "_letters", lambda group, q: {**real_letters(group, q), "e12": degenerate}
+    )
     _line_perm.cache_clear()
     try:
         with pytest.raises(CrossCheckError, match="4x4 matrix to act by is singular over F_3"):
@@ -620,7 +616,7 @@ def test_k_orbits_match_the_whole_group(token, P, Q, q):
     # every element of K(F_q), not just the generators, acting on X_P x Z_Q
     pair = SymmetricPairSpec.parse(token)
     Q = KParabolicSpec.parse(pair, Q)
-    blocks = _k_blocks(pair)
+    blocks = _reference_blocks(pair)
     elements = [[]]  # per element of K: (factor matrix, embedding) per factor
     for group, embed in blocks:
         factor = _closure(list(_letters(group, q).values()), group.dim, q)

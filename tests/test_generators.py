@@ -5,9 +5,9 @@ Every acting generator other than a letter is named by its root, and
 The references here spell each root element and each generator set
 out by hand, from the rules they follow, and compare them with what
 ``_root_element``, ``_parabolic_targets`` and ``_k_targets`` build.
-Those rules are the library's own, so each K-parabolic's generator set
-is also certified by the order of the group it generates, from closed
-forms alone.
+Those rules are the library's own, so each K-parabolic's generator set,
+and each group's letters, are also certified by the order of the group
+they generate, from closed forms alone.
 """
 
 import itertools
@@ -22,7 +22,7 @@ from dflag.flags import flag_count, symplectic_gram
 from dflag.groups import GroupFamily, ParabolicSpec, all_roots, gl, parabolic_root_set, sp
 from dflag.orbits import _k_targets, _letters, _parabolic_targets, _root_element, _root_entries
 from dflag.pairs import PairKind, SymmetricPairSpec
-from test_bruhat_split import _group_order, _line_order
+from test_bruhat_split import _group_order, _line_order, _scalars
 from test_fforacle import _every_shape
 from test_k_reference import _reference_blocks
 from test_words import _k_shapes
@@ -187,13 +187,36 @@ def test_k_parabolic_generators_follow_the_rules(token, q):
 ORDER_LINES_CAP = 255
 
 
+def _lines_of(group, q):
+    return (q**group.dim - 1) // (q - 1)
+
+
+@pytest.mark.parametrize(
+    "group, q",
+    [
+        (group, q)
+        for group in [gl(n) for n in range(1, 7)] + [sp(n) for n in range(1, 5)]
+        for q in QS
+        if _lines_of(group, q) <= ORDER_LINES_CAP
+    ],
+    ids=str,
+)
+def test_the_letters_generate_the_whole_group(group, q):
+    # the image of G(F_q) on the lines of F_q^dim is G(F_q) over its
+    # scalars, so the letters generate G(F_q) exactly when their image
+    # has that order; the cases are chosen by their number of lines
+    # alone, with the cap above: 23 of GL_1-GL_6 and Sp_2-Sp_8 at q = 2, 3, 5
+    order = _line_order(group, list(_letters(group, q).values()), q)
+    assert order == _group_order(group, q) // _scalars(group, q)
+
+
 @pytest.mark.parametrize(
     "token, q",
     [
         (t, q)
         for t in PAIRS
         for q in (2, 3)
-        if (q ** SymmetricPairSpec.parse(t).group.dim - 1) // (q - 1) <= ORDER_LINES_CAP
+        if _lines_of(SymmetricPairSpec.parse(t).group, q) <= ORDER_LINES_CAP
     ],
 )
 def test_k_parabolic_generators_have_the_order_of_Q(token, q):

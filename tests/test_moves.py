@@ -20,8 +20,10 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.flags import apply_to_flag, enumerate_flags
 from dflag.groups import GroupFamily, ParabolicSpec, gl, sp
-from dflag.orbits import _k_blocks, _letters, _line_perm, _lines, _parabolic_targets, _walk_flags
+from dflag.orbits import _k_targets, _letters, _line_perm, _lines, _parabolic_targets, _walk_flags
 from dflag.pairs import SymmetricPairSpec
+from test_k_reference import _reference_blocks
+from test_words import _k_shapes
 
 
 def _dense_image(g, sub, q):
@@ -40,14 +42,14 @@ def _standard_parabolics(group):
 
 
 def _embedded(token, q):
-    """Every letter of every factor of K, embedded in G."""
-    blocks = _k_blocks(SymmetricPairSpec.parse(token))
+    """Every letter of every factor of K, embedded in G by the reference."""
+    blocks = _reference_blocks(SymmetricPairSpec.parse(token))
     return [embed(m, q) for factor, embed in blocks for m in _letters(factor, q).values()]
 
 
 def _matrices(group, pairs, q):
     """Every letter of group, every generator of its Standard
-    parabolics, and the _k_blocks embeddings of ``pairs``."""
+    parabolics, and the embedded letters of K for ``pairs``."""
     mats = list(_letters(group, q).values())
     for token in pairs:
         mats += _embedded(token, q)
@@ -80,9 +82,13 @@ def test_line_perm_matches_the_dense_product(group, shape, pairs, q):
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_cii_1_2_embeddings_permute_lines_like_the_dense_product(q):
-    # CII:1,2 embeds into Sp_6, so its embeddings act on the lines of F_q^6
-    _check_line_perms(sp(3), SC((1,), 4), _embedded("CII:1,2", q), q)
+@pytest.mark.parametrize("token, shape", [("CII:1,2", SC((1,), 4)), ("CI:2", SC((1, 1), 0))])
+def test_k_targets_permute_lines_like_the_dense_product(token, shape, q):
+    # every generator of every Q, as the library builds it from G's
+    # roots: CII:1,2's act on the lines of F_q^6, CI:2's on those of F_q^4
+    pair = SymmetricPairSpec.parse(token)
+    targets = {t for Q in _k_shapes(pair) for t in _k_targets(pair, Q, q)}
+    _check_line_perms(pair.group, shape, sorted(targets), q)
 
 
 @pytest.mark.parametrize(

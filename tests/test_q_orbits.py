@@ -23,7 +23,6 @@ from dflag.errors import CrossCheckError
 from dflag.flags import flag_count
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp
 from dflag.orbits import (
-    _k_blocks,
     _letters,
     _line_perm,
     _Speller,
@@ -33,7 +32,8 @@ from dflag.orbits import (
     growth_probe,
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
-from point_action import PointAction, reference_orbits
+from point_action import PointAction, mat_inv, reference_orbits
+from test_k_reference import _reference_blocks
 
 
 def _compositions(n):
@@ -69,7 +69,7 @@ def _every_input(token):
 
 def _full_product_walk(pair, P, Q, q):
     """(points, orbits) of K on X_P x Z_Q, walking the whole product."""
-    blocks = _k_blocks(pair)
+    blocks = _reference_blocks(pair)
     ambient, per_factor = [], [[] for _ in blocks]
     for i, (group, embed) in enumerate(blocks):
         for m in _letters(group, q).values():
@@ -104,12 +104,12 @@ def test_q_orbits_on_X_P_match_the_full_product(token, q):
 
 def _with_inverse_cycle(real):
     """_letters with the cycle c replaced by c^-1, which still
-    generates GL_n but breaks every word built from c."""
+    generates G but breaks every word built from c."""
 
     def patched(group, q):
         letters = real(group, q)
-        if group.family is GroupFamily.GENERAL_LINEAR and group.n >= 2:
-            letters["c"] = gfq.mat_inv(letters["c"], q)
+        if "c" in letters:
+            letters["c"] = mat_inv(letters["c"], q)
         return letters
 
     return patched
@@ -180,12 +180,8 @@ def test_only_G_letters_move_lines(monkeypatch):
     assert {len(m) for m in built} == {4}  # matrices on F_3^4, none on Z_Q's F_3^2
 
 
-def test_row_reduction_only_audits_matrices(monkeypatch):
-    # no subspace is row reduced and no word inverts a matrix, so an
-    # AIII count row reduces nothing, whatever P
-    pair = SymmetricPairSpec.parse("AIII:2,2")
-    Q = KParabolicSpec.parse(pair, "1,1;1,1")
-    _refuse_everywhere(monkeypatch, "apply_to_flag")
+def _row_reductions(monkeypatch):
+    """The names of the callers of gfq.rref, from now on."""
     real = gfq.rref
     callers = []
 
@@ -194,13 +190,30 @@ def test_row_reduction_only_audits_matrices(monkeypatch):
         return real(rows, q)
 
     monkeypatch.setattr(gfq, "rref", counted)
-    for shape in ((1, 1, 1, 1), (2, 2)):
+    return callers
+
+
+@pytest.mark.parametrize(
+    "token, p, q_shapes",
+    [
+        ("AIII:2,2", "1,1,1,1", "1,1;1,1"),
+        ("AIII:2,2", "2,2", "1,1;1,1"),
+        ("CI:3", "1,4,1", "1,1,1"),
+        ("CI:3", "1,4,1", "3"),  # Q = K: G's letters and a torus element
+        ("CII:1,2", "1,4,1", "2;1,2,1"),
+    ],
+)
+def test_row_reduction_only_audits_matrices(monkeypatch, token, p, q_shapes):
+    # no subspace is row reduced and no generator inverts a matrix, so a
+    # count row reduces nothing, whatever P and whatever the pair
+    _refuse_everywhere(monkeypatch, "apply_to_flag")
+    callers = _row_reductions(monkeypatch)
+    _clear_caches()
+    try:
+        _count(token, p, q_shapes, 3)
+    finally:
         _clear_caches()
-        try:
-            count_K_orbits(pair, ParabolicSpec(pair.group, Composition(shape)), Q, 3)
-        finally:
-            _clear_caches()
-        assert callers == []
+    assert callers == []
 
 
 def _speller(group, shape, q):
@@ -243,19 +256,14 @@ def test_words_take_their_pinned_passes_and_no_inverse(monkeypatch, spell, passe
         counted.append(len(words) - 1)
         return real(self, *words)
 
-    real_inv = gfq.mat_inv
-    inverted_by = set()
-
-    def mat_inv(m, q):
-        inverted_by.add(sys._getframe(1).f_code.co_name)
-        return real_inv(m, q)
-
     monkeypatch.setattr(_Speller, "times", times)
-    monkeypatch.setattr(gfq, "mat_inv", mat_inv)
+    callers = _row_reductions(monkeypatch)
     spell()
     assert sum(counted) == passes
-    # only the Levi embedding of Sp_2n's letters inverts a matrix
-    assert inverted_by <= {"embed"}
+    # nothing inverts a matrix: the package has no inverse, and nothing
+    # row reduces
+    assert not hasattr(gfq, "mat_inv")
+    assert callers == []
 
 
 def test_no_walk_outlives_its_count():
