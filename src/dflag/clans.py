@@ -9,26 +9,24 @@ clan equality is plain sequence equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from ._value import Value
 
 __all__ = ["Clan", "enumerate_clans"]
 
 
-@dataclass(frozen=True)
-class Clan:
+class Clan(Value):
     """Symbols are '+', '-' (strings) or positive ints for pair labels."""
 
-    symbols: tuple
-    p: int
-    q: int
+    __slots__ = ("symbols", "p", "q")
 
-    def __post_init__(self):
-        plus = sum(1 for s in self.symbols if s == "+")
-        minus = sum(1 for s in self.symbols if s == "-")
-        labels = [s for s in self.symbols if isinstance(s, int)]
-        if len(self.symbols) != self.p + self.q:
+    def __init__(self, symbols: tuple, p: int, q: int):
+        plus = sum(1 for s in symbols if s == "+")
+        minus = sum(1 for s in symbols if s == "-")
+        labels = [s for s in symbols if isinstance(s, int)]
+        if len(symbols) != p + q:
             raise ValueError("clan length must be p + q")
-        if plus - minus != self.p - self.q:
+        if plus - minus != p - q:
             raise ValueError("signature mismatch: (#+) - (#-) != p - q")
         counts = {}
         for lab in labels:
@@ -37,11 +35,14 @@ class Clan:
             raise ValueError("every pair label must occur exactly twice")
         # canonical numbering by first occurrence
         order = []
-        for s in self.symbols:
+        for s in symbols:
             if isinstance(s, int) and s not in order:
                 order.append(s)
         if order != list(range(1, len(order) + 1)):
-            raise ValueError(f"pair labels not canonical: {self.symbols}")
+            raise ValueError(f"pair labels not canonical: {symbols}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(s) for s in self.symbols) + ")"

@@ -24,11 +24,11 @@ criteria are sufficient only, and nothing here guesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter, itemgetter
 
+from ._value import Value
 from .compositions import Composition, SymplecticComposition
 from .errors import BudgetExceededError, CrossCheckError
 from .groups import (
@@ -66,28 +66,35 @@ __all__ = [
 SEARCH_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class MatchedRow:
+class MatchedRow(Value):
     """One classification-table row matching a triple, with the witness
     slot assignment (a permutation of the input positions)."""
 
-    family: str
-    label: str
-    assignment: tuple[int, int, int]
+    __slots__ = ("family", "label", "assignment")
+
+    def __init__(self, family: str, label: str, assignment: tuple[int, int, int]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "assignment", assignment)
 
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
-class TripleFlagVerdict:
-    finite: bool
-    matched_rows: tuple[MatchedRow, ...]
-    normalized_triple: tuple[tuple[int, ...], ...]
+class TripleFlagVerdict(Value):
+    __slots__ = ("finite", "matched_rows", "normalized_triple")
 
-    def __post_init__(self):
-        if self.finite != bool(self.matched_rows):
+    def __init__(
+        self,
+        finite: bool,
+        matched_rows: tuple[MatchedRow, ...],
+        normalized_triple: tuple[tuple[int, ...], ...],
+    ):
+        if finite != bool(matched_rows):
             raise ValueError("finite must hold exactly when some row matches")
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "matched_rows", matched_rows)
+        object.__setattr__(self, "normalized_triple", normalized_triple)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(r.label for r in self.matched_rows)
@@ -176,14 +183,22 @@ class Status(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Value):
     """The reduction that proves a double-flag verdict."""
 
-    criterion: str  # "triple" | "intersection" | "flag-variety"
-    details: tuple[tuple[str, str], ...]
-    table_row: str | None = None
-    citation: str | None = None
+    __slots__ = ("criterion", "details", "table_row", "citation")
+
+    def __init__(
+        self,
+        criterion: str,  # "triple" | "intersection" | "flag-variety"
+        details: tuple[tuple[str, str], ...],
+        table_row: str | None = None,
+        citation: str | None = None,
+    ):
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "table_row", table_row)
+        object.__setattr__(self, "citation", citation)
 
     def as_dict(self) -> dict:
         out = dict(self.details)
@@ -195,14 +210,14 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class DoubleFlagVerdict:
-    status: Status
-    witness: Witness | None
+class DoubleFlagVerdict(Value):
+    __slots__ = ("status", "witness")
 
-    def __post_init__(self):
-        if (self.status is Status.UNKNOWN) != (self.witness is None):
+    def __init__(self, status: Status, witness: Witness | None):
+        if (status is Status.UNKNOWN) != (witness is None):
             raise ValueError("proven verdicts carry a witness; Unknown never does")
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
 
 def _compositions(n: int):
@@ -450,11 +465,13 @@ def classify_AIII_borel(p: int, q: int, Q1: Composition, Q2: Composition) -> str
     return "Infinite"
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    kind: PairKind
-    row: int
-    description: str
+class SummaryRow(Value):
+    __slots__ = ("kind", "row", "description")
+
+    def __init__(self, kind: PairKind, row: int, description: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "description", description)
 
     @property
     def citation(self) -> str:

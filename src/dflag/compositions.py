@@ -8,8 +8,7 @@ is stored for the symplectic case; the palindrome is rebuilt on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .errors import ParseError
 
 __all__ = ["Composition", "SymplecticComposition", "parse_parts"]
@@ -29,8 +28,7 @@ def parse_parts(text: str) -> tuple[int, ...]:
     return parts
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Value):
     """An ordered sequence of positive block sizes.
 
     >>> Composition((2, 1, 1)).size
@@ -39,11 +37,12 @@ class Composition:
     2
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) < 1 or any(p < 1 for p in self.parts):
-            raise ValueError(f"invalid composition {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        if len(parts) < 1 or any(p < 1 for p in parts):
+            raise ValueError(f"invalid composition {parts}")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
@@ -96,8 +95,7 @@ class Composition:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class SymplecticComposition:
+class SymplecticComposition(Value):
     """Block sizes of a parabolic of Sp_2n: palindrome with even middle.
 
     ``left`` holds the sizes of the isotropic flag steps; ``middle`` is
@@ -109,16 +107,17 @@ class SymplecticComposition:
     (2,)
     """
 
-    left: tuple[int, ...]
-    middle: int
+    __slots__ = ("left", "middle")
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.left):
-            raise ValueError(f"invalid left parts {self.left}")
-        if self.middle < 0 or self.middle % 2 != 0:
-            raise ValueError(f"middle part must be even and >= 0, got {self.middle}")
-        if not self.left and self.middle == 0:
+    def __init__(self, left: tuple[int, ...], middle: int):
+        if any(p < 1 for p in left):
+            raise ValueError(f"invalid left parts {left}")
+        if middle < 0 or middle % 2 != 0:
+            raise ValueError(f"middle part must be even and >= 0, got {middle}")
+        if not left and middle == 0:
             raise ValueError("empty symplectic composition")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "middle", middle)
 
     @classmethod
     def from_full(cls, parts: tuple[int, ...]) -> "SymplecticComposition":

@@ -17,7 +17,6 @@ from operator import mul
 __all__ = [
     "check_prime",
     "mat_mul",
-    "identity",
     "rref",
     "transpose",
 ]
@@ -32,10 +31,6 @@ def check_prime(q: int) -> int:
     if q not in SUPPORTED_PRIMES:
         raise ValueError(f"field size must be one of {SUPPORTED_PRIMES}, got {q}")
     return q
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(a: Mat) -> Mat:

@@ -16,10 +16,10 @@ roles of positive and negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from ._value import Value
 from .compositions import Composition, SymplecticComposition
 
 __all__ = [
@@ -42,16 +42,16 @@ class GroupFamily(Enum):
     SYMPLECTIC = "Sp"
 
 
-@dataclass(frozen=True)
-class GroupDatum:
+class GroupDatum(Value):
     """GL_n acting on C^n, or Sp_2n acting on C^{2n} (``n`` is the rank)."""
 
-    family: GroupFamily
-    n: int
+    __slots__ = ("family", "n")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"rank must be >= 1, got {self.n}")
+    def __init__(self, family: GroupFamily, n: int):
+        if n < 1:
+            raise ValueError(f"rank must be >= 1, got {n}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
 
     @property
     def dim(self) -> int:
@@ -85,23 +85,26 @@ class Orientation(Enum):
     OPPOSITE = "opposite"
 
 
-@dataclass(frozen=True)
-class ParabolicSpec:
-    group: GroupDatum
-    shape: Composition | SymplecticComposition
-    orientation: Orientation = Orientation.STANDARD
+class ParabolicSpec(Value):
+    __slots__ = ("group", "shape", "orientation")
 
-    def __post_init__(self):
-        if self.group.family is GroupFamily.GENERAL_LINEAR:
-            if not isinstance(self.shape, Composition):
+    def __init__(
+        self,
+        group: GroupDatum,
+        shape: Composition | SymplecticComposition,
+        orientation: Orientation = Orientation.STANDARD,
+    ):
+        if group.family is GroupFamily.GENERAL_LINEAR:
+            if not isinstance(shape, Composition):
                 raise ValueError("GL parabolics take a Composition")
         else:
-            if not isinstance(self.shape, SymplecticComposition):
+            if not isinstance(shape, SymplecticComposition):
                 raise ValueError("Sp parabolics take a SymplecticComposition")
-        if self.shape.size != self.group.dim:
-            raise ValueError(
-                f"shape size {self.shape.size} != module dimension {self.group.dim}"
-            )
+        if shape.size != group.dim:
+            raise ValueError(f"shape size {shape.size} != module dimension {group.dim}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "orientation", orientation)
 
     @property
     def is_standard(self) -> bool:

@@ -16,10 +16,10 @@ is memoized.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
+from ._value import Value
 from .compositions import Composition
 from .errors import CrossCheckError
 from .groups import GroupFamily, Orientation, ParabolicSpec
@@ -54,8 +54,7 @@ def _normalize(parts) -> Parts:
     return parts
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """A weakly decreasing tuple of nonnegative integers.
 
     >>> Partition.parse("3,2,1").size
@@ -64,10 +63,10 @@ class Partition:
     Partition(parts=(6, 3))
     """
 
-    parts: Parts
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", _normalize(self.parts))
+    def __init__(self, parts: Parts):
+        object.__setattr__(self, "parts", _normalize(parts))
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -171,15 +170,15 @@ def lr_coefficient(outer: Partition, inner1: Partition, inner2: Partition) -> in
     return _lr_cached(outer.parts, inner1.parts, inner2.parts)
 
 
-@dataclass(frozen=True)
-class LRDecomposition:
+class LRDecomposition(Value):
     """A multiplicity map; keys are Partitions or pairs of Partitions."""
 
-    terms: tuple[tuple[object, int], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if any(m < 1 for _, m in self.terms):
+    def __init__(self, terms: tuple[tuple[object, int], ...]):
+        if any(m < 1 for _, m in terms):
             raise ValueError("multiplicities must be positive")
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LRDecomposition":
@@ -321,24 +320,41 @@ def _restriction_is_mf(lam: Partition, p: int, q: int):
     return True, None
 
 
-@dataclass(frozen=True)
-class RestrictionProbeResult:
-    multiplicity_free: bool
-    k_max: int
-    first_failure: int | None = None
-    witness: object = None
+class RestrictionProbeResult(Value):
+    __slots__ = ("multiplicity_free", "k_max", "first_failure", "witness")
+
+    def __init__(
+        self,
+        multiplicity_free: bool,
+        k_max: int,
+        first_failure: int | None = None,
+        witness: object = None,
+    ):
+        object.__setattr__(self, "multiplicity_free", multiplicity_free)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.multiplicity_free
 
 
-@dataclass(frozen=True)
-class TensorProbeResult:
-    multiplicity_free: bool
-    k_max: int
-    l_max: int
-    first_failure: tuple[int, int] | None = None
-    witness: object = None
+class TensorProbeResult(Value):
+    __slots__ = ("multiplicity_free", "k_max", "l_max", "first_failure", "witness")
+
+    def __init__(
+        self,
+        multiplicity_free: bool,
+        k_max: int,
+        l_max: int,
+        first_failure: tuple[int, int] | None = None,
+        witness: object = None,
+    ):
+        object.__setattr__(self, "multiplicity_free", multiplicity_free)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "l_max", l_max)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.multiplicity_free

@@ -73,12 +73,12 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import gfq
+from ._value import Value
 from .errors import BudgetExceededError, CrossCheckError, UnsupportedPairError
 from .flags import (
     DEFAULT_BUDGET,
@@ -774,8 +774,7 @@ def count_triple_orbits(
     return _count_orbits(group, walked.shape, q, target_sets)
 
 
-@dataclass(frozen=True)
-class OrbitCountReport:
+class OrbitCountReport(Value):
     """Counts per field size plus a boundedness hint.
 
     The hint is an empirical signal, never a proof: Bounded means the
@@ -783,8 +782,15 @@ class OrbitCountReport:
     increase.
     """
 
-    entries: tuple[tuple[int, int, int], ...]  # (q, points, orbits)
-    hint: str
+    __slots__ = ("entries", "hint")
+
+    def __init__(
+        self,
+        entries: tuple[tuple[int, int, int], ...],  # (q, points, orbits)
+        hint: str,
+    ):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "hint", hint)
 
     def rows(self):
         return [{"q": q, "points": pts, "orbits": orb} for q, pts, orb in self.entries]

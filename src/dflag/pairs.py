@@ -24,10 +24,10 @@ theta-stable exactly when its shape is palindromic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
+from ._value import Value
 from .compositions import Composition, SymplecticComposition
 from .errors import ParseError
 from .groups import GroupDatum, GroupFamily, ParabolicSpec, gl, sp, whole_group
@@ -54,17 +54,13 @@ class PairKind(Enum):
     CII = "CII"
 
 
-@dataclass(frozen=True)
-class SymmetricPairSpec:
-    kind: PairKind
-    group: GroupDatum
-    p: int = 0
-    q: int = 0
-    # K's simple factors, from a table shared by equal pairs
-    k_factors: tuple[KFactor, ...] = field(init=False, repr=False, compare=False)
+class SymmetricPairSpec(Value):
+    # k_factors: K's simple factors, from a table shared by equal pairs;
+    # derived from the fields, so no part of eq, hash or repr
+    __slots__ = ("kind", "group", "p", "q", "k_factors")
+    _fields = ("kind", "group", "p", "q")
 
-    def __post_init__(self):
-        kind, group = self.kind, self.group
+    def __init__(self, kind: PairKind, group: GroupDatum, p: int = 0, q: int = 0):
         if kind in (PairKind.AI, PairKind.AII, PairKind.AIII):
             if group.family is not GroupFamily.GENERAL_LINEAR:
                 raise ValueError(f"{kind.value} needs a general linear group")
@@ -74,13 +70,15 @@ class SymmetricPairSpec:
         if kind is PairKind.AII and group.n % 2 != 0:
             raise ValueError("AII needs even ambient rank")
         if kind in (PairKind.AIII, PairKind.CII):
-            if self.p < 1 or self.q < 1 or self.p + self.q != group.n:
-                raise ValueError(
-                    f"{kind.value} needs p, q >= 1 with p + q = {group.n}"
-                )
-        elif self.p or self.q:
+            if p < 1 or q < 1 or p + q != group.n:
+                raise ValueError(f"{kind.value} needs p, q >= 1 with p + q = {group.n}")
+        elif p or q:
             raise ValueError(f"{kind.value} takes no (p, q) datum")
-        object.__setattr__(self, "k_factors", _k_factor_table(kind, group.n, self.p, self.q))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k_factors", _k_factor_table(kind, group.n, p, q))
 
     @classmethod
     def parse(cls, token: str, ambient_dim: int | None = None) -> "SymmetricPairSpec":
@@ -137,8 +135,7 @@ class SymmetricPairSpec:
 KShape = Composition | SymplecticComposition
 
 
-@dataclass(frozen=True)
-class KFactor:
+class KFactor(Value):
     """One simple factor of K: GL_rank, Sp_2rank or (for AI) SO_rank.
 
     ``coords`` are the coordinates of G's natural module it acts on,
@@ -146,9 +143,12 @@ class KFactor:
     on e_1..e_n and dually on the mirrored half.
     """
 
-    family: str  # "gl", "sp" or "so"
-    rank: int
-    coords: tuple[int, ...]
+    __slots__ = ("family", "rank", "coords")
+
+    def __init__(self, family: str, rank: int, coords: tuple[int, ...]):
+        object.__setattr__(self, "family", family)  # "gl", "sp" or "so"
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "coords", coords)
 
 
 _SHAPE_TYPES = {"gl": Composition, "so": Composition, "sp": SymplecticComposition}
@@ -169,8 +169,7 @@ def _k_factor_table(kind: PairKind, n: int, p: int, q: int) -> tuple[KFactor, ..
     return (KFactor("so" if kind is PairKind.AI else "gl", n, everything),)
 
 
-@dataclass(frozen=True)
-class KParabolicSpec:
+class KParabolicSpec(Value):
     """A parabolic of K, one shape per simple factor of K.
 
     AIII: (Composition of p, Composition of q).
@@ -180,24 +179,25 @@ class KParabolicSpec:
     CI:   a single Composition of n (K = GL_n).
     """
 
-    pair: SymmetricPairSpec
-    factors: tuple[KShape, ...]
+    __slots__ = ("pair", "factors")
 
-    def __post_init__(self):
-        table = self.pair.k_factors
-        if len(self.factors) != len(table):
-            raise ValueError(f"{self.pair.kind.value} needs {len(table)} factor shape(s)")
-        for shape, factor in zip(self.factors, table):
+    def __init__(self, pair: SymmetricPairSpec, factors: tuple[KShape, ...]):
+        table = pair.k_factors
+        if len(factors) != len(table):
+            raise ValueError(f"{pair.kind.value} needs {len(table)} factor shape(s)")
+        for shape, factor in zip(factors, table):
             typ = _SHAPE_TYPES[factor.family]
             if not isinstance(shape, typ):
-                raise ValueError(f"{self.pair.kind.value} factor needs {typ.__name__}")
+                raise ValueError(f"{pair.kind.value} factor needs {typ.__name__}")
             if shape.size != len(factor.coords):
                 raise ValueError(
-                    f"{self.pair.kind.value} factor size {shape.size}, "
+                    f"{pair.kind.value} factor size {shape.size}, "
                     f"expected {len(factor.coords)}"
                 )
             if factor.family == "so" and not shape.is_palindromic:
-                raise ValueError(f"{self.pair.kind.value} flag shapes must be palindromic")
+                raise ValueError(f"{pair.kind.value} flag shapes must be palindromic")
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def parse(cls, pair: SymmetricPairSpec, text: str) -> "KParabolicSpec":

@@ -10,9 +10,9 @@ negative ones, which is convention-proof for both families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value
 from .errors import CrossCheckError
 from .groups import (
     GroupDatum,
@@ -34,23 +34,19 @@ __all__ = [
 OneLine = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Value):
     """A Weyl group element with its ambient group for length queries."""
 
-    group: GroupDatum
-    values: OneLine
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        n = self.group.n
-        if len(self.values) != n or sorted(abs(v) for v in self.values) != list(
-            range(1, n + 1)
-        ):
-            raise ValueError(f"not a one-line notation for rank {n}: {self.values}")
-        if self.group.family is GroupFamily.GENERAL_LINEAR and any(
-            v < 0 for v in self.values
-        ):
+    def __init__(self, group: GroupDatum, values: OneLine):
+        n = group.n
+        if len(values) != n or sorted(abs(v) for v in values) != list(range(1, n + 1)):
+            raise ValueError(f"not a one-line notation for rank {n}: {values}")
+        if group.family is GroupFamily.GENERAL_LINEAR and any(v < 0 for v in values):
             raise ValueError("sign data is only allowed in type C")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
 
     def inverse(self) -> "WeylElement":
         return WeylElement(self.group, _inverse(self.values))
@@ -147,10 +143,12 @@ def _levi_simple_indices(P: ParabolicSpec):
     return sorted(set(P.group.simple_indices) - P.excluded_simples())
 
 
-@dataclass(frozen=True)
-class DoubleCosetResult:
-    count: int
-    representatives: tuple[WeylElement, ...]
+class DoubleCosetResult(Value):
+    __slots__ = ("count", "representatives")
+
+    def __init__(self, count: int, representatives: tuple[WeylElement, ...]):
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "representatives", representatives)
 
 
 def bruhat_double_cosets(P: ParabolicSpec, P2: ParabolicSpec) -> DoubleCosetResult:

@@ -8,7 +8,8 @@ subspace of X_P, then the image of each point.  Tests compare the
 composed permutations with it, and use it to let arbitrary matrices act.
 reference_orbits counts orbits on a product of such spaces by plain
 union-find, where the library walks one space only.  mat_inv inverts
-a matrix for the tests' references; the library never needs to.
+a matrix for the tests' references, and identity builds the identity
+matrix; the library needs neither.
 """
 
 from operator import getitem
@@ -18,11 +19,15 @@ from dflag.errors import CrossCheckError
 from dflag.orbits import _line_perm, _walk_flags
 
 
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
 def mat_inv(a, q):
     """Inverse of a square matrix: the right half of rref([a | I])."""
     n = len(a)
-    reduced = gfq.rref([tuple(row) + e for row, e in zip(a, gfq.identity(n))], q)
-    if tuple(row[:n] for row in reduced) != gfq.identity(n):
+    reduced = gfq.rref([tuple(row) + e for row, e in zip(a, identity(n))], q)
+    if tuple(row[:n] for row in reduced) != identity(n):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
 

@@ -33,7 +33,7 @@ from dflag.orbits import (
 )
 from dflag.pairs import KParabolicSpec, SymmetricPairSpec, whole_K
 from dflag.weyl import bruhat_double_cosets
-from point_action import PointAction, mat_inv, reference_orbits
+from point_action import PointAction, identity, mat_inv, reference_orbits
 from test_k_reference import _reference_blocks
 
 
@@ -52,7 +52,7 @@ def test_rref_canonical():
 def test_mat_inv():
     a = ((1, 1), (0, 1))
     inv = mat_inv(a, 5)
-    assert gfq.mat_mul(a, inv, 5) == gfq.identity(2)
+    assert gfq.mat_mul(a, inv, 5) == identity(2)
     with pytest.raises(ValueError):
         mat_inv(((1, 1), (2, 2)), 3)
 
@@ -61,7 +61,7 @@ def test_mat_inv_of_every_2x2_over_F3():
     for entries in itertools.product(range(3), repeat=4):
         a = (entries[:2], entries[2:])
         if (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % 3:
-            assert gfq.mat_mul(a, mat_inv(a, 3), 3) == gfq.identity(2)
+            assert gfq.mat_mul(a, mat_inv(a, 3), 3) == identity(2)
         else:
             with pytest.raises(ValueError, match="matrix is singular"):
                 mat_inv(a, 3)
@@ -166,7 +166,7 @@ def test_one_refusal_for_a_space_over_budget():
 
 def _closure(gens, dim, q):
     """Every product of the generators, by breadth-first multiplication."""
-    seen = {gfq.identity(dim)}
+    seen = {identity(dim)}
     frontier = list(seen)
     while frontier:
         frontier = [gfq.mat_mul(g, m, q) for m in frontier for g in gens]
@@ -624,7 +624,7 @@ def test_k_orbits_match_the_whole_group(token, P, Q, q):
         elements = [e + [(m, embed(m, q))] for e in elements for m in factor]
     ambient = []
     for e in elements:
-        g = gfq.identity(pair.group.dim)
+        g = identity(pair.group.dim)
         for _, big in e:
             g = gfq.mat_mul(g, big, q)
         ambient.append(g)
