@@ -8,6 +8,8 @@ is stored for the symplectic case; the palindrome is rebuilt on demand.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from ._value import Value
 from .errors import ParseError
 
@@ -85,11 +87,7 @@ class Composition(Value):
 
     def breaks(self) -> tuple[int, ...]:
         """Proper partial sums (the flag's jump dimensions)."""
-        acc, out = 0, []
-        for p in self.parts[:-1]:
-            acc += p
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.parts[:-1]))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
@@ -103,7 +101,7 @@ class SymplecticComposition(Value):
 
     >>> SymplecticComposition.parse("1,2,1").full_parts
     (1, 2, 1)
-    >>> SymplecticComposition.parse("2,2").isotropic_dims()
+    >>> SymplecticComposition.parse("2,2").breaks()
     (2,)
     """
 
@@ -169,13 +167,10 @@ class SymplecticComposition(Value):
         """Stabilizer of a single isotropic subspace: (m, 2n-2m, m) or Siegel."""
         return len(self.left) == 1
 
-    def isotropic_dims(self) -> tuple[int, ...]:
-        """Dimensions of the isotropic flag steps, all <= n."""
-        acc, out = 0, []
-        for p in self.left:
-            acc += p
-            out.append(acc)
-        return tuple(out)
+    def breaks(self) -> tuple[int, ...]:
+        """Dimensions of the isotropic flag steps, all <= n (the flag's
+        jump dimensions)."""
+        return tuple(accumulate(self.left))
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.full_parts)

@@ -84,9 +84,8 @@ def flag_count(group: GroupDatum, shape, q: int) -> int:
     kind = Composition if group.family is GroupFamily.GENERAL_LINEAR else SymplecticComposition
     if not isinstance(shape, kind):
         raise ValueError(f"{group} needs a {kind.__name__}, got {shape!r}")
-    if kind is Composition:
-        return _gl_flag_count(group.n, shape.breaks(), q)
-    return _sp_flag_count(group.n, shape.isotropic_dims(), q)
+    count = _gl_flag_count if kind is Composition else _sp_flag_count
+    return count(group.n, shape.breaks(), q)
 
 
 @lru_cache(maxsize=16)

@@ -116,9 +116,7 @@ class ParabolicSpec(Value):
 
     @property
     def is_borel(self) -> bool:
-        if isinstance(self.shape, Composition):
-            return all(p == 1 for p in self.shape.parts)
-        return all(p == 1 for p in self.shape.left) and self.shape.middle == 0
+        return self.excluded_simples() == frozenset(self.group.simple_indices)
 
     def standard_form(self) -> "ParabolicSpec":
         """The conjugate Standard spec: an Opposite one is conjugate to the
@@ -131,12 +129,10 @@ class ParabolicSpec(Value):
         return ParabolicSpec(self.group, self.shape)
 
     def excluded_simples(self) -> frozenset[int]:
-        """Simple roots removed from the Levi (the flag's break points)."""
-        if isinstance(self.shape, Composition):
-            return frozenset(self.shape.breaks())
-        # isotropic jump at dim d < n excludes alpha_d; a Lagrangian step
-        # (d = n) excludes the long simple root alpha_n
-        return frozenset(self.shape.isotropic_dims())
+        """Simple roots removed from the Levi: the flag's jump dimensions
+        (an isotropic jump at d < n excludes alpha_d, a Lagrangian step
+        the long simple root alpha_n)."""
+        return frozenset(self.shape.breaks())
 
     def __str__(self) -> str:
         tag = "" if self.is_standard else "opposite "

@@ -231,13 +231,20 @@ def restrict_to_levi(lam: Partition, p: int, q: int) -> LRDecomposition:
     """
     if lam.rows > p + q:
         raise ValueError(f"{lam} needs more than p + q = {p + q} rows")
-    out: dict = {}
-    for mu_parts in _subpartitions(lam.parts, p):
-        mu = Partition(mu_parts)
-        for content in _lattice_fillings(lam.parts, mu.parts, q):
-            key = (mu, Partition(content))
-            out[key] = out.get(key, 0) + 1
-    return LRDecomposition.from_dict(out)
+    counts = Counter(_restriction_terms(lam.parts, p, q))
+    return LRDecomposition.from_dict(
+        {(Partition(mu), Partition(nu)): m for (mu, nu), m in counts.items()}
+    )
+
+
+def _restriction_terms(lam: Parts, p: int, q: int):
+    """(mu, content) for each LR filling of lam/mu with entries <= q,
+    mu over the partitions in lam with at most p rows: each (mu, nu) of
+    the restriction of V_lam to GL_p x GL_q, c^lam_{mu nu} times.  Both
+    are tuples of fixed length, so equal terms are equal tuples."""
+    for mu in _subpartitions(lam, p):
+        for content in _lattice_fillings(lam, mu, q):
+            yield mu, content
 
 
 def _product_shape(lam: Parts, mu: Parts) -> tuple[Parts, Parts]:
@@ -311,15 +318,6 @@ def highest_weight_of_parabolic(P: ParabolicSpec) -> Partition:
     return Partition(tuple(sum(1 for d in breaks if d >= j) for j in range(1, n + 1)))
 
 
-def _restriction_is_mf(lam: Partition, p: int, q: int):
-    """Multiplicity-freeness with early exit; returns (ok, witness pair)."""
-    for mu_parts in _subpartitions(lam.parts, p):
-        repeat = _first_repeat(_lattice_fillings(lam.parts, mu_parts, q))
-        if repeat is not None:
-            return False, (Partition(mu_parts), Partition(repeat))
-    return True, None
-
-
 class RestrictionProbeResult(Value):
     __slots__ = ("multiplicity_free", "k_max", "first_failure", "witness")
 
@@ -377,9 +375,10 @@ def spherical_probe_restriction(
         raise ValueError("k_max must be >= 1")
     lam = highest_weight_of_parabolic(P)
     for k in range(0, k_max + 1):
-        ok, witness = _restriction_is_mf(lam.scale(k), p, q)
-        if not ok:
-            return RestrictionProbeResult(False, k_max, k, witness)
+        repeat = _first_repeat(_restriction_terms(lam.scale(k).parts, p, q))
+        if repeat is not None:
+            mu, nu = repeat
+            return RestrictionProbeResult(False, k_max, k, (Partition(mu), Partition(nu)))
     return RestrictionProbeResult(True, k_max)
 
 

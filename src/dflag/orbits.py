@@ -18,7 +18,7 @@ coordinate row of the line vectors that row i of the letter names when
 it is a single 1, and a mod-q combination of coordinate rows
 otherwise; each image's base-q code then looks its line id up in a
 table of q^dim entries.  X_P is walked level by level, a level being a
-break (or isotropic dimension) d of its flags, and then as flags, by
+jump dimension d of its flags (shape.breaks()), and then as flags, by
 one breadth-first walk (_orbit) whose element is a tuple of ids that
 each move maps by one lookup.  A level is the orbit of
 span(e_1, ..., e_d) under the letters, the only place where a matrix
@@ -57,9 +57,8 @@ proof.  For AIII, CI and CII theta is conjugation by a diagonal matrix
 parabolic Q of K is one of G's: Q is generated by G's torus and x_b(1)
 for the roots b of each factor's parabolic, carried into G by the
 factor's coordinates (_carried_root).  AII's K = Sp_n is a subgroup of
-GL_n as it stands.  The whole of a GL_r acts through its letters; CI's
-whole K, GL_n, through G's u and c and a torus element.  No generator
-is built by inverting a matrix.
+GL_n as it stands.  CI's whole K, GL_n, acts through G's u and c and a
+torus element.  No generator is built by inverting a matrix.
 
 Orbit fusion (_orbit_count) is pure integer work: each orbit is walked
 from a list that grows while it is read.  Every permutation is checked
@@ -223,7 +222,7 @@ def _walk_flags(group: GroupDatum, shape, q: int):
     permutation of the points."""
     name = f"{group}/{shape} over F_{q}"
     count = flag_count(group, shape, q)
-    dims = shape.isotropic_dims() if group.family is GroupFamily.SYMPLECTIC else shape.breaks()
+    dims = shape.breaks()
     letters = _letters(group, q)
     if not dims:  # X_G is one point; its lines are not bounded by the budget
         return (), ((),), {k: _Word(m, (0,)) for k, m in letters.items()}
@@ -621,7 +620,7 @@ def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
     """Generators of Q, as matrices of G (see the module docstring)."""
     groups, group = _k_groups(pair), pair.group
     if pair.kind is PairKind.AII:  # K = Sp_n is a subgroup of GL_n as it stands
-        return _parabolic_targets(groups[0], Q.factors[0], q)
+        return _generators(groups[0], _parabolic_roots(groups[0], Q.factors[0]), q)
     if pair.kind is PairKind.CI and not Q.factors[0].is_proper:  # GL_n's letters u, c and d
         torus = [_torus_element(group, 0, q)] if q > 2 else []
         return [m for name, m in _letters(group, q).items() if name in ("u", "c")] + torus
@@ -646,15 +645,6 @@ def _carried_root(group: GroupDatum, factor: KFactor, b: tuple) -> tuple:
         b = tuple(int(k == i - 1) - int(k == j - 1) for k in range(factor.rank))
     carried = dict(zip(coords, b))
     return tuple(carried.get(k, 0) for k in range(group.n))
-
-
-def _parabolic_targets(group: GroupDatum, shape, q: int) -> list[Mat]:
-    """Generators of the Standard parabolic of ``shape`` in group(F_q):
-    GL_r's letters for the whole GL_r, and otherwise its torus and x_b(1)
-    for each root b of _parabolic_roots."""
-    if group.family is GroupFamily.GENERAL_LINEAR and not shape.is_proper:
-        return list(_letters(group, q).values())
-    return _generators(group, _parabolic_roots(group, shape), q)
 
 
 def _coset_targets(group: GroupDatum, Pi: ParabolicSpec, Pj: ParabolicSpec, q: int) -> list:
@@ -768,7 +758,7 @@ def count_triple_orbits(
     sizes = [flag_count(group, P.shape, q) for P in specs]
     walked = specs.pop(sizes.index(min(sizes)))
     if len(specs) == 1:
-        target_sets = [_parabolic_targets(group, specs[0].shape, q)]
+        target_sets = [_generators(group, _parabolic_roots(group, specs[0].shape), q)]
     else:
         target_sets = _coset_targets(group, *specs, q)
     return _count_orbits(group, walked.shape, q, target_sets)

@@ -5,11 +5,16 @@ Elements are stored in one-line notation: ``w[i-1]`` is the image of i,
 a tuple like (-2, 1) is the signed permutation sending 1 to -2 and 2
 to 1.  Length is computed as the number of positive roots sent to
 negative ones, which is convention-proof for both families.
+
+The double cosets W_P \\ W / W_P2 are found by the descents of their
+minimal representatives, no double coset being closed, and audited by
+their sizes (bruhat_double_cosets).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from ._value import Value
@@ -58,16 +63,6 @@ class WeylElement(Value):
         return "[" + ",".join(str(v) for v in self.values) + "]"
 
 
-def _apply(w: OneLine, i: int) -> int:
-    """Image of +-i under w."""
-    return w[i - 1] if i > 0 else -w[-i - 1]
-
-
-def _compose(u: OneLine, v: OneLine) -> OneLine:
-    """(u o v)(i) = u(v(i))."""
-    return tuple(_apply(u, vi) for vi in v)
-
-
 def _inverse(w: OneLine) -> OneLine:
     out = [0] * len(w)
     for i, wi in enumerate(w, start=1):
@@ -90,7 +85,6 @@ def _root_image(w: OneLine, root, family: GroupFamily):
     return tuple(out)
 
 
-@lru_cache(maxsize=4096)
 def _length(group: GroupDatum, w: OneLine) -> int:
     return sum(
         1
@@ -114,33 +108,44 @@ def enumerate_weyl(group: GroupDatum) -> tuple[OneLine, ...]:
 
 
 def weyl_order(group: GroupDatum) -> int:
-    import math
-
-    n = group.n
-    order = math.factorial(n)
-    if group.family is GroupFamily.SYMPLECTIC:
-        order <<= n
-    return order
+    return _parabolic_order(group, group.simple_indices)
 
 
-def _simple_gens(group: GroupDatum, levi_indices) -> list[OneLine]:
-    """One-line forms of the simple reflections with the given indices."""
-    n = group.n
-    gens = []
-    for i in levi_indices:
-        w = list(range(1, n + 1))
-        if i < n:
-            w[i - 1], w[i] = w[i], w[i - 1]
+def _parabolic_order(group: GroupDatum, indices) -> int:
+    """|W_I| for a set I of simple indices: the product over the runs of
+    consecutive indices in I, (r + 1)! for a run of r roots of type A
+    and 2^r r! for the run that ends at type C's long root a_n."""
+    order, run = 1, 0
+    for i in range(1, group.n + 1):
+        if i in indices:
+            run += 1
         else:
-            if group.family is not GroupFamily.SYMPLECTIC:
-                raise ValueError(f"no simple root {i} in type A rank {n}")
-            w[n - 1] = -n
-        gens.append(tuple(w))
-    return gens
+            order, run = order * math.factorial(run + 1), 0
+    return order * math.factorial(run) << run
 
 
-def _levi_simple_indices(P: ParabolicSpec):
-    return sorted(set(P.group.simple_indices) - P.excluded_simples())
+def _simple_root(group: GroupDatum, i: int):
+    """The simple root a_i in the encoding of groups: e_i - e_(i+1) for
+    i < n, and 2e_n in type C."""
+    if group.family is GroupFamily.GENERAL_LINEAR:
+        return (i, i + 1)
+    root = [0] * group.n
+    if i < group.n:
+        root[i - 1], root[i] = 1, -1
+    else:
+        root[-1] = 2
+    return tuple(root)
+
+
+def _levi_roots(P: ParabolicSpec) -> dict:
+    """The simple roots of P's Levi, each mapped to its index."""
+    excluded = P.excluded_simples()
+    return {_simple_root(P.group, i): i for i in P.group.simple_indices if i not in excluded}
+
+
+def _ascends(group: GroupDatum, w: OneLine, roots) -> bool:
+    """Whether w sends every root of ``roots`` to a positive root."""
+    return all(is_positive_root(group, _root_image(w, a, group.family)) for a in roots)
 
 
 class DoubleCosetResult(Value):
@@ -152,8 +157,15 @@ class DoubleCosetResult(Value):
 
 
 def bruhat_double_cosets(P: ParabolicSpec, P2: ParabolicSpec) -> DoubleCosetResult:
-    """W_P \\ W / W_P2 by exhaustive fusion, with the unique minimal-length
-    representative of each double coset.
+    """W_P \\ W / W_P2, with the minimal-length representative of each
+    double coset, sorted by (length, one-line form).
+
+    w is the minimal element of W_P w W_P2 exactly when w^-1(a) > 0 for
+    every simple root a of P's Levi and w(b) > 0 for every simple root b
+    of P2's Levi (Carter, Finite Groups of Lie Type, 2.7), so the
+    representatives are one filter over W.  The filter is audited: the
+    double cosets of the representatives must partition W
+    (_check_partition).
 
     >>> from .groups import gl, borel
     >>> bruhat_double_cosets(borel(gl(2)), borel(gl(2))).count
@@ -163,37 +175,35 @@ def bruhat_double_cosets(P: ParabolicSpec, P2: ParabolicSpec) -> DoubleCosetResu
         raise ValueError("parabolic specs live in different groups")
     if not (P.is_standard and P2.is_standard):
         raise ValueError("double cosets require Standard parabolics")
-    group = P.group
-    left = _simple_gens(group, _levi_simple_indices(P))
-    right = _simple_gens(group, _levi_simple_indices(P2))
-    seen: set[OneLine] = set()
-    reps = []
-    for w in enumerate_weyl(group):
-        if w in seen:
-            continue
-        # close the double coset under left/right multiplication
-        orbit = {w}
-        stack = [w]
-        while stack:
-            u = stack.pop()
-            for s in left:
-                v = _compose(s, u)
-                if v not in orbit:
-                    orbit.add(v)
-                    stack.append(v)
-            for s in right:
-                v = _compose(u, s)
-                if v not in orbit:
-                    orbit.add(v)
-                    stack.append(v)
-        seen |= orbit
-        min_len = min(_length(group, u) for u in orbit)
-        minima = [u for u in orbit if _length(group, u) == min_len]
-        if len(minima) != 1:
-            raise CrossCheckError(f"minimal representative not unique in {sorted(orbit)}")
-        reps.append(minima[0])
+    group, left, right = P.group, _levi_roots(P), _levi_roots(P2)
+    reps = [
+        w
+        for w in enumerate_weyl(group)
+        if _ascends(group, _inverse(w), left) and _ascends(group, w, right)
+    ]
+    _check_partition(group, left, right, reps)
     reps.sort(key=lambda u: (_length(group, u), u))
     return DoubleCosetResult(len(reps), tuple(WeylElement(group, u) for u in reps))
+
+
+def _check_partition(group: GroupDatum, left: dict, right: dict, reps) -> None:
+    """Raise CrossCheckError unless the double cosets W_I w W_J of the
+    representatives ``reps`` hold |W| elements in all, I and J being the
+    simple roots ``left`` and ``right`` (each mapped to its index).  For
+    the minimal w, W_I cap wW_Jw^-1 is W_K, K the roots a of I with
+    w^-1(a) in J (Kilmoyer; Carter, 2.7), so W_I w W_J has
+    |W_I| |W_J| / |W_K| elements."""
+    product = _parabolic_order(group, left.values()) * _parabolic_order(group, right.values())
+    total = 0
+    for w in reps:
+        w_inv = _inverse(w)
+        k = [i for a, i in left.items() if _root_image(w_inv, a, group.family) in right]
+        total += product // _parabolic_order(group, k)
+    if total != weyl_order(group):
+        raise CrossCheckError(
+            f"the double cosets of {len(reps)} representatives hold {total} "
+            f"of the {weyl_order(group)} elements of W({group})"
+        )
 
 
 def _is_flip(group: GroupDatum, action) -> bool:

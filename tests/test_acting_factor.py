@@ -21,8 +21,9 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.flags import flag_count
 from dflag.groups import ParabolicSpec, gl, sp
 from dflag.orbits import (
+    _generators,
     _orbit_count,
-    _parabolic_targets,
+    _parabolic_roots,
     _Speller,
     _walk_flags,
     count_triple_orbits,
@@ -48,7 +49,7 @@ def _count_acting(group, shapes, acting, q):
     """The orbit count with the factor ``acting`` acting, whatever its
     size: the other factors are walked under its parabolic, and their
     product is searched by union-find."""
-    targets = _parabolic_targets(group, shapes[acting], q)
+    targets = _generators(group, _parabolic_roots(group, shapes[acting]), q)
     spaces = [
         (flag_count(group, s, q), _word_perms(group, s, q, targets))
         for k, s in enumerate(shapes)

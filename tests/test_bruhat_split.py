@@ -25,7 +25,13 @@ from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
 from dflag.flags import flag_count
 from dflag.groups import GroupFamily, ParabolicSpec, gl, sp, whole_group
-from dflag.orbits import _coset_targets, _line_perm, _parabolic_targets, count_triple_orbits
+from dflag.orbits import (
+    _coset_targets,
+    _generators,
+    _line_perm,
+    _parabolic_roots,
+    count_triple_orbits,
+)
 from point_action import PointAction, reference_orbits
 from schreier_sims import order
 
@@ -65,7 +71,7 @@ def _line_order(group, mats, q):
 def test_schreier_sims_orders_of_projective_groups():
     cases = [(gl(3), 3, 5_616), (sp(2), 3, 25_920), (gl(2), 2, 6), (sp(3), 2, 1_451_520)]
     for group, q, expected in cases:
-        whole = _parabolic_targets(group, whole_group(group).shape, q)
+        whole = _generators(group, _parabolic_roots(group, whole_group(group).shape), q)
         assert _line_order(group, whole, q) == expected == _group_order(group, q) // _scalars(group, q)
     assert order([], 5) == 1
     assert order([(1, 0, 2), (1, 2, 0)], 3) == 6
@@ -75,7 +81,7 @@ def test_schreier_sims_orders_of_projective_groups():
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_parabolic_orders_match_the_closed_form(group, q):
     for shape in PROPER[group]:
-        got = _line_order(group, _parabolic_targets(group, shape, q), q)
+        got = _line_order(group, _generators(group, _parabolic_roots(group, shape), q), q)
         expected = _group_order(group, q) // flag_count(group, shape, q) // _scalars(group, q)
         assert got == expected, (str(group), str(shape), q)
 
@@ -85,7 +91,7 @@ def test_parabolic_orders_match_the_closed_form(group, q):
 def test_coset_orders_add_up_to_the_other_variety(group, q):
     for si, sj in itertools.combinations_with_replacement(PROPER[group], 2):
         Pi, Pj = ParabolicSpec(group, si), ParabolicSpec(group, sj)
-        p_order = _line_order(group, _parabolic_targets(group, si, q), q)
+        p_order = _line_order(group, _generators(group, _parabolic_roots(group, si), q), q)
         total = sum(
             p_order // _line_order(group, mats, q) for mats in _coset_targets(group, Pi, Pj, q)
         )
@@ -97,7 +103,7 @@ def _reference_count(group, shapes, q):
     product of the other two, by union-find."""
     sizes = [flag_count(group, s, q) for s in shapes]
     acting = sizes.index(max(sizes))
-    targets = _parabolic_targets(group, shapes[acting], q)
+    targets = _generators(group, _parabolic_roots(group, shapes[acting]), q)
     spaces = [PointAction(group, s, q).space(targets) for k, s in enumerate(shapes) if k != acting]
     return reference_orbits(spaces)[1]
 
@@ -119,3 +125,11 @@ def test_bruhat_count_matches_the_product_reference():
         assert got == _reference_count(group, shapes, q), (str(group), [str(s) for s in shapes], q)
         checked += 1
     assert checked == 133  # of the 212 unordered triples at q = 2, 3
+
+
+def test_the_whole_group_pair_has_one_orbit():
+    # X_G is one point, so X_G x X_G has one orbit under any generators
+    for group in [gl(n) for n in range(1, 5)] + [sp(1), sp(2)]:
+        whole = whole_group(group)
+        for q in (2, 3, 5):
+            assert count_triple_orbits(group, [whole, whole], q) == 1, (str(group), q)

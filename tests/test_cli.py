@@ -87,6 +87,14 @@ def test_triple_orbits(capsys):
     assert [e["orbits"] for e in doc["entries"]] == [2, 2]
 
 
+def test_triple_orbits_of_the_whole_group_pair(capsys):
+    # X_G x X_G is one point: the whole GL_3 acts through its roots
+    doc = run_json(
+        capsys, "triple-orbits", "--family", "A", "--n", "3", "--triple", "3;3", "--qlist", "2,3"
+    )
+    assert doc["entries"] == [{"orbits": 1, "q": 2}, {"orbits": 1, "q": 3}]
+
+
 def test_branch_restrict(capsys):
     doc = run_json(capsys, "branch", "--mode", "restrict", "--weight", "2,1", "--pair", "AIII:2,2")
     assert doc["multiplicity_free"] is True

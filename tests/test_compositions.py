@@ -41,7 +41,7 @@ def test_symplectic_parse_palindrome():
     assert s.left == (1,)
     assert s.middle == 2
     assert s.full_parts == (1, 2, 1)
-    assert s.isotropic_dims() == (1,)
+    assert s.breaks() == (1,)
     assert s.n == 2
 
 

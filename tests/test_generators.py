@@ -4,7 +4,8 @@ Every acting generator other than a letter is named by its root, and
 ``_root_entries`` is the one map between roots and matrix entries.
 The references here spell each root element and each generator set
 out by hand, from the rules they follow, and compare them with what
-``_root_element``, ``_parabolic_targets`` and ``_k_targets`` build.
+``_root_element``, ``_generators`` with ``_parabolic_roots``, and
+``_k_targets`` build.
 Those rules are the library's own, so each K-parabolic's generator set,
 and each group's letters, are also certified by the order of the group
 they generate, from closed forms alone.
@@ -20,7 +21,14 @@ from dflag.compositions import Composition as C
 from dflag.errors import CrossCheckError
 from dflag.flags import flag_count, symplectic_gram
 from dflag.groups import GroupFamily, ParabolicSpec, all_roots, gl, parabolic_root_set, sp
-from dflag.orbits import _k_targets, _letters, _parabolic_targets, _root_element, _root_entries
+from dflag.orbits import (
+    _generators,
+    _k_targets,
+    _letters,
+    _parabolic_roots,
+    _root_element,
+    _root_entries,
+)
 from dflag.pairs import PairKind, SymmetricPairSpec
 from test_bruhat_split import _group_order, _line_order, _scalars
 from test_fforacle import _every_shape
@@ -118,9 +126,7 @@ def test_a_non_root_is_a_cross_check_error():
 def _gl_rule(r, shape, q, boundary=None):
     """The torus (q > 2), E_(k,k+1)(1) for every simple root k but
     ``boundary``, E_(k+1,k)(1) for every simple root k of the Levi;
-    indices 1-based.  A whole GL_r is its letters."""
-    if not shape.is_proper:
-        return set(_letters(gl(r), q).values())
+    indices 1-based; a whole GL_r too."""
     torus = [_matrix(r, {(i, i): _least_primitive_root(q)}, q) for i in range(r)] if q > 2 else []
     simple = [_matrix(r, {(k - 1, k): 1}, q) for k in range(1, r) if k != boundary]
     levi = [_matrix(r, {(k, k - 1): 1}, q) for k in range(1, r) if k not in shape.breaks()]
@@ -149,7 +155,8 @@ def test_parabolic_generators_follow_the_rules(q):
     checked = 0
     for group in [gl(n) for n in range(1, 6)] + [sp(n) for n in range(1, 4)]:
         for shape in _every_shape(group):
-            assert set(_parabolic_targets(group, shape, q)) == _rule(group, shape, q), (group, shape)
+            targets = _generators(group, _parabolic_roots(group, shape), q)
+            assert set(targets) == _rule(group, shape, q), (group, shape)
             checked += 1
     assert checked == (1 + 2 + 4 + 8 + 16) + (2 + 4 + 8)
 
@@ -166,12 +173,16 @@ PAIRS = (
 @pytest.mark.parametrize("q", QS)
 def test_k_parabolic_generators_follow_the_rules(token, q):
     # AIII's Q: the rule for Q1 ++ Q2 without the simple root at the
-    # block boundary; every other Q: each factor's rule, embedded
+    # block boundary; CI's whole K, GL_n: its letters, embedded; every
+    # other Q: each factor's rule, embedded
     pair = SymmetricPairSpec.parse(token)
     for Q in _k_shapes(pair):
         if token.startswith("AIII"):
             first, second = Q.factors
             expected = _gl_rule(pair.group.n, C(first.parts + second.parts), q, boundary=pair.p)
+        elif pair.kind is PairKind.CI and not Q.factors[0].is_proper:
+            ((group, embed),) = _reference_blocks(pair)
+            expected = {embed(m, q) for m in _letters(group, q).values()}
         else:
             expected = {
                 embed(m, q)

@@ -93,7 +93,7 @@ def test_enumeration_matches_brute_force(group, q):
     assert len(set(shapes)) == 2 ** (group.n - 1 + symplectic)
     subs, steps = set(), set()  # over every shape, each checked once below
     for shape in shapes:
-        dims = shape.isotropic_dims() if symplectic else shape.breaks()
+        dims = shape.breaks()
         flags = enumerate_flags(group, shape, q)
         assert flags == _reference_flags(group, dims, q), shape
         for flag in flags:

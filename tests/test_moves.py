@@ -20,7 +20,15 @@ from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.flags import apply_to_flag, enumerate_flags
 from dflag.groups import GroupFamily, ParabolicSpec, gl, sp
-from dflag.orbits import _k_targets, _letters, _line_perm, _lines, _parabolic_targets, _walk_flags
+from dflag.orbits import (
+    _generators,
+    _k_targets,
+    _letters,
+    _line_perm,
+    _lines,
+    _parabolic_roots,
+    _walk_flags,
+)
 from dflag.pairs import SymmetricPairSpec
 from test_k_reference import _reference_blocks
 from test_words import _k_shapes
@@ -54,7 +62,7 @@ def _matrices(group, pairs, q):
     for token in pairs:
         mats += _embedded(token, q)
     for P in _standard_parabolics(group):
-        mats += _parabolic_targets(group, P.shape, q)
+        mats += _generators(group, _parabolic_roots(group, P.shape), q)
     return sorted(set(mats))
 
 

@@ -1,14 +1,19 @@
+import itertools
+
 import pytest
 
 from dflag.compositions import Composition, SymplecticComposition
+from dflag.errors import CrossCheckError
 from dflag.groups import ParabolicSpec, borel, gl, sp
 from dflag.weyl import (
     WeylElement,
+    _parabolic_order,
     bruhat_double_cosets,
     enumerate_weyl,
     twisted_involutions,
     weyl_order,
 )
+from test_fforacle import _every_shape
 
 
 def test_enumerate_orders():
@@ -127,13 +132,102 @@ def test_rejects_an_unknown_diagram_action():
     assert twisted_involutions(gl(3), None) == twisted_involutions(gl(3), "identity")
 
 
-def test_non_unique_minimal_representative_raises(monkeypatch):
-    import dflag.weyl
-    from dflag.errors import CrossCheckError
+# ------------------------------------------- the closure reference
 
-    # with every length 0, a double coset of more than one element has
-    # no unique minimum
-    monkeypatch.setattr(dflag.weyl, "_length", lambda group, w: 0)
+
+def _compose(u, v):
+    """(u o v)(i) = u(v(i)), with u(-i) = -u(i)."""
+    return tuple(u[i - 1] if i > 0 else -u[-i - 1] for i in v)
+
+
+def _levi_reflections(P):
+    """One-line forms of the simple reflections of P's Levi: s_i swaps i
+    and i + 1, and s_n of type C changes the sign of n."""
+    n, out = P.group.n, []
+    for i in sorted(set(P.group.simple_indices) - P.excluded_simples()):
+        w = list(range(1, n + 1))
+        if i < n:
+            w[i - 1], w[i] = w[i], w[i - 1]
+        else:
+            w[n - 1] = -n
+        out.append(tuple(w))
+    return out
+
+
+def _closure(w, left, right):
+    """The double coset of w: its closure under left multiplication by
+    ``left`` and right multiplication by ``right``."""
+    orbit, stack = {w}, [w]
+    while stack:
+        u = stack.pop()
+        for v in [_compose(s, u) for s in left] + [_compose(u, s) for s in right]:
+            if v not in orbit:
+                orbit.add(v)
+                stack.append(v)
+    return orbit
+
+
+def _reference_representatives(P, P2):
+    """The least element of each double coset, each coset closed in
+    full, sorted by (length, one-line form); the minimum is unique."""
+    group, left, right = P.group, _levi_reflections(P), _levi_reflections(P2)
+    length = {w: WeylElement(group, w).length() for w in enumerate_weyl(group)}
+    seen, reps = set(), []
+    for w in enumerate_weyl(group):
+        if w not in seen:
+            orbit = _closure(w, left, right)
+            seen |= orbit
+            least = min(length[u] for u in orbit)
+            minima = [u for u in orbit if length[u] == least]
+            assert len(minima) == 1, sorted(orbit)
+            reps.append(minima[0])
+    return sorted(reps, key=lambda u: (length[u], u))
+
+
+def _standard_specs(group):
+    return [ParabolicSpec(group, shape) for shape in _every_shape(group)]
+
+
+SMALL_GROUPS = [gl(n) for n in range(1, 6)] + [sp(n) for n in range(1, 4)]
+
+
+def test_descents_give_the_closure_representatives():
+    pairs = 0
+    for group in SMALL_GROUPS:
+        specs = _standard_specs(group)
+        assert len(specs) == 2 ** len(group.simple_indices)
+        for P, P2 in itertools.product(specs, repeat=2):
+            got = [w.values for w in bruhat_double_cosets(P, P2).representatives]
+            assert got == _reference_representatives(P, P2), (str(P), str(P2))
+            pairs += 1
+    assert pairs == 425
+
+
+def test_parabolic_orders_are_the_closure_sizes():
+    for group in SMALL_GROUPS:
+        for P in _standard_specs(group):
+            indices = set(group.simple_indices) - P.excluded_simples()
+            size = len(_closure(tuple(range(1, group.n + 1)), _levi_reflections(P), []))
+            assert _parabolic_order(group, indices) == size, str(P)
+        assert _parabolic_order(group, group.simple_indices) == weyl_order(group)
+
+
+def test_a_broken_descent_check_trips_the_partition_audit(monkeypatch):
+    import dflag.weyl
+
+    ascends, simple_root = dflag.weyl._ascends, dflag.weyl._simple_root
     P = ParabolicSpec(gl(3), Composition((2, 1)))
-    with pytest.raises(CrossCheckError, match="not unique"):
+    siegel = ParabolicSpec(sp(2), SymplecticComposition((2,), 0))
+    # the condition of the first simple root of each side dropped
+    monkeypatch.setattr(dflag.weyl, "_ascends", lambda g, w, roots: ascends(g, w, list(roots)[1:]))
+    for Q in (P, siegel):
+        with pytest.raises(CrossCheckError, match="double cosets of"):
+            bruhat_double_cosets(Q, Q)
+    monkeypatch.setattr(dflag.weyl, "_ascends", ascends)
+    # e_1 - e_3 taken for the simple root a_1 of GL_3
+    monkeypatch.setattr(
+        dflag.weyl, "_simple_root", lambda g, i: (1, 3) if i == 1 else simple_root(g, i)
+    )
+    message = r"3 representatives hold 10 of the 6 elements of W\(GL3\)"
+    with pytest.raises(CrossCheckError, match=message):
         bruhat_double_cosets(P, P)

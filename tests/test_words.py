@@ -13,11 +13,12 @@ import pytest
 from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
-from dflag.groups import GroupFamily, gl, sp
+from dflag.groups import gl, sp
 from dflag.orbits import (
     _k_targets,
+    _generators,
     _letters,
-    _parabolic_targets,
+    _parabolic_roots,
     _primitive_root,
     _Speller,
     _unit_matrix_with,
@@ -91,9 +92,7 @@ TRIPLE_CASES = [
 def test_every_word_for_P1_moves_points_as_its_matrix(group, walked, q):
     shapes = _every_shape(group)
     for shape in shapes:
-        targets = _parabolic_targets(group, shape, q)
-        if not shape.is_proper and group.family is GroupFamily.GENERAL_LINEAR:
-            assert targets == list(_letters(group, q).values())
+        targets = _generators(group, _parabolic_roots(group, shape), q)
         _check_words(group, walked, q, targets)
 
 
@@ -123,7 +122,7 @@ def test_sp_torus_words_move_points_as_their_matrices(group, walked, q):
 
 def test_sp_parabolics_take_the_torus_and_every_root():
     # the Borel of Sp_4 over F_3: 2 torus elements and the 4 positive roots
-    targets = _parabolic_targets(sp(2), SC((1, 1), 0), 3)
+    targets = _generators(sp(2), _parabolic_roots(sp(2), SC((1, 1), 0)), 3)
     assert len(targets) == 2 + 4
     pair = SymmetricPairSpec.parse("CII:1,1")
     assert len(_k_targets(pair, KParabolicSpec.parse(pair, "2;2"), 3)) == 2 + 2 + 2
