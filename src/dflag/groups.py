@@ -1,12 +1,14 @@
 """Group data, parabolic specifications, and root-set computations.
 
-Root encodings:
-
-* type A (GL_n): a root is a pair ``(i, j)`` with ``i != j``, 1-based,
-  standing for e_i - e_j.  Positive roots have ``i < j``.
-* type C (Sp_2n): a root is a length-n integer vector in the epsilon
-  coordinates, one of +-e_i +- e_j (i < j) or +-2 e_i.  Positive roots
-  have positive leading nonzero coordinate.
+One root encoding serves both families: a root is a length-n integer
+vector in the epsilon coordinates, n the rank.  Coordinate k, 0-based,
+of the natural module has the torus weight wt(k) = e_k for k < n, and
+in Sp_2n its mirror coordinate 2n-1-k has wt = -e_k (_weights).  Every
+root is wt(i) - wt(j) for two coordinates i != j, the weight of the
+matrix entry (i, j): e_i - e_j in GL_n, and +-e_i +- e_j (i < j) or
++-2 e_i in Sp_2n.  Positive roots have positive leading nonzero
+coordinate.  The simple root a_i, 1-based, is wt(i-1) - wt(i):
+e_i - e_(i+1) for i < n, and 2 e_n in type C (_simple_root).
 
 A Standard parabolic contains the fixed upper-triangular Borel; its
 Lie algebra consists of all positive roots plus the negative roots
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import permutations
+from operator import sub
 
 from ._value import Value
 from .compositions import Composition, SymplecticComposition
@@ -152,28 +156,29 @@ def whole_group(group: GroupDatum) -> ParabolicSpec:
 
 
 @lru_cache(maxsize=32)
+def _weights(group: GroupDatum) -> tuple[Root, ...]:
+    """wt(k) for each coordinate k, 0-based, of the natural module: e_k
+    for k < n, and -e_(2n-1-k) for the mirror coordinates of Sp_2n."""
+    n, mirror = group.n, group.dim - 1
+    return tuple(
+        tuple(int(a == k) if k < n else -int(a == mirror - k) for a in range(n))
+        for k in range(group.dim)
+    )
+
+
+def _entry_root(group: GroupDatum, i: int, j: int) -> Root:
+    """wt(i) - wt(j): the root whose root space holds the matrix entry
+    (i, j), 0-based, i != j."""
+    weights = _weights(group)
+    return tuple(map(sub, weights[i], weights[j]))
+
+
+@lru_cache(maxsize=32)
 def all_roots(group: GroupDatum) -> RootSet:
-    n = group.n
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        return frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j)
-    roots: set[Root] = set()
-    for i in range(n):
-        for sign in (2, -2):
-            v = [0] * n
-            v[i] = sign
-            roots.add(tuple(v))
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    v = [0] * n
-                    v[i], v[j] = si, sj
-                    roots.add(tuple(v))
-    return frozenset(roots)
+    return frozenset(_entry_root(group, i, j) for i, j in permutations(range(group.dim), 2))
 
 
-def is_positive_root(group: GroupDatum, root: Root) -> bool:
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        return root[0] < root[1]
+def is_positive_root(root: Root) -> bool:
     for c in root:
         if c:
             return c > 0
@@ -182,24 +187,23 @@ def is_positive_root(group: GroupDatum, root: Root) -> bool:
 
 @lru_cache(maxsize=32)
 def positive_roots(group: GroupDatum) -> RootSet:
-    return frozenset(r for r in all_roots(group) if is_positive_root(group, r))
+    return frozenset(filter(is_positive_root, all_roots(group)))
+
+
+def _simple_root(group: GroupDatum, i: int) -> Root:
+    """The simple root a_i, 1-based: wt(i-1) - wt(i), which is
+    e_i - e_(i+1) for i < n, and 2e_n in type C."""
+    return _entry_root(group, i - 1, i)
 
 
 def _simple_support(group: GroupDatum, root: Root) -> frozenset[int]:
     """Indices of simple roots appearing in the expansion of ``root``."""
-    n = group.n
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        i, j = root
-        return frozenset(range(min(i, j), max(i, j)))
-    v = root if is_positive_root(group, root) else tuple(-c for c in root)
-    support = [i + 1 for i, c in enumerate(v) if c]
-    if len(support) == 2:
-        i, j = support
-        if v[i - 1] == 1 and v[j - 1] == -1:
-            return frozenset(range(i, j))  # e_i - e_j = a_i + ... + a_{j-1}
-        return frozenset(range(i, n + 1))  # e_i + e_j reaches the long root
-    (i,) = support
-    return frozenset(range(i, n + 1))  # 2 e_i reaches the long root
+    v = root if is_positive_root(root) else tuple(-c for c in root)
+    support = [i for i, c in enumerate(v, start=1) if c]
+    first, last = support[0], support[-1]
+    if v[last - 1] < 0:
+        return frozenset(range(first, last))  # e_i - e_j = a_i + ... + a_(j-1)
+    return frozenset(range(first, group.n + 1))  # e_i + e_j and 2e_i reach the long root
 
 
 def parabolic_root_set(P: ParabolicSpec) -> RootSet:
@@ -212,7 +216,7 @@ def parabolic_root_set(P: ParabolicSpec) -> RootSet:
     want_positive = P.is_standard
     out = set()
     for root in all_roots(P.group):
-        if is_positive_root(P.group, root) == want_positive:
+        if is_positive_root(root) == want_positive:
             out.add(root)
         elif not (_simple_support(P.group, root) & excluded):
             out.add(root)

@@ -48,15 +48,17 @@ over F_q, q prime (a root element has order q, the n-cycle c order n),
 so a word is a product of powers, each composed once per count and
 memoized on its matrix and exponent.  One speller serves all the
 generator sets of a count, so each word is composed once.  A generator
-other than a letter is named by its root, in the encoding of groups,
-and _root_entries, the one map between roots and matrix entries,
-builds it and reads it back.  A Standard parabolic is generated by its
-torus and x_b(1) for each root b of _parabolic_roots, which has the
-proof.  For AIII, CI and CII theta is conjugation by a diagonal matrix
-(pairs), so K contains G's torus and every root subgroup of a
-parabolic Q of K is one of G's: Q is generated by G's torus and x_b(1)
-for the roots b of each factor's parabolic, carried into G by the
-factor's coordinates (_carried_root).  AII's K = Sp_n is a subgroup of
+other than a letter is named by its root, in the one encoding of
+groups for both families: a vector in the epsilon coordinates, the
+weight of coordinate i minus that of j for the matrix entry (i, j).
+_root_entries, the one map between roots and matrix entries, builds it
+and reads it back.  A Standard parabolic is generated by its torus and
+x_b(1) for each root b of _parabolic_roots, which has the proof.  For
+AIII, CI and CII theta is conjugation by a diagonal matrix (pairs), so
+K contains G's torus and every root subgroup of a parabolic Q of K is
+one of G's: Q is generated by G's torus and x_b(1) for the roots b of
+each factor's parabolic, carried into G by the factor's coordinates,
+whose weights are G's (_carried_root).  AII's K = Sp_n is a subgroup of
 GL_n as it stands.  CI's whole K, GL_n, acts through G's u and c and a
 torus element.  No generator is built by inverting a matrix.
 
@@ -89,6 +91,9 @@ from .groups import (
     GroupDatum,
     GroupFamily,
     ParabolicSpec,
+    _entry_root,
+    _simple_root,
+    _weights,
     gl,
     parabolic_root_set,
     sp,
@@ -193,8 +198,7 @@ def _letters(group: GroupDatum, q: int) -> dict[str, Mat]:
     n, dim = group.n, group.dim
     letters = {}
     if n >= 2:  # c e_k = e_(k+1) for k < n, and in Sp_2n likewise on their mirrors
-        first = (1, 2) if group.family is GroupFamily.GENERAL_LINEAR else (1, -1) + (0,) * (n - 2)
-        letters["u"] = _root_element(group, first, q)
+        letters["u"] = _root_element(group, _simple_root(group, 1), q)
         step = [(k + 1) % n if k < n else dim - 1 - (dim - k) % n for k in range(dim)]
         letters["c"] = tuple(tuple(int(i == step[j]) for j in range(dim)) for i in range(dim))
     if group.family is GroupFamily.SYMPLECTIC:
@@ -299,12 +303,13 @@ def _memo(method):
 
 class _Speller:
     """Words in G's letters on the points of one walked X_P, composed on
-    demand, each root element named by its root.  In GL_n,
+    demand, each root element named by its root.  The root e_i - e_j
+    names E_ij(1) in GL_n and x_(e_i - e_j)(1) in Sp_2n, both spelled as
     E_ij(1) = c^(i-1) E_(1,1+k) c^(n-i+1) for k = j - i mod n, with
-    E_(1,2) = u and E_(1,1+k) = [E_(1,k), E_(k,k+1)], and
-    diag(z at i) = c^(i-1) d c^(n-i+1).  In Sp_2n the first give the
-    Levi's x_(e_i - e_j)(1), the other roots are spelled as in the proof
-    in _letters, and the torus from the long roots (torus).
+    E_(1,2) = u and E_(1,1+k) = [E_(1,k), E_(k,k+1)].  In GL_n
+    diag(z at i) = c^(i-1) d c^(n-i+1); in Sp_2n the other roots are
+    spelled as in the proof in _letters, and the torus from the long
+    roots (torus).
 
     No permutation is inverted: every inverse taken is of an element of
     known order over F_q, q prime, and so one of its powers.  A root
@@ -393,9 +398,6 @@ class _Speller:
     @_memo
     def root(self, b: tuple[int, ...]) -> _Word:
         """x_b(1) for a root b of G, in the encoding of groups."""
-        if self.group.family is GroupFamily.GENERAL_LINEAR:
-            i, j = b
-            return self.elementary(i - 1, j - 1)
         n = self.group.n
         (i, a), *rest = [(i, c) for i, c in enumerate(b) if c]
         if not rest:
@@ -544,23 +546,13 @@ def _k_groups(pair: SymmetricPairSpec) -> list[GroupDatum]:
 @lru_cache(maxsize=16)
 def _root_entries(group: GroupDatum) -> dict:
     """Each root of group, in the encoding of groups, with the matrix
-    entries (i, j), 0-based, that carry it, in row order: the torus
-    weight of coordinate i minus that of j.  In GL_n coordinate k has
-    weight e_k, so (i, j) alone carries (i + 1, j + 1).  In Sp_2n
-    coordinate k < n has weight e_k and its mirror 2n-1-k has -e_k, so
-    a long root +-2e_i sits at one entry and a short root at two,
-    mirrored through the anti-diagonal."""
-    n, mirror = group.n, group.dim - 1
+    entries (i, j), 0-based, that carry it, in row order: the pairs of
+    coordinates whose weights differ by the root (groups._entry_root).
+    A root of GL_n, and a long root +-2e_i of Sp_2n, sits at one entry;
+    a short root of Sp_2n at two, mirrored through the anti-diagonal."""
     entries: dict = {}
     for i, j in itertools.permutations(range(group.dim), 2):
-        if group.family is GroupFamily.GENERAL_LINEAR:
-            b = (i + 1, j + 1)
-        else:
-            b = tuple(
-                int(i == a) - int(mirror - i == a) - int(j == a) + int(mirror - j == a)
-                for a in range(n)
-            )
-        entries.setdefault(b, []).append((i, j))
+        entries.setdefault(_entry_root(group, i, j), []).append((i, j))
     return {b: tuple(e) for b, e in entries.items()}
 
 
@@ -581,12 +573,11 @@ def _root_element(group: GroupDatum, b, q: int) -> Mat:
 
 def _torus_element(group: GroupDatum, i: int, q: int) -> Mat:
     """diag(z at i) in GL_n, or diag(z at i, z^-1 at its mirror) in
-    Sp_2n, 0-based, z the least primitive root mod q."""
-    z, mirror = _primitive_root(q), group.dim - 1 - i
-    entries = {(i, i): z}
-    if group.family is GroupFamily.SYMPLECTIC:
-        entries[mirror, mirror] = pow(z, -1, q)
-    return _unit_matrix_with(group.dim, entries, q)
+    Sp_2n, 0-based, z the least primitive root mod q: coordinate k is
+    scaled by z to the e_i-coordinate of its weight."""
+    z = _primitive_root(q)
+    scaled = [(k, w[i]) for k, w in enumerate(_weights(group)) if w[i]]
+    return _unit_matrix_with(group.dim, {(k, k): pow(z, e, q) for k, e in scaled}, q)
 
 
 def _generators(group: GroupDatum, roots, q: int) -> list[Mat]:
@@ -600,20 +591,20 @@ def _parabolic_roots(group: GroupDatum, shape) -> list:
     """Roots b such that x_b(1), with the torus, generate the Standard
     parabolic of ``shape`` in group(F_q), q prime.
 
-    GL_r: the simple roots (k, k+1), and (k+1, k) for each simple root k
-    of the Levi (k not a break).  Commutators of these give every other
-    root of the parabolic, since [I + E_ij, I + E_jl] = I + E_il over
-    every field, and over F_p x_b(1) generates X_b.  Sp_2n: every root of
-    the parabolic.  The simple ones would not suffice, since over F_2
-    the type C commutator relations lose their factor 2, and the
-    unipotent radical of the Borel of Sp_4(F_2), of order 16, is not
-    generated by two elements.
+    GL_r: the simple roots a_k = e_k - e_(k+1), and -a_k for each simple
+    root a_k of the Levi (k not a break).  Commutators of these give
+    every other root of the parabolic, since [I + E_ij, I + E_jl] =
+    I + E_il over every field, and over F_p x_b(1) generates X_b.
+    Sp_2n: every root of the parabolic.  The simple ones would not
+    suffice, since over F_2 the type C commutator relations lose their
+    factor 2, and the unipotent radical of the Borel of Sp_4(F_2), of
+    order 16, is not generated by two elements.
     """
     if group.family is GroupFamily.SYMPLECTIC:
         return sorted(parabolic_root_set(ParabolicSpec(group, shape)))
-    breaks = shape.breaks()
-    simple = [(k, k + 1) for k in group.simple_indices]
-    return simple + [(k + 1, k) for k in group.simple_indices if k not in breaks]
+    simple = [_simple_root(group, k) for k in group.simple_indices]
+    levi = [tuple(-c for c in b) for k, b in enumerate(simple, 1) if k not in shape.breaks()]
+    return simple + levi
 
 
 def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
@@ -634,16 +625,10 @@ def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
 
 def _carried_root(group: GroupDatum, factor: KFactor, b: tuple) -> tuple:
     """The root b of a factor of K as a root of G, by the factor's
-    coordinates: (i, j) of AIII's GL factor to (coords[i-1]+1,
-    coords[j-1]+1), (i, j) of CI's GL_n to e_i - e_j, and epsilon_k of
-    an Sp factor of CII to epsilon_coords[k]."""
-    coords = factor.coords
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        return tuple(coords[i - 1] + 1 for i in b)
-    if factor.family == "gl":
-        i, j = b
-        b = tuple(int(k == i - 1) - int(k == j - 1) for k in range(factor.rank))
-    carried = dict(zip(coords, b))
+    coordinates: the factor's coordinate k < rank has weight e_k, and is
+    G's coordinate coords[k] < n, of weight e_coords[k], so b's
+    epsilon_k is G's epsilon_coords[k]."""
+    carried = dict(zip(factor.coords, b))
     return tuple(carried.get(k, 0) for k in range(group.n))
 
 
@@ -670,9 +655,9 @@ def _coset_targets(group: GroupDatum, Pi: ParabolicSpec, Pj: ParabolicSpec, q: i
        commutators: over F_2 the type C commutator relations lose their
        factor 2 (see _parabolic_roots).
     """
-    phi_i, phi_j, family = parabolic_root_set(Pi), parabolic_root_set(Pj), group.family
+    phi_i, phi_j = parabolic_root_set(Pi), parabolic_root_set(Pj)
     return [
-        _generators(group, sorted(phi_i & {_root_image(w.values, b, family) for b in phi_j}), q)
+        _generators(group, sorted(phi_i & {_root_image(w.values, b) for b in phi_j}), q)
         for w in bruhat_double_cosets(Pi, Pj).representatives
     ]
 

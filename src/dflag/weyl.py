@@ -3,8 +3,10 @@
 Elements are stored in one-line notation: ``w[i-1]`` is the image of i,
 1-based.  For Sp_2n values carry signs, with w(-i) = -w(i) implied, so
 a tuple like (-2, 1) is the signed permutation sending 1 to -2 and 2
-to 1.  Length is computed as the number of positive roots sent to
-negative ones, which is convention-proof for both families.
+to 1.  A root, in the one encoding of groups for both families, is
+moved by sending its epsilon coordinate e_k to +-e_|w(k)|
+(_root_image).  Length is computed as the number of positive roots
+sent to negative ones, which is convention-proof for both families.
 
 The double cosets W_P \\ W / W_P2 are found by the descents of their
 minimal representatives, no double coset being closed, and audited by
@@ -23,6 +25,7 @@ from .groups import (
     GroupDatum,
     GroupFamily,
     ParabolicSpec,
+    _simple_root,
     is_positive_root,
     positive_roots,
 )
@@ -73,24 +76,17 @@ def _inverse(w: OneLine) -> OneLine:
     return tuple(out)
 
 
-def _root_image(w: OneLine, root, family: GroupFamily):
-    if family is GroupFamily.GENERAL_LINEAR:
-        i, j = root
-        return (w[i - 1], w[j - 1])
+def _root_image(w: OneLine, root):
+    """w(root), w acting on the epsilon coordinates: e_k to +-e_|w(k)|."""
     out = [0] * len(w)
-    for pos, coeff in enumerate(root, start=1):
+    for img, coeff in zip(w, root):
         if coeff:
-            img = w[pos - 1]
             out[abs(img) - 1] += coeff if img > 0 else -coeff
     return tuple(out)
 
 
 def _length(group: GroupDatum, w: OneLine) -> int:
-    return sum(
-        1
-        for alpha in positive_roots(group)
-        if not is_positive_root(group, _root_image(w, alpha, group.family))
-    )
+    return sum(1 for alpha in positive_roots(group) if not is_positive_root(_root_image(w, alpha)))
 
 
 @lru_cache(maxsize=16)
@@ -124,19 +120,6 @@ def _parabolic_order(group: GroupDatum, indices) -> int:
     return order * math.factorial(run) << run
 
 
-def _simple_root(group: GroupDatum, i: int):
-    """The simple root a_i in the encoding of groups: e_i - e_(i+1) for
-    i < n, and 2e_n in type C."""
-    if group.family is GroupFamily.GENERAL_LINEAR:
-        return (i, i + 1)
-    root = [0] * group.n
-    if i < group.n:
-        root[i - 1], root[i] = 1, -1
-    else:
-        root[-1] = 2
-    return tuple(root)
-
-
 def _levi_roots(P: ParabolicSpec) -> dict:
     """The simple roots of P's Levi, each mapped to its index."""
     excluded = P.excluded_simples()
@@ -145,7 +128,7 @@ def _levi_roots(P: ParabolicSpec) -> dict:
 
 def _ascends(group: GroupDatum, w: OneLine, roots) -> bool:
     """Whether w sends every root of ``roots`` to a positive root."""
-    return all(is_positive_root(group, _root_image(w, a, group.family)) for a in roots)
+    return all(is_positive_root(_root_image(w, a)) for a in roots)
 
 
 class DoubleCosetResult(Value):
@@ -197,7 +180,7 @@ def _check_partition(group: GroupDatum, left: dict, right: dict, reps) -> None:
     total = 0
     for w in reps:
         w_inv = _inverse(w)
-        k = [i for a, i in left.items() if _root_image(w_inv, a, group.family) in right]
+        k = [i for a, i in left.items() if _root_image(w_inv, a) in right]
         total += product // _parabolic_order(group, k)
     if total != weyl_order(group):
         raise CrossCheckError(

@@ -30,7 +30,7 @@ from dflag.orbits import (
     _root_entries,
 )
 from dflag.pairs import PairKind, SymmetricPairSpec
-from test_bruhat_split import _group_order, _line_order, _scalars
+from test_bruhat_split import GROUPS, _group_order, _line_order, _scalars
 from test_fforacle import _every_shape
 from test_k_reference import _reference_blocks
 from test_words import _k_shapes
@@ -98,7 +98,8 @@ def test_sp_root_elements_match_the_written_out_reference(q):
 def test_gl_root_elements_are_the_elementary_matrices(q):
     for n in range(2, 7):
         for i, j in itertools.permutations(range(1, n + 1), 2):
-            assert _root_element(gl(n), (i, j), q) == _matrix(n, {(i - 1, j - 1): 1}, q)
+            b = tuple(int(k == i) - int(k == j) for k in range(1, n + 1))  # e_i - e_j
+            assert _root_element(gl(n), b, q) == _matrix(n, {(i - 1, j - 1): 1}, q)
 
 
 @pytest.mark.parametrize("group", [gl(n) for n in range(1, 7)] + [sp(n) for n in range(1, 5)])
@@ -115,7 +116,7 @@ def test_the_root_table_lists_each_entry_off_the_diagonal_once(group):
 
 def test_a_non_root_is_a_cross_check_error():
     with pytest.raises(CrossCheckError, match="not a root of GL3"):
-        _root_element(gl(3), (1, 1), 3)
+        _root_element(gl(3), (1, 1, 0), 3)
     with pytest.raises(CrossCheckError, match="not a root of Sp4"):
         _root_element(sp(2), (1, 0), 3)
 
@@ -219,6 +220,29 @@ def test_the_letters_generate_the_whole_group(group, q):
     # alone, with the cap above: 23 of GL_1-GL_6 and Sp_2-Sp_8 at q = 2, 3, 5
     order = _line_order(group, list(_letters(group, q).values()), q)
     assert order == _group_order(group, q) // _scalars(group, q)
+
+
+@pytest.mark.parametrize(
+    "group, q",
+    [
+        (group, q)
+        for group in [gl(n) for n in range(2, 6)] + [sp(n) for n in range(1, 4)]
+        for q in QS
+        if _lines_of(group, q) <= ORDER_LINES_CAP and (group not in GROUPS or q == 5)
+    ],
+    ids=str,
+)
+def test_parabolic_generators_have_the_order_of_P(group, q):
+    # the image of P(F_q) on the lines has order |G(F_q)| / |X_P| over
+    # the scalars; test_bruhat_split has GL_2-GL_4, Sp_2 and Sp_4 at
+    # q = 2, 3, and the cap above, alone, picks the rest of GL_2-GL_5
+    # and Sp_2-Sp_6 at q = 2, 3, 5: GL_5 at q = 2, 3, Sp_6 at q = 2,
+    # and the others at q = 5
+    for shape in _every_shape(group):
+        if shape.is_proper:
+            got = _line_order(group, _generators(group, _parabolic_roots(group, shape), q), q)
+            expected = _group_order(group, q) // flag_count(group, shape, q) // _scalars(group, q)
+            assert got == expected, str(shape)
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,14 @@ import pytest
 
 from dflag.compositions import Composition, SymplecticComposition
 from dflag.groups import (
+    GroupFamily,
     Orientation,
     ParabolicSpec,
+    _simple_support,
     all_roots,
     borel,
     gl,
+    is_positive_root,
     is_product_open,
     parabolic_root_set,
     positive_roots,
@@ -37,18 +40,18 @@ def _sp_shapes(n):
 
 
 def test_gl2_borel_root_set():
-    assert parabolic_root_set(borel(gl(2))) == {(1, 2)}
+    assert parabolic_root_set(borel(gl(2))) == {(1, -1)}
 
 
 def test_gl2_whole_group_both_roots():
     for orientation in Orientation:
         P = ParabolicSpec(gl(2), Composition((2,)), orientation)
-        assert parabolic_root_set(P) == {(1, 2), (2, 1)}
+        assert parabolic_root_set(P) == {(1, -1), (-1, 1)}
 
 
 def test_gl3_2_1_levi_plus_nilradical():
     P = ParabolicSpec(gl(3), Composition((2, 1)))
-    assert parabolic_root_set(P) == {(1, 2), (2, 1), (1, 3), (2, 3)}
+    assert parabolic_root_set(P) == {(1, -1, 0), (-1, 1, 0), (1, 0, -1), (0, 1, -1)}
 
 
 def test_borel_root_set_is_positive_system():
@@ -64,10 +67,46 @@ def test_root_set_sizes_split_levi_nilradical():
             P = ParabolicSpec(gl(n), Composition(parts))
             opp = ParabolicSpec(gl(n), Composition(parts), Orientation.OPPOSITE)
             rp = parabolic_root_set(P)
-            levi = {r for r in rp if tuple(reversed(r)) in rp}
+            levi = {r for r in rp if tuple(-c for c in r) in rp}
             nil = rp - levi
             assert len(rp) == len(levi) + len(nil)
             assert len(parabolic_root_set(opp)) == len(rp)
+
+
+def _simple_roots(group):
+    """[a_1, ..., a_r]: a_k = e_k - e_(k+1) for k < n, and a_n = 2e_n in
+    Sp_2n."""
+    n = group.n
+    simple = [tuple(int(a == k) - int(a == k + 1) for a in range(n)) for k in range(n - 1)]
+    if group.family is GroupFamily.SYMPLECTIC:
+        simple.append((0,) * (n - 1) + (2,))
+    return simple
+
+
+def _simple_coefficients(group, root):
+    """The coefficients c_1, ..., c_r of ``root`` in the simple roots:
+    c_k is the sum of the first k coordinates for k < n, and in Sp_2n
+    c_n is half the sum of all."""
+    c = [sum(root[:k]) for k in range(1, group.n)]
+    if group.family is GroupFamily.SYMPLECTIC:
+        c.append(sum(root) // 2)
+    return c
+
+
+@pytest.mark.parametrize(
+    "group", [gl(n) for n in range(1, 8)] + [sp(n) for n in range(1, 6)], ids=str
+)
+def test_positivity_and_support_follow_the_simple_root_expansion(group):
+    # a root is positive when its coefficients in the simple roots are
+    # all >= 0, and its support is where they are nonzero
+    roots, n, simple = all_roots(group), group.n, _simple_roots(group)
+    assert len(roots) == (n * (n - 1) if group.family is GroupFamily.GENERAL_LINEAR else 2 * n * n)
+    for root in roots:
+        c = _simple_coefficients(group, root)
+        assert tuple(sum(x * a[m] for x, a in zip(c, simple)) for m in range(n)) == root
+        assert all(x >= 0 for x in c) or all(x <= 0 for x in c), root
+        assert is_positive_root(root) == all(x >= 0 for x in c), root
+        assert _simple_support(group, root) == {k for k, x in enumerate(c, 1) if x}, root
 
 
 def test_siegel_root_set_count():

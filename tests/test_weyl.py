@@ -226,7 +226,7 @@ def test_a_broken_descent_check_trips_the_partition_audit(monkeypatch):
     monkeypatch.setattr(dflag.weyl, "_ascends", ascends)
     # e_1 - e_3 taken for the simple root a_1 of GL_3
     monkeypatch.setattr(
-        dflag.weyl, "_simple_root", lambda g, i: (1, 3) if i == 1 else simple_root(g, i)
+        dflag.weyl, "_simple_root", lambda g, i: (1, 0, -1) if i == 1 else simple_root(g, i)
     )
     message = r"3 representatives hold 10 of the 6 elements of W\(GL3\)"
     with pytest.raises(CrossCheckError, match=message):
