@@ -8,11 +8,13 @@ dense reference flags.apply_to_flag returns.  The orbit counts
 (dflag.orbits) never reduce a subspace, naming one by the ids of its
 lines, and never invert a matrix: each matrix they act by is built
 from its roots, or is a letter, and its inverses are its powers.
+mat_mul is row-sparse, as those matrices are: a row with a single 1
+copies a row, and any other row combines only its nonzero entries.  It
+is their one product, both the audit of each word's matrix and, with a
+block of coordinate rows, the images of the lines under a letter.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 __all__ = [
     "check_prime",
@@ -38,10 +40,23 @@ def transpose(a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat, q: int) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(mul, row, col)) % q for col in bt) for row in a
-    )
+    """a b over F_q, for a with as many columns as b has rows, one row
+    of a at a time: a row whose only nonzero entry is a 1 at j is row j
+    of b, any other row the mod-q combination of the rows of b at its
+    nonzero entries (zeros for a zero row).  b may be a block of
+    coordinate rows, one column per vector."""
+    zero = (0,) * len(b[0])
+    out = []
+    for row in a:
+        terms = [(x, b[j]) for j, x in enumerate(row) if x]
+        if len(terms) == 1 and terms[0][0] == 1:
+            out.append(tuple(terms[0][1]))  # b's own row, if a tuple
+        else:
+            combined = zero
+            for x, b_row in terms:
+                combined = [(s + x * y) % q for s, y in zip(combined, b_row)]
+            out.append(tuple(combined))
+    return tuple(out)
 
 
 def rref(rows, q: int) -> Mat:

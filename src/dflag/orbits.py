@@ -13,14 +13,15 @@ Siegel Levi and the long root elements x+- for Sp_2n, whose torus is
 spelled from its root subgroups.  Only a letter is turned into a
 permutation of the N = (q^dim - 1)/(q - 1) lines of F_q^dim, the one
 place where an orbit count applies a matrix to a vector.  The images
-of all N line vectors are built one row at a time: row i is the
-coordinate row of the line vectors that row i of the letter names when
-it is a single 1, and a mod-q combination of coordinate rows
-otherwise; each image's base-q code then looks its line id up in a
-table of q^dim entries.  X_P is walked level by level, a level being a
-jump dimension d of its flags (shape.breaks()), and then as flags, by
-one breadth-first walk (_orbit) whose element is a tuple of ids that
-each move maps by one lookup.  A level is the orbit of
+of all N line vectors are the row-sparse product (gfq.mat_mul) of the
+letter's rows that differ from the identity's with the coordinate rows
+of the line vectors; each such row moves the identity's base-q codes,
+and each code then looks its line id up in a table of q^dim entries.
+Sp_6's four letters differ from the identity in 10 of their 24 rows.
+X_P is walked level by level, a level being a jump dimension d of its
+flags (shape.breaks()), and then as flags, by one breadth-first walk
+(_orbit) whose element is a tuple of ids that each move maps by one
+lookup.  A level is the orbit of
 span(e_1, ..., e_d) under the letters, the only place where a matrix
 moves a subspace: a subspace is the sorted tuple of its line ids (a
 frozenset would take about four times the memory), moved by the
@@ -52,15 +53,20 @@ other than a letter is named by its root, in the one encoding of
 groups for both families: a vector in the epsilon coordinates, the
 weight of coordinate i minus that of j for the matrix entry (i, j).
 _root_entries, the one map between roots and matrix entries, builds it
-and reads it back.  A Standard parabolic is generated by its torus and
-x_b(1) for each root b of _parabolic_roots, which has the proof.  For
-AIII, CI and CII theta is conjugation by a diagonal matrix (pairs), so
-K contains G's torus and every root subgroup of a parabolic Q of K is
-one of G's: Q is generated by G's torus and x_b(1) for the roots b of
-each factor's parabolic, carried into G by the factor's coordinates,
-whose weights are G's (_carried_root).  AII's K = Sp_n is a subgroup of
-GL_n as it stands.  CI's whole K, GL_n, acts through G's u and c and a
-torus element.  No generator is built by inverting a matrix.
+and reads it back.  _generators makes every generator set from a list
+of roots: x_b(1) for each root b, after one torus element for each
+class of coordinates its Levi roots join, none for a class of type C,
+which holds its torus; it has the proof.  A Standard parabolic is
+generated from the roots of _parabolic_roots: its simple roots and the
+negatives of its Levi's, which suffice in type A and outside
+characteristic 2, but every root of an Sp parabolic over F_2; it has
+the proof.  For AIII, CI and CII theta is conjugation by a diagonal
+matrix (pairs), so K contains G's torus and every root subgroup of a
+parabolic Q of K is one of G's: Q is generated from the roots of each
+factor's parabolic, carried into G by the factor's coordinates, whose
+weights are G's (_carried_root).  AII's K = Sp_n is a subgroup of GL_n
+as it stands.  CI's whole K, GL_n, acts through G's u and c and a torus
+element.  No generator is built by inverting a matrix.
 
 Orbit fusion (_orbit_count) is pure integer work: each orbit is walked
 from a list that grows while it is read.  Every permutation is checked
@@ -134,29 +140,36 @@ def _lines(dim: int, q: int):
     return tuple(vecs), code
 
 
+@lru_cache(maxsize=4)
+def _line_rows(dim: int, q: int):
+    """(coords, codes): the coordinate rows of the line vectors of
+    _lines, one entry per line, and the base-q code of each vector, the
+    identity's codes."""
+    vecs, _ = _lines(dim, q)
+    codes = tuple(
+        q ** (dim - 1 - lead) + t for lead in range(dim) for t in range(q ** (dim - lead - 1))
+    )
+    return tuple(zip(*vecs)), codes
+
+
 @lru_cache(maxsize=64)
 def _line_perm(mat: Mat, q: int) -> tuple[int, ...]:
-    """The permutation of the line ids of F_q^dim induced by mat, built
-    one row of the images at a time over all lines at once.  Row i of
-    the images is the coordinate row of the line vectors that row i of
-    mat names when it is a single 1, and otherwise the mod-q combination
-    of the coordinate rows it names (zeros for a zero row); the base-q
-    code of each image, read off the rows, looks its line id up in the
-    code table of _lines.  A singular mat sends some line to 0, whose
-    code has no line id."""
+    """The permutation of the line ids of F_q^dim induced by mat.  The
+    images of all line vectors are the row-sparse product of mat with
+    their coordinate rows (gfq.mat_mul), made only for the rows of mat
+    that differ from the identity's: each such row moves the base-q
+    codes of the identity by its image row less the coordinate row it
+    replaces.  Each code then looks its line id up in the code table of
+    _lines.  A singular mat sends some line to 0, whose code has no
+    line id."""
     dim = len(mat)
-    vecs, code = _lines(dim, q)
-    coords = list(zip(*vecs))
-    codes = [0] * len(vecs)
-    for row in mat:
-        terms = [(a, coords[j]) for j, a in enumerate(row) if a]
-        if len(terms) == 1 and terms[0][0] == 1:
-            image = terms[0][1]
-        else:  # zeros for a zero row
-            image = [0] * len(vecs)
-            for a, xs in terms:
-                image = [(y + a * x) % q for y, x in zip(image, xs)]
-        codes = [c * q + y for c, y in zip(codes, image)]
+    _, code = _lines(dim, q)
+    coords, codes = _line_rows(dim, q)
+    moved = [i for i, row in enumerate(mat) if any(x != (i == j) for j, x in enumerate(row))]
+    images = gfq.mat_mul([mat[i] for i in moved], coords, q)
+    for i, image in zip(moved, images):
+        weight = q ** (dim - 1 - i)
+        codes = [c + (y - x) * weight for c, y, x in zip(codes, image, coords[i])]
     perm = tuple(map(code.__getitem__, codes))
     if min(perm) < 0:
         raise CrossCheckError(f"a {dim}x{dim} matrix to act by is singular over F_{q}")
@@ -581,26 +594,56 @@ def _torus_element(group: GroupDatum, i: int, q: int) -> Mat:
 
 
 def _generators(group: GroupDatum, roots, q: int) -> list[Mat]:
-    """The torus elements of group(F_q) for q > 2 (over F_2 the torus is
-    trivial), then x_b(1) for each root b of ``roots``."""
-    torus = [_torus_element(group, i, q) for i in range(group.n)] if q > 2 else []
+    """One torus element diag(z at c) of group(F_q) (_torus_element)
+    for each class of coordinates joined by the Levi roots of ``roots``
+    (the roots b whose -b is listed too) but a class whose Levi roots
+    include a long pair +-2e_i, c being the class's first coordinate,
+    for q > 2 (over F_2 the torus is trivial); then x_b(1) for each
+    root b of ``roots``.
+
+    With x_b(1) for the roots b, these generate what the whole torus T
+    and the x_b(1) do.  The Levi roots of a class are the roots, or the
+    simple roots and their negatives (_parabolic_roots), of a factor of
+    a Levi subgroup of G on the class's coordinates, split of type A or
+    C.  Over F_q their root subgroups, which x_b(1) generates over F_p,
+    generate its derived group (Steinberg, Lectures on Chevalley
+    Groups, section 3): an SL_k, whose torus is GL_k's with determinant
+    1, or an Sp_2k, which holds the whole torus of its coordinates.
+    With SL_k, diag(z at c) gives every determinant, z being a
+    primitive root, so the elements of all classes give T."""
+    listed = set(roots)
+    classes = {k: {k} for k in range(group.n)}  # coordinate -> its class
+    long = set()
+    for b in roots:
+        if tuple(-c for c in b) in listed:
+            support = [k for k, c in enumerate(b) if c]
+            if len(support) == 1:  # +-2e_k
+                long.update(support)
+            joined = set().union(*(classes[k] for k in support))
+            classes.update(dict.fromkeys(joined, joined))
+    firsts = sorted({min(c) for c in classes.values() if not c & long}) if q > 2 else []
+    torus = [_torus_element(group, c, q) for c in firsts]
     return torus + [_root_element(group, b, q) for b in roots]
 
 
-def _parabolic_roots(group: GroupDatum, shape) -> list:
-    """Roots b such that x_b(1), with the torus, generate the Standard
-    parabolic of ``shape`` in group(F_q), q prime.
+def _parabolic_roots(group: GroupDatum, shape, q: int) -> list:
+    """Roots b such that x_b(1), with the torus elements of _generators,
+    generate the Standard parabolic P of ``shape`` in group(F_q), q
+    prime: the simple roots and -a for each simple root a of the Levi
+    (not a break), but every root of P for Sp_2n over F_2.
 
-    GL_r: the simple roots a_k = e_k - e_(k+1), and -a_k for each simple
-    root a_k of the Levi (k not a break).  Commutators of these give
-    every other root of the parabolic, since [I + E_ij, I + E_jl] =
-    I + E_il over every field, and over F_p x_b(1) generates X_b.
-    Sp_2n: every root of the parabolic.  The simple ones would not
-    suffice, since over F_2 the type C commutator relations lose their
-    factor 2, and the unipotent radical of the Borel of Sp_4(F_2), of
-    order 16, is not generated by two elements.
+    P is its Levi L times the unipotent radical U of the Borel's
+    positive roots outside L's.  L's derived group is generated by the
+    root subgroups of its simple roots and their negatives, and over
+    F_p x_b(1) generates X_b.  Outside characteristic 2 the simple root
+    subgroups generate the Borel's unipotent radical, which holds U
+    (Steinberg, Lectures on Chevalley Groups, section 3).  In type A
+    that holds over every field, since [I + E_ij, I + E_jl] = I + E_il.
+    In type C over F_2 the commutator relations lose their factor 2,
+    and the unipotent radical of the Borel of Sp_4(F_2), of order 16,
+    is not generated by two elements, so every root of P is used.
     """
-    if group.family is GroupFamily.SYMPLECTIC:
+    if group.family is GroupFamily.SYMPLECTIC and q == 2:
         return sorted(parabolic_root_set(ParabolicSpec(group, shape)))
     simple = [_simple_root(group, k) for k in group.simple_indices]
     levi = [tuple(-c for c in b) for k, b in enumerate(simple, 1) if k not in shape.breaks()]
@@ -611,14 +654,14 @@ def _k_targets(pair: SymmetricPairSpec, Q: KParabolicSpec, q: int) -> list[Mat]:
     """Generators of Q, as matrices of G (see the module docstring)."""
     groups, group = _k_groups(pair), pair.group
     if pair.kind is PairKind.AII:  # K = Sp_n is a subgroup of GL_n as it stands
-        return _generators(groups[0], _parabolic_roots(groups[0], Q.factors[0]), q)
+        return _generators(groups[0], _parabolic_roots(groups[0], Q.factors[0], q), q)
     if pair.kind is PairKind.CI and not Q.factors[0].is_proper:  # GL_n's letters u, c and d
         torus = [_torus_element(group, 0, q)] if q > 2 else []
         return [m for name, m in _letters(group, q).items() if name in ("u", "c")] + torus
     roots = [
         _carried_root(group, factor, b)
         for factor, factor_group, shape in zip(pair.k_factors, groups, Q.factors)
-        for b in _parabolic_roots(factor_group, shape)
+        for b in _parabolic_roots(factor_group, shape, q)
     ]
     return _generators(group, roots, q)
 
@@ -634,10 +677,11 @@ def _carried_root(group: GroupDatum, factor: KFactor, b: tuple) -> tuple:
 
 def _coset_targets(group: GroupDatum, Pi: ParabolicSpec, Pj: ParabolicSpec, q: int) -> list:
     """Generators of H_w = P_i cap wP_jw^-1 in group(F_q), q prime, for
-    each minimal w of W_Pi\\W/W_Pj (weyl.bruhat_double_cosets): the
-    torus and x_b(1) for each root b of Phi(P_i) cap w.Phi(P_j), with
-    Phi from groups.parabolic_root_set.  The G-orbits on X_i x X_j x X_k
-    are the sum over w of the H_w-orbits on X_k, since:
+    each minimal w of W_Pi\\W/W_Pj (weyl.bruhat_double_cosets): those
+    of _generators for the roots of Phi(P_i) cap w.Phi(P_j), with Phi
+    from groups.parabolic_root_set, which give the torus T with them.
+    The G-orbits on X_i x X_j x X_k are the sum over w of the H_w-orbits
+    on X_k, since:
 
     1. G(F_q) has a split BN-pair, so it is the disjoint union of the
        P_i(F_q) w P_j(F_q) (Bruhat over F_q): the G-orbits on X_i x X_j
@@ -743,7 +787,7 @@ def count_triple_orbits(
     sizes = [flag_count(group, P.shape, q) for P in specs]
     walked = specs.pop(sizes.index(min(sizes)))
     if len(specs) == 1:
-        target_sets = [_generators(group, _parabolic_roots(group, specs[0].shape), q)]
+        target_sets = [_generators(group, _parabolic_roots(group, specs[0].shape, q), q)]
     else:
         target_sets = _coset_targets(group, *specs, q)
     return _count_orbits(group, walked.shape, q, target_sets)

@@ -126,7 +126,7 @@ def _levi_roots(P: ParabolicSpec) -> dict:
     return {_simple_root(P.group, i): i for i in P.group.simple_indices if i not in excluded}
 
 
-def _ascends(group: GroupDatum, w: OneLine, roots) -> bool:
+def _ascends(w: OneLine, roots) -> bool:
     """Whether w sends every root of ``roots`` to a positive root."""
     return all(is_positive_root(_root_image(w, a)) for a in roots)
 
@@ -162,7 +162,7 @@ def bruhat_double_cosets(P: ParabolicSpec, P2: ParabolicSpec) -> DoubleCosetResu
     reps = [
         w
         for w in enumerate_weyl(group)
-        if _ascends(group, _inverse(w), left) and _ascends(group, w, right)
+        if _ascends(_inverse(w), left) and _ascends(w, right)
     ]
     _check_partition(group, left, right, reps)
     reps.sort(key=lambda u: (_length(group, u), u))

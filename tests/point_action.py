@@ -9,10 +9,12 @@ composed permutations with it, and use it to let arbitrary matrices act.
 reference_orbits counts orbits on a product of such spaces by plain
 union-find, where the library walks one space only.  mat_inv inverts
 a matrix for the tests' references, and identity builds the identity
-matrix; the library needs neither.
+matrix; the library needs neither.  dense_mat_mul is the dense product,
+each entry the sum over a row and a column, that the row-sparse
+gfq.mat_mul is compared with.
 """
 
-from operator import getitem
+from operator import getitem, mul
 
 from dflag import gfq
 from dflag.errors import CrossCheckError
@@ -30,6 +32,12 @@ def mat_inv(a, q):
     if tuple(row[:n] for row in reduced) != identity(n):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
+
+
+def dense_mat_mul(a, b, q):
+    """a b over F_q, each entry the dot product of a row and a column."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % q for col in bt) for row in a)
 
 
 class PointAction:

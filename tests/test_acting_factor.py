@@ -49,7 +49,7 @@ def _count_acting(group, shapes, acting, q):
     """The orbit count with the factor ``acting`` acting, whatever its
     size: the other factors are walked under its parabolic, and their
     product is searched by union-find."""
-    targets = _generators(group, _parabolic_roots(group, shapes[acting]), q)
+    targets = _generators(group, _parabolic_roots(group, shapes[acting], q), q)
     spaces = [
         (flag_count(group, s, q), _word_perms(group, s, q, targets))
         for k, s in enumerate(shapes)

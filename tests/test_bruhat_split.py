@@ -71,7 +71,7 @@ def _line_order(group, mats, q):
 def test_schreier_sims_orders_of_projective_groups():
     cases = [(gl(3), 3, 5_616), (sp(2), 3, 25_920), (gl(2), 2, 6), (sp(3), 2, 1_451_520)]
     for group, q, expected in cases:
-        whole = _generators(group, _parabolic_roots(group, whole_group(group).shape), q)
+        whole = _generators(group, _parabolic_roots(group, whole_group(group).shape, q), q)
         assert _line_order(group, whole, q) == expected == _group_order(group, q) // _scalars(group, q)
     assert order([], 5) == 1
     assert order([(1, 0, 2), (1, 2, 0)], 3) == 6
@@ -81,7 +81,7 @@ def test_schreier_sims_orders_of_projective_groups():
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_parabolic_orders_match_the_closed_form(group, q):
     for shape in PROPER[group]:
-        got = _line_order(group, _generators(group, _parabolic_roots(group, shape), q), q)
+        got = _line_order(group, _generators(group, _parabolic_roots(group, shape, q), q), q)
         expected = _group_order(group, q) // flag_count(group, shape, q) // _scalars(group, q)
         assert got == expected, (str(group), str(shape), q)
 
@@ -91,7 +91,7 @@ def test_parabolic_orders_match_the_closed_form(group, q):
 def test_coset_orders_add_up_to_the_other_variety(group, q):
     for si, sj in itertools.combinations_with_replacement(PROPER[group], 2):
         Pi, Pj = ParabolicSpec(group, si), ParabolicSpec(group, sj)
-        p_order = _line_order(group, _generators(group, _parabolic_roots(group, si), q), q)
+        p_order = _line_order(group, _generators(group, _parabolic_roots(group, si, q), q), q)
         total = sum(
             p_order // _line_order(group, mats, q) for mats in _coset_targets(group, Pi, Pj, q)
         )
@@ -103,7 +103,7 @@ def _reference_count(group, shapes, q):
     product of the other two, by union-find."""
     sizes = [flag_count(group, s, q) for s in shapes]
     acting = sizes.index(max(sizes))
-    targets = _generators(group, _parabolic_roots(group, shapes[acting]), q)
+    targets = _generators(group, _parabolic_roots(group, shapes[acting], q), q)
     spaces = [PointAction(group, s, q).space(targets) for k, s in enumerate(shapes) if k != acting]
     return reference_orbits(spaces)[1]
 

@@ -125,23 +125,36 @@ def test_a_non_root_is_a_cross_check_error():
 
 
 def _gl_rule(r, shape, q, boundary=None):
-    """The torus (q > 2), E_(k,k+1)(1) for every simple root k but
-    ``boundary``, E_(k+1,k)(1) for every simple root k of the Levi;
-    indices 1-based; a whole GL_r too."""
-    torus = [_matrix(r, {(i, i): _least_primitive_root(q)}, q) for i in range(r)] if q > 2 else []
+    """diag(z at the first coordinate of each block of ``shape``)
+    (q > 2), E_(k,k+1)(1) for every simple root k but ``boundary``,
+    E_(k+1,k)(1) for every simple root k of the Levi; indices 1-based;
+    a whole GL_r too."""
+    firsts = (0, *shape.breaks()) if q > 2 else ()
+    torus = [_matrix(r, {(i, i): _least_primitive_root(q)}, q) for i in firsts]
     simple = [_matrix(r, {(k - 1, k): 1}, q) for k in range(1, r) if k != boundary]
     levi = [_matrix(r, {(k, k - 1): 1}, q) for k in range(1, r) if k not in shape.breaks()]
     return set(torus + simple + levi)
 
 
 def _sp_rule(n, shape, q):
-    """The torus (q > 2) and x_b(1) for every root b of the parabolic."""
+    """diag(z at the first coordinate of each isotropic block, z^-1 at
+    its mirror) (q > 2), none for the middle block; then x_b(1) for
+    every root b of the parabolic over F_2, and otherwise for the
+    simple roots e_k - e_(k+1) and 2e_n and the negatives of the
+    Levi's."""
     dim, torus = 2 * n, []
     if q > 2:
         z = _least_primitive_root(q)
-        mirrored = [{(i, i): z, (dim - 1 - i, dim - 1 - i): pow(z, -1, q)} for i in range(n)]
+        firsts = [sum(shape.left[:k]) for k in range(len(shape.left))]
+        mirrored = [{(i, i): z, (dim - 1 - i, dim - 1 - i): pow(z, -1, q)} for i in firsts]
         torus = [_matrix(dim, entries, q) for entries in mirrored]
-    roots = parabolic_root_set(ParabolicSpec(sp(n), shape))
+    if q == 2:
+        roots = parabolic_root_set(ParabolicSpec(sp(n), shape))
+    else:
+        simple = [tuple(int(a == k) - int(a == k + 1) for a in range(n)) for k in range(n - 1)]
+        simple.append((0,) * (n - 1) + (2,))
+        levi = [a for k, a in enumerate(simple, 1) if k not in shape.breaks()]
+        roots = simple + [tuple(-c for c in a) for a in levi]
     return set(torus) | {_reference_sp_root_element(n, b, q) for b in roots}
 
 
@@ -156,7 +169,7 @@ def test_parabolic_generators_follow_the_rules(q):
     checked = 0
     for group in [gl(n) for n in range(1, 6)] + [sp(n) for n in range(1, 4)]:
         for shape in _every_shape(group):
-            targets = _generators(group, _parabolic_roots(group, shape), q)
+            targets = _generators(group, _parabolic_roots(group, shape, q), q)
             assert set(targets) == _rule(group, shape, q), (group, shape)
             checked += 1
     assert checked == (1 + 2 + 4 + 8 + 16) + (2 + 4 + 8)
@@ -240,7 +253,7 @@ def test_parabolic_generators_have_the_order_of_P(group, q):
     # and the others at q = 5
     for shape in _every_shape(group):
         if shape.is_proper:
-            got = _line_order(group, _generators(group, _parabolic_roots(group, shape), q), q)
+            got = _line_order(group, _generators(group, _parabolic_roots(group, shape, q), q), q)
             expected = _group_order(group, q) // flag_count(group, shape, q) // _scalars(group, q)
             assert got == expected, str(shape)
 

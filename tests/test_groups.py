@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dflag.compositions import Composition, SymplecticComposition
@@ -60,16 +62,17 @@ def test_borel_root_set_is_positive_system():
 
 
 def test_root_set_sizes_split_levi_nilradical():
-    # |roots(P)| = |Levi roots| + |nilradical roots| and the standard /
-    # opposite specs have equal sizes
+    # a GL_n shape with parts k_i has sum k_i (k_i - 1) Levi roots and
+    # sum_(i<j) k_i k_j nilradical roots, and the standard / opposite
+    # specs have equal sizes
     for n in range(2, 5):
         for parts in _comps(n):
             P = ParabolicSpec(gl(n), Composition(parts))
             opp = ParabolicSpec(gl(n), Composition(parts), Orientation.OPPOSITE)
             rp = parabolic_root_set(P)
             levi = {r for r in rp if tuple(-c for c in r) in rp}
-            nil = rp - levi
-            assert len(rp) == len(levi) + len(nil)
+            assert len(levi) == sum(k * (k - 1) for k in parts)
+            assert len(rp - levi) == sum(a * b for a, b in itertools.combinations(parts, 2))
             assert len(parabolic_root_set(opp)) == len(rp)
 
 

@@ -1,14 +1,18 @@
 """The line permutation of a matrix against the dense matrix-vector product.
 
 ``_line_perm`` builds each matrix's permutation of the lines of F_q^dim
-one row of the images at a time and looks each image up by its base-q
-code.  The reference multiplies the matrix into each line's normalized
-vector and reduces the image with ``gfq.rref``; every line is checked,
-so the two agree on every point of every flag variety.
-``apply_to_flag`` is the same dense product on a whole flag.
+from the row-sparse product ``gfq.mat_mul`` of the rows of the matrix
+that differ from the identity's with the lines' coordinate rows, and
+looks each image up by its base-q code.  The reference multiplies the
+matrix into each line's normalized vector and reduces the image with
+``gfq.rref``; every line is checked, so the two agree on every point of
+every flag variety.  ``apply_to_flag`` is the same dense product on a
+whole flag.  The row-sparse product itself is checked against the dense
+one of point_action.py.
 """
 
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -19,7 +23,7 @@ from dflag.compositions import Composition as C
 from dflag.compositions import SymplecticComposition as SC
 from dflag.errors import CrossCheckError
 from dflag.flags import apply_to_flag, enumerate_flags
-from dflag.groups import GroupFamily, ParabolicSpec, gl, sp
+from dflag.groups import GroupFamily, ParabolicSpec, all_roots, gl, sp
 from dflag.orbits import (
     _generators,
     _k_targets,
@@ -27,9 +31,12 @@ from dflag.orbits import (
     _line_perm,
     _lines,
     _parabolic_roots,
+    _root_element,
+    _torus_element,
     _walk_flags,
 )
 from dflag.pairs import SymmetricPairSpec
+from point_action import dense_mat_mul
 from test_k_reference import _reference_blocks
 from test_words import _k_shapes
 
@@ -62,7 +69,7 @@ def _matrices(group, pairs, q):
     for token in pairs:
         mats += _embedded(token, q)
     for P in _standard_parabolics(group):
-        mats += _generators(group, _parabolic_roots(group, P.shape), q)
+        mats += _generators(group, _parabolic_roots(group, P.shape, q), q)
     return sorted(set(mats))
 
 
@@ -87,6 +94,46 @@ def _check_line_perms(group, shape, mats, q):
 @pytest.mark.parametrize("group, shape, pairs", SPACES)
 def test_line_perm_matches_the_dense_product(group, shape, pairs, q):
     _check_line_perms(group, shape, _matrices(group, pairs, q), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize(
+    "group", [gl(n) for n in range(1, 7)] + [sp(n) for n in range(1, 4)], ids=str
+)
+def test_the_row_sparse_product_of_group_elements_is_the_dense_one(group, q):
+    # every letter, root element and torus element, and their pairwise
+    # products
+    torus = [_torus_element(group, i, q) for i in range(group.n)] if q > 2 else []
+    roots = [_root_element(group, b, q) for b in sorted(all_roots(group))]
+    mats = [*_letters(group, q).values(), *roots, *torus]
+    for a, b in itertools.product(mats, repeat=2):
+        assert gfq.mat_mul(a, b, q) == dense_mat_mul(a, b, q), (a, b)
+
+
+def _random_rows(rng, count, width, q):
+    """``count`` rows of ``width`` entries: zero rows, rows with a single
+    1, rows with a single other entry and dense rows, in random turn."""
+    rows = []
+    for _ in range(count):
+        row = [0] * width
+        kind = rng.randrange(4)
+        if kind in (1, 2):
+            row[rng.randrange(width)] = 1 if kind == 1 else rng.randrange(1, q)
+        elif kind == 3:
+            row = [rng.randrange(q) for _ in range(width)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_the_row_sparse_product_of_random_blocks_is_the_dense_one(q):
+    # d x d matrices times d x d matrices and d x N coordinate blocks
+    rng = random.Random(q)
+    for d in range(1, 7):
+        for width in (d, 1, 13, 364):
+            for _ in range(20):
+                a, b = _random_rows(rng, d, d, q), _random_rows(rng, d, width, q)
+                assert gfq.mat_mul(a, b, q) == dense_mat_mul(a, b, q), (a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3])

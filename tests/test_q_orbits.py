@@ -23,6 +23,7 @@ from dflag.errors import CrossCheckError
 from dflag.flags import flag_count
 from dflag.groups import GroupFamily, ParabolicSpec, borel, gl, sp
 from dflag.orbits import (
+    _k_targets,
     _letters,
     _line_perm,
     _Speller,
@@ -240,10 +241,31 @@ PASS_CASES = [
         ),
         18,
     ),
-    ("AIII:2,2-Q2;2-F3", lambda: _count("AIII:2,2", "1,1,1,1", "2;2", 3), 26),
-    ("AIII:3,3-P1,5-F3", lambda: _count("AIII:3,3", "1,5", "1,1,1;1,2", 3), 44),
-    ("CII:1,2-Siegel-F3", lambda: _count("CII:1,2", "3,3", "1,1;1,2,1", 3), 22),
+    ("AIII:2,2-Q2;2-F3", lambda: _count("AIII:2,2", "1,1,1,1", "2;2", 3), 22),
+    ("AIII:3,3-P1,5-F3", lambda: _count("AIII:3,3", "1,5", "1,1,1;1,2", 3), 42),
+    ("CII:1,2-Siegel-F3", lambda: _count("CII:1,2", "3,3", "1,1;1,2,1", 3), 14),
+    ("AII:4-P1,2,1-Q2,2-F3", lambda: _count("AII:4", "1,2,1", "2,2", 3), 26),
 ]
+
+
+# (torus elements, root elements) of Q over F_3: one torus element per
+# class of coordinates its Levi joins, none for a symplectic block, so a
+# Borel Q keeps all of them; the simple roots and the Levi's negatives
+GENERATOR_CASES = [
+    ("AIII:2,2", "2;2", (2, 4)),
+    ("AIII:2,2", "1,1;1,1", (4, 2)),
+    ("CII:1,2", "1,1;1,2,1", (2, 4)),
+    ("CII:1,2", "1,1;1,1,1,1", (3, 3)),
+    ("AII:4", "2,2", (1, 3)),
+]
+
+
+@pytest.mark.parametrize("token, q_shapes, sizes", GENERATOR_CASES)
+def test_counts_take_their_pinned_generators(token, q_shapes, sizes):
+    pair = SymmetricPairSpec.parse(token)
+    targets = _k_targets(pair, KParabolicSpec.parse(pair, q_shapes), 3)
+    torus = [m for m in targets if any(row[k] != 1 for k, row in enumerate(m))]  # unipotent else
+    assert (len(torus), len(targets) - len(torus)) == sizes
 
 
 @pytest.mark.parametrize("spell, passes", [pytest.param(s, n, id=i) for i, s, n in PASS_CASES])

@@ -92,7 +92,7 @@ TRIPLE_CASES = [
 def test_every_word_for_P1_moves_points_as_its_matrix(group, walked, q):
     shapes = _every_shape(group)
     for shape in shapes:
-        targets = _generators(group, _parabolic_roots(group, shape), q)
+        targets = _generators(group, _parabolic_roots(group, shape, q), q)
         _check_words(group, walked, q, targets)
 
 
@@ -120,12 +120,14 @@ def test_sp_torus_words_move_points_as_their_matrices(group, walked, q):
     assert _check_words(group, walked, q, targets) >= len(_letters(group, q)) + 2 * n
 
 
-def test_sp_parabolics_take_the_torus_and_every_root():
-    # the Borel of Sp_4 over F_3: 2 torus elements and the 4 positive roots
-    targets = _generators(sp(2), _parabolic_roots(sp(2), SC((1, 1), 0)), 3)
-    assert len(targets) == 2 + 4
+def test_sp_parabolics_take_every_root_only_over_f2():
+    # the Borel of Sp_4: over F_3 its 2 torus elements and 2 simple
+    # roots, over F_2 its 4 positive roots and no torus
+    for q, size in ((3, 2 + 2), (2, 4)):
+        assert len(_generators(sp(2), _parabolic_roots(sp(2), SC((1, 1), 0), q), q)) == size
+    # CII:1,1's Q = K over F_3: +-2e of each Sp_2, whose torus they hold
     pair = SymmetricPairSpec.parse("CII:1,1")
-    assert len(_k_targets(pair, KParabolicSpec.parse(pair, "2;2"), 3)) == 2 + 2 + 2
+    assert len(_k_targets(pair, KParabolicSpec.parse(pair, "2;2"), 3)) == 2 + 2
 
 
 def test_a_word_that_misses_its_matrix_is_a_cross_check_error():
