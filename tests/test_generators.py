@@ -32,6 +32,7 @@ from dflag.orbits import (
 from dflag.pairs import PairKind, SymmetricPairSpec
 from test_bruhat_split import GROUPS, _group_order, _line_order, _scalars
 from test_fforacle import _every_shape
+from test_groups import _simple_roots
 from test_k_reference import _reference_blocks
 from test_words import _k_shapes
 
@@ -151,8 +152,7 @@ def _sp_rule(n, shape, q):
     if q == 2:
         roots = parabolic_root_set(ParabolicSpec(sp(n), shape))
     else:
-        simple = [tuple(int(a == k) - int(a == k + 1) for a in range(n)) for k in range(n - 1)]
-        simple.append((0,) * (n - 1) + (2,))
+        simple = _simple_roots(sp(n))
         levi = [a for k, a in enumerate(simple, 1) if k not in shape.breaks()]
         roots = simple + [tuple(-c for c in a) for a in levi]
     return set(torus) | {_reference_sp_root_element(n, b, q) for b in roots}

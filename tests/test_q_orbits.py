@@ -264,7 +264,8 @@ GENERATOR_CASES = [
 def test_counts_take_their_pinned_generators(token, q_shapes, sizes):
     pair = SymmetricPairSpec.parse(token)
     targets = _k_targets(pair, KParabolicSpec.parse(pair, q_shapes), 3)
-    torus = [m for m in targets if any(row[k] != 1 for k, row in enumerate(m))]  # unipotent else
+    # the root elements have 1s on the diagonal, the torus elements not
+    torus = [m for m in targets if any(row[k] != 1 for k, row in enumerate(m))]
     assert (len(torus), len(targets) - len(torus)) == sizes
 
 
